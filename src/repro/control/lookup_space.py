@@ -94,14 +94,13 @@ class LookupSpace:
                  len(self.inlet_grid))
         cpu = np.empty(shape)
         outlet = np.empty(shape)
-        for i, util in enumerate(self.utilisation_grid):
-            for j, flow in enumerate(self.flow_grid):
-                for k, inlet in enumerate(self.inlet_grid):
-                    setting = CoolingSetting(flow_l_per_h=float(flow),
-                                             inlet_temp_c=float(inlet))
-                    cpu[i, j, k] = self.model.cpu_temp_c(float(util), setting)
-                    outlet[i, j, k] = self.model.outlet_temp_c(
-                        float(util), setting)
+        for j, flow in enumerate(self.flow_grid):
+            for k, inlet in enumerate(self.inlet_grid):
+                terms = self.model.setting_terms(CoolingSetting(
+                    flow_l_per_h=float(flow), inlet_temp_c=float(inlet)))
+                for i, util in enumerate(self.utilisation_grid):
+                    _, cpu[i, j, k], outlet[i, j, k] = self.model.response(
+                        float(util), terms)
         return cpu, outlet
 
     # ------------------------------------------------------------------

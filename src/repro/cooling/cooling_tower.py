@@ -76,13 +76,19 @@ class CoolingTower:
         """
         if heat_w < 0:
             raise PhysicalRangeError(f"heat must be >= 0, got {heat_w}")
+        fraction = self.chiller_fraction(target_supply_c, wet_bulb_c)
+        if fraction == 0.0:
+            return heat_w, 0.0
+        chiller_heat = heat_w * fraction
+        return heat_w - chiller_heat, chiller_heat
+
+    def chiller_fraction(self, target_supply_c: float,
+                         wet_bulb_c: float) -> float:
+        """The chiller's share of the load at ``target_supply_c``."""
         coldest = self.coldest_supply_c(wet_bulb_c)
         if target_supply_c >= coldest:
-            return heat_w, 0.0
-        shortfall = coldest - target_supply_c
+            return 0.0
         # The tower pre-cools to its limit; the chiller trims the rest.
         # Share is proportional to the shortfall over a nominal 10 degC
         # loop range, capped at the full load.
-        chiller_fraction = min(1.0, shortfall / 10.0)
-        chiller_heat = heat_w * chiller_fraction
-        return heat_w - chiller_heat, chiller_heat
+        return min(1.0, (coldest - target_supply_c) / 10.0)

@@ -152,9 +152,8 @@ class WaterCirculation:
                        else cold_source_temp_c)
 
         # All model entry points are vectorised over utilisation.
-        cpu_temps = self.cpu_model.cpu_temp_c(utils, applied)
-        outlet_temps = self.cpu_model.outlet_temp_c(utils, applied)
-        cpu_powers = self.cpu_model.cpu_power_w(utils)
+        cpu_powers, cpu_temps, outlet_temps = self.cpu_model.response(
+            utils, self.cpu_model.setting_terms(applied))
         teg_powers = self.teg_module.generation_w(
             outlet_temps, cold_side_c, applied.flow_l_per_h)
         teg_powers = teg_powers * teg_output_factor

@@ -565,11 +565,11 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
             else:
                 indices = np.concatenate(
                     [self._groups[m] for m in members])
-            batch = sched_all[indices]
-            outlets = self.cpu_model.outlet_temp_c(batch, applied)
-            cpu_temps[indices] = self.cpu_model.cpu_temp_c(batch, applied)
+            power, temps, outlets = self.cpu_model.response(
+                sched_all[indices], self.cpu_model.setting_terms(applied))
+            cpu_powers[indices] = power
+            cpu_temps[indices] = temps
             outlet_temps[indices] = outlets
-            cpu_powers[indices] = self.cpu_model.cpu_power_w(batch)
             teg_powers[indices] = self.teg_module.generation_w(
                 outlets, self.config.cold_source_temp_c,
                 applied.flow_l_per_h)
@@ -1647,6 +1647,8 @@ class BatchSimulationEngine:
             self._live_server = None
         self._drop_executor(wait=True)
         self._shared_traces.close()
+        # The digest cache holds a strong reference to every trace run.
+        self._trace_digests.clear()
         self._finalizer.detach()
 
     def __enter__(self) -> "BatchSimulationEngine":

@@ -5,17 +5,19 @@ per-step Python loop entirely.  For a fault-free run the simulation is
 a pure function of the trace, so the kernel:
 
 1. **decides** — builds the scheduled ``(steps x servers)`` utilisation
-   plane, computes every ``(step, circulation)`` cell's binding
-   utilisation, dedupes cells through the cooling-decision cache's own
-   quantisation, and calls the policy once per unique key (primed in
-   first-occurrence order, so a shared memoising policy sees exactly
-   the serial call sequence);
-2. **evaluates** — groups cells by their clamped cooling setting and
-   runs the thermal/TEG model entry points over gathered 1-D batches,
-   scattering results into ``(steps x servers)`` planes;
-3. **reduces** — per-circulation sums/maxima over contiguous column
-   blocks, plus the facility split (chiller fraction, tower, pump) as
-   per-cell array arithmetic with the serial expression order;
+   plane (the trace itself under ``NoScheduler``), computes every
+   ``(step, circulation)`` cell's binding utilisation, dedupes cells
+   through the cooling-decision cache's own quantisation, and calls the
+   policy once per unique key (primed in first-occurrence order, so a
+   shared memoising policy sees exactly the serial call sequence);
+2. **evaluates** — one pass over cache-sized row blocks: the model entry
+   points compute CPU power once, then CPU/outlet temperatures and TEG
+   output, from each cell's setting terms; each block is reduced at once
+   to per-circulation sums and maxima and over-limit cells, so no
+   ``(steps x servers)`` result plane is built;
+3. **reduces** — the facility split (chiller fraction, tower, pump) as
+   per-cell array arithmetic with the serial expression order, the
+   earliest capacity / strict-safety error and the violation log;
 4. **folds** — accumulates circulation columns into per-step cluster
    totals in circulation order (sequential adds, like the serial
    ``_aggregate_step``) and emits a columnar result.
@@ -31,10 +33,10 @@ subtotals would not be).
 
 Bit-identity
 ------------
-Every array expression mirrors the serial arithmetic exactly:
-elementwise model calls are order-independent; per-circulation
-``sum/mean/max(axis=1)`` over a contiguous block is bit-identical to the
-serial 1-D reductions (same pairwise blocking); the cluster fold adds
+Every array expression mirrors the serial arithmetic exactly: the model
+entry points keep the scalar operation order; a sum or max over the last
+axis of a ``(rows, circulations, size)`` view is bit-identical to the
+serial 1-D reduction (same pairwise blocking); the cluster fold adds
 circulation columns sequentially; and capacity / strict-safety errors
 are replayed at the earliest offending cell in serial evaluation order.
 ``tests/core/test_kernel.py`` and the golden fixtures enforce this.
@@ -51,6 +53,8 @@ import numpy as np
 from .. import obs
 from ..control.scheduling import IdealBalancer, NoScheduler
 from ..errors import CoolingFailureError, PhysicalRangeError
+from ..teg.module import flow_coupling
+from ..thermal.cpu_model import SettingTerms
 from ..thermal.hydraulics import loop_pump_power_w
 from .results import ColumnarSteps, SafetyViolation, SimulationResult
 
@@ -70,10 +74,19 @@ __all__ = [
 #: uses.  Both paths are bit-identical.
 KERNEL_BATCH_ENV_VAR = "REPRO_KERNEL_BATCH"
 
+#: Cells per row block of the evaluate pass (``max(1, ROW_BLOCK_CELLS //
+#: n_servers)`` rows): the block's float64 temporaries stay resident in
+#: a few-MB L2 cache.
+ROW_BLOCK_CELLS = 32_768
+
 
 @dataclass
 class KernelTimings:
-    """Wall time spent in each kernel phase (attached to EngineMetrics)."""
+    """Wall time spent in each kernel phase (attached to EngineMetrics).
+
+    ``evaluate_s`` includes reducing each row block to circulation
+    columns; ``reduce_s`` is the column-sized facility and error work.
+    """
 
     decide_s: float = 0.0
     evaluate_s: float = 0.0
@@ -142,28 +155,46 @@ class KernelColumns:
     error: KernelError | None = None
 
 
+def _circulations(sim, rows: np.ndarray):
+    """Yield ``(circs, first_server, view)`` per run of same-size circulations.
+
+    ``view`` is ``rows``' columns as ``(rows, circulations, size)`` (the
+    equal-size circulations, then any ragged tail), never a copy.
+    """
+    n_rows, n_servers = rows.shape
+    size = int(sim._groups[0].size)
+    full = n_servers // size
+    yield slice(0, full), 0, rows[:, :full * size].reshape(n_rows, full, size)
+    if full * size < n_servers:
+        yield slice(full, full + 1), full * size, rows[:, None, full * size:]
+
+
+def _per_circulation(sim, plane: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(..., axis=2)`` of every circulation's columns of ``plane``."""
+    out = np.empty((plane.shape[0], len(sim._groups)))
+    for circs, _, view in _circulations(sim, plane):
+        out[:, circs] = reduce(view, axis=2)
+    return out
+
+
 def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
     """The whole-trace scheduled utilisation plane ``U[step, server]``.
 
-    ``NoScheduler`` and ``IdealBalancer`` (the paper's two schemes) are
-    computed as array expressions; any other scheduler falls back to a
-    per-cell call so data-dependent balancers stay bit-faithful.
+    ``NoScheduler`` returns ``raw`` itself (no copy) and
+    ``IdealBalancer`` is an array expression (the paper's two schemes);
+    any other scheduler falls back to a per-cell call so data-dependent
+    balancers stay bit-faithful.  Callers never write to the plane.
     """
-    n_steps = raw.shape[0]
-    plane = np.empty_like(raw)
     scheduler = sim._scheduler
-    for group in sim._groups:
-        start, stop = int(group[0]), int(group[0]) + group.size
-        block = raw[:, start:stop]
-        if type(scheduler) is NoScheduler:
-            plane[:, start:stop] = block
-        elif type(scheduler) is IdealBalancer:
-            means = block.mean(axis=1)
-            plane[:, start:stop] = np.repeat(means[:, None], group.size,
-                                             axis=1)
-        else:
-            for step in range(n_steps):
-                plane[step, start:stop] = scheduler.schedule(block[step])
+    if type(scheduler) is NoScheduler:
+        return raw
+    if type(scheduler) is IdealBalancer:
+        sizes = [group.size for group in sim._groups]
+        return np.repeat(_per_circulation(sim, raw, np.mean), sizes, axis=1)
+    plane = np.empty_like(raw)
+    for step in range(raw.shape[0]):  # the serial call order
+        for group in sim._groups:
+            plane[step, group] = scheduler.schedule(raw[step, group])
     return plane
 
 
@@ -185,10 +216,9 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
       so the scalar loop must run to reproduce that exact error.
 
     The representative binding for each unique cell is read back from
-    the precomputed ``bindings`` plane: row reductions of a C-contiguous
-    block are bit-equal to reducing the cell's 1-D vector, so the value
-    handed to the cache equals what :meth:`CoolingDecisionCache.decide`
-    would have computed from the full vector.
+    the precomputed ``bindings``: a last-axis reduction of a circulation
+    view is bit-equal to reducing the cell's 1-D vector, so the cache
+    sees what :meth:`CoolingDecisionCache.decide` would have computed.
     """
     decide_batch = getattr(sim, "_decide_batch", None)
     policy = getattr(sim, "_policy", None)
@@ -204,11 +234,9 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
     if not (lo >= 0.0 and hi <= 1.0):  # NaN compares false: falls back
         return None
     cell = first_cell[order]
-    steps, circs = np.divmod(cell, n_circs)
-    rep_bindings = bindings[steps, circs]
-    rep_sizes = sizes[circs]
     with obs.span("kernel.decide_batch"):
-        decisions = decide_batch(rep_bindings, rep_sizes)
+        decisions = decide_batch(bindings.ravel()[cell],
+                                 sizes[cell % n_circs])
     obs.add("engine.kernel.batched_decisions", len(decisions))
     return decisions
 
@@ -231,12 +259,8 @@ def _decide_cells(sim, plane: np.ndarray):
     policy = sim._policy
     aggregation = getattr(policy, "aggregation", "max")
 
-    bindings = np.empty((n_steps, n_circs))
-    for index, group in enumerate(groups):
-        start, stop = int(group[0]), int(group[0]) + group.size
-        block = plane[:, start:stop]
-        bindings[:, index] = (block.mean(axis=1) if aggregation == "avg"
-                              else block.max(axis=1))
+    bindings = _per_circulation(
+        sim, plane, np.mean if aggregation == "avg" else np.max)
 
     resolution = getattr(policy, "cache_resolution", None)
     if resolution:
@@ -278,7 +302,6 @@ def _decide_cells(sim, plane: np.ndarray):
         first_cell = np.full(n_uniq, cells, dtype=np.int64)
         np.minimum.at(first_cell, inverse, np.arange(cells))
 
-    cdu = sim._circulations[0].cdu
     decisions = [None] * n_uniq
     order = np.argsort(first_cell, kind="stable")
     batched = _batched_decisions(sim, plane, bindings, sizes, first_cell,
@@ -289,9 +312,7 @@ def _decide_cells(sim, plane: np.ndarray):
     else:
         for uid in order:
             step, circ = divmod(int(first_cell[uid]), n_circs)
-            group = groups[circ]
-            vector = plane[step, int(group[0]):int(group[0]) + group.size]
-            decisions[uid] = sim._decide(vector)
+            decisions[uid] = sim._decide(plane[step, groups[circ]])
     cache = getattr(sim, "_cache", None)
     if cache is not None:
         # The serial loop would have looked every cell up; duplicates
@@ -300,82 +321,108 @@ def _decide_cells(sim, plane: np.ndarray):
     obs.add("engine.kernel.decide_cells", cells)
     obs.add("engine.kernel.unique_decisions", n_uniq)
 
-    setting_index: dict[tuple[float, float], int] = {}
-    applied_settings = []
-    uid_to_sid = np.empty(n_uniq, dtype=np.intp)
-    for uid, decision in enumerate(decisions):
-        applied = cdu.clamp(decision.setting)
-        key = (applied.flow_l_per_h, applied.inlet_temp_c)
-        sid = setting_index.get(key)
-        if sid is None:
-            sid = setting_index[key] = len(applied_settings)
-            applied_settings.append(applied)
-        uid_to_sid[uid] = sid
+    # Clamped settings are frozen (hashable) dataclasses: number them in
+    # first-seen order.
+    setting_index: dict = {}
+    cdu = sim._circulations[0].cdu
+    uid_to_sid = np.array([
+        setting_index.setdefault(cdu.clamp(decision.setting),
+                                 len(setting_index))
+        for decision in decisions], dtype=np.intp)
     setting_id = uid_to_sid[inverse].reshape(n_steps, n_circs)
-    return setting_id, applied_settings
+    return setting_id, list(setting_index)
 
 
-def _earliest_error(sim, chiller_heat, tower_heat,
-                    cpu_temp_plane, interval_s: float) -> KernelError | None:
+def _evaluate_blocks(sim, plane: np.ndarray, setting_id: np.ndarray,
+                     applied_settings: list):
+    """Phase 2: the models over row blocks, each reduced at once.
+
+    Returns the per-circulation CPU power sums, generation sums and
+    hottest CPU, the per-step violation counts and the over-limit cells
+    as ``(steps, servers, temps)`` arrays in serial (row-major) order.
+    """
+    n_steps, n_servers = plane.shape
+    cpu_model = sim.cpu_model
+    limit = cpu_model.max_operating_temp_c
+    terms_by_sid = np.array([cpu_model.setting_terms(applied)
+                             for applied in applied_settings]).T
+    coupling_by_sid = np.array([flow_coupling(applied.flow_l_per_h)
+                                for applied in applied_settings])
+    heat_c, generation_c, max_temp_c = (
+        np.empty(setting_id.shape) for _ in range(3))
+    counts = np.zeros(n_steps, dtype=np.int64)
+    over = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    rows = max(1, ROW_BLOCK_CELLS // n_servers)
+    for first in range(0, n_steps, rows):
+        block = slice(first, first + rows)
+        for circs, first_server, utils in _circulations(sim, plane[block]):
+            sid = setting_id[block, circs, None]
+            power, temp, outlet = cpu_model.response(
+                utils, SettingTerms(*terms_by_sid[:, sid]))
+            heat_c[block, circs] = power.sum(axis=2)
+            generation_c[block, circs] = sim.teg_module.coupled_generation_w(
+                outlet, sim.config.cold_source_temp_c,
+                coupling_by_sid[sid]).sum(axis=2)
+            hottest = max_temp_c[block, circs] = temp.max(axis=2)
+            if (hottest > limit).any():
+                hot = temp > limit
+                counts[block] += hot.sum(axis=(1, 2))
+                step, circ, slot = np.nonzero(hot)
+                over.append((first + step,
+                             first_server + circ * utils.shape[2] + slot,
+                             temp[step, circ, slot]))
+    steps, servers, temps = map(np.concatenate, zip(*over))
+    order = np.lexsort((servers, steps))
+    return (heat_c, generation_c, max_temp_c, counts,
+            (steps[order], servers[order], temps[order]))
+
+
+def _earliest_error(sim, chiller_heat, tower_heat, over,
+                    interval_s: float) -> KernelError | None:
     """The first error the serial loop would have raised, or ``None``.
 
     Serial ordering inside one step: every circulation's *evaluation*
     (chiller capacity check, then tower capacity check, per circulation
     in order) runs before the step's aggregation (strict-safety check,
     per circulation in order).  Across steps, the earliest step wins.
-    The error is *captured*, not raised, so a shard can report it to
-    the merge, which decides whether this shard's error is the globally
-    earliest one.
+    ``over`` holds the over-limit cells in serial order, so its first
+    cell is the strict-safety offender.  The error is *captured*, not
+    raised, so a shard can report it to the merge, which decides whether
+    this shard's error is the globally earliest one.
     """
-    groups = sim._groups
-    n_circs = len(groups)
+    n_circs = len(sim._groups)
     circulations = sim._circulations
+    chiller_cap, tower_cap = np.array([
+        (c.chiller.capacity_kw, c.tower.max_heat_kw)
+        for c in circulations]).T * 1000.0
+    capacity_cells = np.flatnonzero((chiller_heat > chiller_cap)
+                                    | (tower_heat > tower_cap))
+    steps, servers, temps = over
+    violation_step = (int(steps[0]) if sim.config.strict_safety
+                      and steps.size else np.inf)
 
-    chiller_cap = np.array([c.chiller.capacity_kw
-                            for c in circulations]) * 1000.0
-    tower_cap = np.array([c.tower.max_heat_kw
-                          for c in circulations]) * 1000.0
-    capacity_mask = ((chiller_heat > chiller_cap[None, :])
-                     | (tower_heat > tower_cap[None, :]))
-    capacity_cells = np.nonzero(capacity_mask.ravel())[0]
-    capacity_step = (int(capacity_cells[0]) // n_circs
-                     if capacity_cells.size else None)
-
-    violating = np.empty(0, dtype=np.int64)
-    violation_step = None
-    if sim.config.strict_safety:
-        limit = sim.cpu_model.max_operating_temp_c
-        violating = np.nonzero((cpu_temp_plane > limit).ravel())[0]
-        if violating.size:
-            violation_step = int(violating[0]) // cpu_temp_plane.shape[1]
-
-    if capacity_step is not None and (violation_step is None
-                                      or capacity_step <= violation_step):
+    if capacity_cells.size and capacity_cells[0] // n_circs <= violation_step:
         step, circ = divmod(int(capacity_cells[0]), n_circs)
         circulation = circulations[circ]
-        heat = float(chiller_heat[step, circ])
-        try:
-            if heat > circulation.chiller.capacity_kw * 1000.0:
-                circulation.chiller.electricity_w_for_heat(heat)
+        try:  # the serial evaluation's two capacity checks, in order
+            circulation.chiller.electricity_w_for_heat(
+                float(chiller_heat[step, circ]))
             circulation.tower.electricity_w_for_heat(
                 float(tower_heat[step, circ]))
         except PhysicalRangeError as exc:
             return KernelError(exception=exc, phase=0, step=step, circ=circ)
         raise AssertionError(
             "capacity cell did not raise")  # pragma: no cover
-    if violation_step is not None:
-        flat = int(violating[0])
-        step, server = divmod(flat, cpu_temp_plane.shape[1])
-        circ = next(index for index, group in enumerate(groups)
-                    if group[0] <= server <= group[-1])
-        group = groups[circ]
+    if violation_step < np.inf:
+        step, server = violation_step, int(servers[0])
+        circ = server // int(sim._groups[0].size)
         time_s = (sim.step_offset + step) * interval_s
         exc = CoolingFailureError(
             f"CPU over temperature at t={time_s:.0f}s in "
             f"circulation starting at server "
-            f"{int(group[0]) + sim.server_offset}",
-            server_id=int(server) + sim.server_offset,
-            temperature_c=float(cpu_temp_plane[step, server]),
+            f"{int(sim._groups[circ][0]) + sim.server_offset}",
+            server_id=server + sim.server_offset,
+            temperature_c=float(temps[0]),
             step_index=sim.step_offset + step,
         )
         return KernelError(exception=exc, phase=1, step=step, circ=circ)
@@ -397,80 +444,36 @@ def run_kernel_columns(sim) -> KernelColumns:
     simulator's global frame (``step_offset`` / ``server_offset``), so
     a shard's columns can be merged without rewriting them.
     """
-    timings = KernelTimings()
-    sim.kernel_timings = timings
+    sim.kernel_timings = timings = KernelTimings()
     trace = sim.trace
-    raw = trace.utilisation
-    n_steps, n_servers = raw.shape
-    groups = sim._groups
-    n_circs = len(groups)
     circulations = sim._circulations
     interval_s = trace.interval_s
 
     # Phase 1 — schedule + decide (cache-deduplicated).
     clock = time.perf_counter()
     with obs.span("kernel.decide"):
-        plane = _scheduled_plane(sim, raw)
+        plane = _scheduled_plane(sim, trace.utilisation)
         setting_id, applied_settings = _decide_cells(sim, plane)
     timings.decide_s = time.perf_counter() - clock
 
-    # Phase 2 — evaluate the thermal/TEG models per unique setting.
+    # Phase 2 — evaluate the models and reduce each row block at once.
     clock = time.perf_counter()
     with obs.span("kernel.evaluate"):
-        cpu_model = sim.cpu_model
-        teg_module = sim.teg_module
-        cold_source_c = sim.config.cold_source_temp_c
-        flat_utils = plane.reshape(-1)
-        cpu_temp = np.empty(flat_utils.size)
-        cpu_power = np.empty(flat_utils.size)
-        teg_power = np.empty(flat_utils.size)
-        for sid, applied in enumerate(applied_settings):
-            mask = setting_id == sid
-            chunks = []
-            for circ in range(n_circs):
-                steps_at = np.nonzero(mask[:, circ])[0]
-                if steps_at.size:
-                    chunks.append((steps_at[:, None] * n_servers
-                                   + groups[circ][None, :]).ravel())
-            if not chunks:
-                continue
-            gathered = (np.concatenate(chunks) if len(chunks) > 1
-                        else chunks[0])
-            batch = flat_utils[gathered]
-            outlets = cpu_model.outlet_temp_c(batch, applied)
-            cpu_temp[gathered] = cpu_model.cpu_temp_c(batch, applied)
-            cpu_power[gathered] = cpu_model.cpu_power_w(batch)
-            teg_power[gathered] = teg_module.generation_w(
-                outlets, cold_source_c, applied.flow_l_per_h)
-        cpu_temp_plane = cpu_temp.reshape(n_steps, n_servers)
-        cpu_power_plane = cpu_power.reshape(n_steps, n_servers)
-        teg_power_plane = teg_power.reshape(n_steps, n_servers)
+        heat_c, generation_c, max_temp_c, counts, over = _evaluate_blocks(
+            sim, plane, setting_id, applied_settings)
     timings.evaluate_s = time.perf_counter() - clock
 
-    # Phase 3 — per-circulation reductions and facility accounting.
+    # Phase 3 — facility accounting, earliest error, violation log.
     clock = time.perf_counter()
     with obs.span("kernel.reduce"):
-        generation_c = np.empty((n_steps, n_circs))
-        heat_c = np.empty((n_steps, n_circs))
-        max_temp_c = np.empty((n_steps, n_circs))
-        for index, group in enumerate(groups):
-            start, stop = int(group[0]), int(group[0]) + group.size
-            generation_c[:, index] = teg_power_plane[:, start:stop].sum(
-                axis=1)
-            heat_c[:, index] = cpu_power_plane[:, start:stop].sum(axis=1)
-            max_temp_c[:, index] = cpu_temp_plane[:, start:stop].max(axis=1)
-
         tower = circulations[0].tower
-        wet_bulb_c = circulations[0].wet_bulb_c
-        coldest_c = tower.coldest_supply_c(wet_bulb_c)
         fraction_by_sid = np.array([
-            0.0 if applied.inlet_temp_c >= coldest_c
-            else min(1.0, (coldest_c - applied.inlet_temp_c) / 10.0)
+            tower.chiller_fraction(applied.inlet_temp_c,
+                                   circulations[0].wet_bulb_c)
             for applied in applied_settings])
-        inlet_by_sid = np.array([applied.inlet_temp_c
-                                 for applied in applied_settings])
-        flow_by_sid = np.array([applied.flow_l_per_h
-                                for applied in applied_settings])
+        inlet_by_sid, flow_by_sid = np.array([
+            (applied.inlet_temp_c, applied.flow_l_per_h)
+            for applied in applied_settings]).T
         pump_by_sid = np.array([
             loop_pump_power_w(circulations[0].pipe_segments,
                               applied.flow_l_per_h, applied.inlet_temp_c)
@@ -483,28 +486,25 @@ def run_kernel_columns(sim) -> KernelColumns:
         # an error wins.
         chiller_power_c = chiller_heat / circulations[0].chiller.cop
         tower_power_c = tower_heat / 1000.0 * tower.fan_power_w_per_kw
-        sizes = np.array([group.size for group in groups])
+        sizes = np.array([group.size for group in sim._groups])
         pump_power_c = sizes[None, :] * pump_by_sid[setting_id]
         inlet_cell = inlet_by_sid[setting_id]
         flow_cell = flow_by_sid[setting_id]
 
-        error = _earliest_error(sim, chiller_heat, tower_heat,
-                                cpu_temp_plane, interval_s)
+        error = _earliest_error(sim, chiller_heat, tower_heat, over,
+                                interval_s)
         violations: list[SafetyViolation] = []
-        violation_counts = np.zeros(n_steps, dtype=np.int64)
+        violation_counts = np.zeros(trace.n_steps, dtype=np.int64)
         if error is None:
-            limit = cpu_model.max_operating_temp_c
-            violation_plane = cpu_temp_plane > limit
-            violation_counts = violation_plane.sum(axis=1)
-            violation_steps, violation_servers = np.nonzero(violation_plane)
+            violation_counts = counts
             violations = [
                 SafetyViolation(
                     server_id=int(server) + sim.server_offset,
                     step_index=int(step) + sim.step_offset,
                     time_s=float((step + sim.step_offset) * interval_s),
-                    temperature_c=float(cpu_temp_plane[step, server]),
+                    temperature_c=float(temp),
                 )
-                for step, server in zip(violation_steps, violation_servers)]
+                for step, server, temp in zip(*over)]
     timings.reduce_s = time.perf_counter() - clock
 
     return KernelColumns(
@@ -578,7 +578,6 @@ def run_whole_trace(sim) -> SimulationResult:
     columns = run_kernel_columns(sim)
     if columns.error is not None:
         raise columns.error.exception
-    timings = sim.kernel_timings
     trace = sim.trace
     raw = trace.utilisation
     n_steps, n_servers = raw.shape
@@ -607,5 +606,5 @@ def run_whole_trace(sim) -> SimulationResult:
             records=records,
         )
         result.violations = sim._violation_log
-    timings.fold_s = time.perf_counter() - clock
+    sim.kernel_timings.fold_s = time.perf_counter() - clock
     return result

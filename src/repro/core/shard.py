@@ -77,7 +77,6 @@ from ..errors import (
     ResultIntegrityError,
     ShardExecutionError,
 )
-from ..control.scheduling import NoScheduler
 from ..faults import FaultSchedule
 from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
@@ -423,12 +422,7 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
                                  cpu_model, teg_module,
                                  trace_hash=trace_hash)
     if restored is None:
-        raw = trace.utilisation
-        # NoScheduler leaves the plane untouched; skip the full-plane
-        # copy (at fleet scale it is the size of the trace itself).
-        plane = (raw if type(sim._scheduler) is NoScheduler
-                 else _scheduled_plane(sim, raw))
-        _decide_cells(sim, plane)
+        _decide_cells(sim, _scheduled_plane(sim, trace.utilisation))
     if result_cache is not None and restored != "direct":
         # Cold primes publish their snapshot; replays refresh it under
         # the current decision key so the next same-config run restores

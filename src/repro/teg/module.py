@@ -52,6 +52,11 @@ def flow_coupling(flow_l_per_h: float,
     return saturation(flow_l_per_h) / saturation(reference_flow_l_per_h)
 
 
+def _coupling(flow_l_per_h: float | None) -> float | None:
+    """:func:`flow_coupling`, or ``None`` (no coupling) without a flow."""
+    return None if flow_l_per_h is None else flow_coupling(flow_l_per_h)
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """Electrical state of a TEG string driving a load."""
@@ -100,13 +105,21 @@ class TegString:
             Optional loop flow rate; when given, the convective coupling
             factor of Fig. 7 is applied.
         """
-        effective = self._effective_delta(delta_t_c, flow_l_per_h)
+        effective = self._effective_delta(delta_t_c, _coupling(flow_l_per_h))
         return self.count * self.device.open_circuit_voltage_v(effective)
 
     def max_power_w(self, delta_t_c: float,
                     flow_l_per_h: float | None = None) -> float:
         """Matched-load power of the string (Eq. 7: ``P_n = n * P_1``)."""
-        effective = self._effective_delta(delta_t_c, flow_l_per_h)
+        return self.coupled_max_power_w(delta_t_c, _coupling(flow_l_per_h))
+
+    def coupled_max_power_w(self, delta_t_c, coupling):
+        """:meth:`max_power_w` given the flow's coupling factor directly.
+
+        ``coupling`` is a :func:`flow_coupling` value, an array of them
+        aligned with ``delta_t_c`` (one flow per element), or ``None``.
+        """
+        effective = self._effective_delta(delta_t_c, coupling)
         return self.count * self.device.max_power_w(effective)
 
     def operating_point(self, delta_t_c: float, load_ohm: float,
@@ -114,7 +127,7 @@ class TegString:
         """Electrical operating point into an arbitrary resistive load."""
         if load_ohm < 0:
             raise PhysicalRangeError(f"load must be >= 0, got {load_ohm}")
-        effective = self._effective_delta(delta_t_c, flow_l_per_h)
+        effective = self._effective_delta(delta_t_c, _coupling(flow_l_per_h))
         voc = self.count * self.device.open_circuit_voltage_v(effective)
         current = voc / (self.resistance_ohm + load_ohm) if load_ohm >= 0 else 0.0
         voltage = current * load_ohm
@@ -133,13 +146,13 @@ class TegString:
         return self.operating_point(delta_t_c, self.resistance_ohm,
                                     flow_l_per_h)
 
-    def _effective_delta(self, delta_t_c, flow_l_per_h: float | None):
+    def _effective_delta(self, delta_t_c, coupling):
         delta = np.asarray(delta_t_c, dtype=float)
         if np.any(delta < 0):
             raise PhysicalRangeError(
                 f"temperature difference must be >= 0, got {delta_t_c}")
-        if flow_l_per_h is not None:
-            delta = delta * flow_coupling(flow_l_per_h)
+        if coupling is not None:
+            delta = delta * coupling
         if delta.ndim == 0:
             return float(delta)
         return delta
@@ -193,11 +206,21 @@ class TegModule:
         the module simply produces nothing if the warm loop is colder than
         the cold source.  ``warm_out_temp_c`` may be a scalar or an array.
         """
+        return self.coupled_generation_w(warm_out_temp_c, cold_temp_c,
+                                         _coupling(flow_l_per_h))
+
+    def coupled_generation_w(self, warm_out_temp_c, cold_temp_c: float,
+                             coupling):
+        """:meth:`generation_w` given the flow's coupling factor directly.
+
+        The elementwise entry point: ``coupling`` may be an array aligned
+        with ``warm_out_temp_c`` (see :meth:`TegString.coupled_max_power_w`).
+        """
         delta = np.maximum(0.0, np.asarray(warm_out_temp_c, dtype=float)
                            - cold_temp_c)
         if delta.ndim == 0:
             delta = float(delta)
-        return self.max_power_w(delta, flow_l_per_h)
+        return self.as_string.coupled_max_power_w(delta, coupling)
 
     def heat_harvested_w(self, warm_out_temp_c: float,
                          cold_temp_c: float) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +63,11 @@ def cpu_power_w(utilisation):
         Package power in watts (~9.4 W idle, ~77 W at 100 %); matches the
         input's shape.
     """
-    utils = _check_utilisation(utilisation)
+    return _eq20(_check_utilisation(utilisation))
+
+
+def _eq20(utils: np.ndarray):
+    """Eq. 20 over already-checked utilisations (a float for 0-d input)."""
     power = (CPU_POWER_LOG_COEFF_W
              * np.log(utils + CPU_POWER_LOG_OFFSET)
              + CPU_POWER_CONST_W)
@@ -165,22 +170,61 @@ class OutletDeltaModel:
 
         ``utilisation`` may be a scalar or an array; the result matches.
         """
-        utilisation = _check_utilisation(utilisation)
-        if utilisation.ndim == 0:
-            utilisation = float(utilisation)
+        utils = _check_utilisation(utilisation)
+        factors = self.factors(flow_l_per_h, inlet_temp_c)
+        power = _eq20(utils) if self.mode == "physical" else None
+        if utils.ndim == 0:
+            utils = float(utils)
+        return self.delta_from(utils, power, *factors)
+
+    def factors(self, flow_l_per_h: float,
+                inlet_temp_c: float) -> tuple[float, float]:
+        """The two per-setting scalars :meth:`delta_from` needs.
+
+        Empirical mode: the flow factor and the inlet factor (floored at
+        zero).  Physical mode: the flow's heat capacity ``m_dot * cp``
+        and an unused ``1.0``.
+        """
         if flow_l_per_h <= 0:
             raise PhysicalRangeError(
                 f"flow rate must be > 0, got {flow_l_per_h}")
         if self.mode == "physical":
             mass_flow = litres_per_hour_to_kg_per_s(flow_l_per_h)
-            capacity = mass_flow * WATER_HEAT_CAPACITY_J_PER_KG_C
-            return self.capture_efficiency * cpu_power_w(utilisation) / capacity
-        base = self.base_delta_c + self.load_delta_c * utilisation
+            return mass_flow * WATER_HEAT_CAPACITY_J_PER_KG_C, 1.0
         flow_factor = (flow_l_per_h
                        / self.reference_flow_l_per_h) ** self.flow_exponent
         inlet_factor = 1.0 + self.inlet_sensitivity_per_c * (
             inlet_temp_c - self.reference_inlet_c)
-        return base * flow_factor * max(inlet_factor, 0.0)
+        return flow_factor, max(inlet_factor, 0.0)
+
+    def delta_from(self, utilisation, eq20_power_w, first, second):
+        """The rise from checked utilisations and :meth:`factors`.
+
+        ``eq20_power_w`` is the unscaled Eq. 20 power (read in physical
+        mode only); ``first``/``second`` may be per-element arrays.
+        """
+        if self.mode == "physical":
+            return self.capture_efficiency * eq20_power_w / first
+        base = self.base_delta_c + self.load_delta_c * utilisation
+        return base * first * second
+
+
+class SettingTerms(NamedTuple):
+    """Per-setting scalars of :meth:`CpuThermalModel.response`.
+
+    Each field is a float for one cooling setting, or an array that
+    broadcasts against the utilisations (one entry per element) when
+    many elements run under different settings.
+    """
+
+    inlet_temp_c: float
+    #: ``k(f) * T_inlet``, the coolant term of the linear law.
+    k_inlet: float
+    #: ``R_th(f)``.
+    r_th: float
+    #: :meth:`OutletDeltaModel.factors`.
+    outlet_first: float
+    outlet_second: float
 
 
 @dataclass(frozen=True)
@@ -230,18 +274,49 @@ class CpuThermalModel:
         """CPU power at ``utilisation`` — Eq. 20 times ``power_scale``."""
         return self.power_scale * cpu_power_w(utilisation)
 
+    def setting_terms(self, setting: CoolingSetting) -> SettingTerms:
+        """The per-setting scalars of :meth:`response` for ``setting``."""
+        flow, inlet = setting.flow_l_per_h, setting.inlet_temp_c
+        return SettingTerms(inlet, self.slope(flow) * inlet,
+                            self.thermal_resistance_k_per_w(flow),
+                            *self.outlet_model.factors(flow, inlet))
+
+    def response(self, utilisation, terms: SettingTerms):
+        """CPU power, CPU temperature and outlet temperature, elementwise.
+
+        The one home of the elementwise laws: Eq. 20 is evaluated once
+        and feeds both the linear temperature law and Eq. 8.  ``terms``
+        come from :meth:`setting_terms`; their fields may be arrays
+        broadcasting against ``utilisation`` (the whole-trace kernel
+        passes one setting per circulation cell).  Every expression
+        keeps the operation order of a scalar call, so each element is
+        bit-identical to evaluating it alone.
+
+        Returns ``(cpu_power_w, cpu_temp_c, outlet_temp_c)``, floats for
+        a scalar utilisation and scalar terms.
+        """
+        utils = _check_utilisation(utilisation)
+        eq20 = _eq20(utils)
+        if utils.ndim == 0:
+            utils = float(utils)
+        power = self.power_scale * eq20
+        cpu_temp = terms.k_inlet + terms.r_th * power
+        outlet = terms.inlet_temp_c + self.outlet_model.delta_from(
+            utils, eq20, terms.outlet_first, terms.outlet_second)
+        return power, cpu_temp, outlet
+
     def cpu_temp_c(self, utilisation, setting: CoolingSetting):
         """Steady-state CPU temperature for a load and cooling setting."""
-        power = self.cpu_power_w(utilisation)
-        return (self.slope(setting.flow_l_per_h) * setting.inlet_temp_c
-                + self.thermal_resistance_k_per_w(setting.flow_l_per_h) * power)
+        _, cpu_temp, _ = self.response(utilisation,
+                                       self.setting_terms(setting))
+        return cpu_temp
 
     def outlet_temp_c(self, utilisation: float,
                       setting: CoolingSetting) -> float:
         """CPU outlet water temperature ``T_warm_out`` (paper Eq. 8)."""
-        delta = self.outlet_model.delta_c(
-            utilisation, setting.flow_l_per_h, setting.inlet_temp_c)
-        return setting.inlet_temp_c + delta
+        _, _, outlet = self.response(utilisation,
+                                     self.setting_terms(setting))
+        return outlet
 
     def inlet_for_cpu_temp(self, utilisation: float, flow_l_per_h: float,
                            target_cpu_temp_c: float) -> float:

@@ -8,7 +8,9 @@ golden fixtures in ``tests/golden/``, and across worker counts and
 executor fallbacks.
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +370,18 @@ class TestZeroCopyDispatch:
         assert first.metrics.executor == "process"
         for a, b in zip(first.results, second.results):
             assert a.records == b.records
+
+    def test_close_releases_every_trace(self):
+        trace = golden_trace()
+        ref = weakref.ref(trace)
+        with BatchSimulationEngine(n_workers=2,
+                                   prefer="process") as engine:
+            batch = engine.run([SimulationJob(trace=trace,
+                                              config=teg_original())])
+        assert not batch.failures
+        del trace
+        gc.collect()
+        assert ref() is None
 
     def test_worker_side_trace_reconstruction_is_exact(self):
         from repro.core.engine import _execute_payload

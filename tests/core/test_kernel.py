@@ -13,7 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.kernel as kernel_module
 from repro.core.config import (
     SimulationConfig,
     teg_loadbalance,
@@ -36,6 +38,9 @@ from repro.errors import (
     PhysicalRangeError,
 )
 from repro.faults import FaultSchedule, FaultSpec
+from repro.teg.device import TegDevice
+from repro.teg.module import default_server_module
+from repro.thermal.cpu_model import CpuThermalModel, OutletDeltaModel
 from repro.workloads.synthetic import common_trace, drastic_trace
 from repro.workloads.trace import WorkloadTrace
 
@@ -54,8 +59,24 @@ ALL_CONFIGS = [
 ]
 
 
-def trailing_trace():
-    return drastic_trace(**TRAILING_TRACE_KWARGS)
+def trailing_trace(idle_steps: int = 0):
+    """The trailing-group trace, after ``idle_steps`` steps at 2 % load.
+
+    Idle steps neither overheat a CPU nor overload a circulation, so they
+    move a scenario's first offending cell ``idle_steps`` steps later.
+    """
+    trace = drastic_trace(**TRAILING_TRACE_KWARGS)
+    if not idle_steps:
+        return trace
+    idle = np.full((idle_steps, trace.n_servers), 0.02)
+    return WorkloadTrace(np.vstack([idle, trace.utilisation]),
+                         trace.interval_s, name=trace.name)
+
+
+#: Idle steps before the offending ones: none, or enough to put the
+#: first offending cell past the kernel's first row block.
+IDLE_STEPS = [0, kernel_module.ROW_BLOCK_CELLS
+              // TRAILING_TRACE_KWARGS["n_servers"] + 1]
 
 
 class TestModeResolution:
@@ -123,53 +144,71 @@ class TestKernelParity:
     def test_violation_log_parity(self):
         # A deliberately hot static setting produces violations the
         # non-strict path must log identically (ids, times, temps).
-        trace = trailing_trace()
         hot = SimulationConfig(
             name="hot", scheduler="none", policy="static",
             static_setting=CoolingSetting(flow_l_per_h=30.0,
                                           inlet_temp_c=55.0))
-        serial = DatacenterSimulator(trace, hot).run()
-        kernel = simulate(trace, hot, mode="kernel")
-        assert serial.violations  # scenario must actually violate
-        assert kernel.violations == serial.violations
-        assert kernel.records == serial.records
+        for idle_steps in IDLE_STEPS:
+            trace = trailing_trace(idle_steps)
+            serial = DatacenterSimulator(trace, hot).run()
+            kernel = simulate(trace, hot, mode="kernel")
+            # The scenario must violate, first right after the idle steps.
+            assert serial.violations[0].step_index == idle_steps
+            assert kernel.violations == serial.violations, idle_steps
+            assert kernel.records == serial.records, idle_steps
 
     def test_strict_safety_error_parity(self):
-        trace = trailing_trace()
         hot = SimulationConfig(
             name="hot", scheduler="none", policy="static",
             strict_safety=True,
             static_setting=CoolingSetting(flow_l_per_h=30.0,
                                           inlet_temp_c=55.0))
-        errors = {}
-        for label, run in (
-                ("serial",
-                 DatacenterSimulator(trace, hot).run),
-                ("kernel",
-                 lambda: simulate(trace, hot, mode="kernel"))):
-            with pytest.raises(CoolingFailureError) as excinfo:
-                run()
-            exc = excinfo.value
-            errors[label] = (str(exc), exc.server_id, exc.temperature_c,
-                             exc.step_index)
-        assert errors["serial"] == errors["kernel"]
+        for idle_steps in IDLE_STEPS:
+            trace = trailing_trace(idle_steps)
+            errors = {}
+            for label, run in (
+                    ("serial",
+                     DatacenterSimulator(trace, hot).run),
+                    ("kernel",
+                     lambda: simulate(trace, hot, mode="kernel"))):
+                with pytest.raises(CoolingFailureError) as excinfo:
+                    run()
+                exc = excinfo.value
+                errors[label] = (str(exc), exc.server_id,
+                                 exc.temperature_c, exc.step_index)
+            assert errors["serial"][3] == idle_steps
+            assert errors["serial"] == errors["kernel"]
 
     def test_tower_capacity_error_parity(self):
-        trace = trailing_trace()
         config = teg_original()
-        errors = {}
-        for label, sim in (
-                ("serial", DatacenterSimulator(trace, config)),
-                ("kernel", _CachedVectorisedSimulator(
-                    trace, config, cache=CoolingDecisionCache(),
-                    mode="kernel"))):
-            for circulation in sim._circulations:
-                circulation.tower = replace(circulation.tower,
-                                            max_heat_kw=0.3)
-            with pytest.raises(PhysicalRangeError) as excinfo:
-                sim.run()
-            errors[label] = str(excinfo.value)
-        assert errors["serial"] == errors["kernel"]
+        for idle_steps in IDLE_STEPS:
+            trace = trailing_trace(idle_steps)
+            errors = {}
+            for label, sim in (
+                    ("serial", DatacenterSimulator(trace, config)),
+                    ("kernel", _CachedVectorisedSimulator(
+                        trace, config, cache=CoolingDecisionCache(),
+                        mode="kernel"))):
+                for circulation in sim._circulations:
+                    circulation.tower = replace(circulation.tower,
+                                                max_heat_kw=0.3)
+                with pytest.raises(PhysicalRangeError) as excinfo:
+                    sim.run()
+                errors[label] = str(excinfo.value)
+            assert errors["serial"] == errors["kernel"], idle_steps
+
+    def test_circulation_views_read_the_trace_in_place(self):
+        # The decide phase (and the shard prime pass) must not copy a
+        # fleet-sized plane: NoScheduler schedules to the trace itself
+        # and every per-circulation reduction reads a view of it.
+        trace = trailing_trace()
+        sim = DatacenterSimulator(trace, teg_original())
+        plane = kernel_module._scheduled_plane(sim, trace.utilisation)
+        assert plane is trace.utilisation
+        views = list(kernel_module._circulations(sim, plane))
+        assert [view.shape for _, _, view in views] == [(24, 2, 20),
+                                                        (24, 1, 7)]
+        assert all(np.shares_memory(view, plane) for _, _, view in views)
 
     def test_trace_subclass_falls_back_to_step_mode(self):
         # Subclasses may override step(); the kernel reads the plane
@@ -184,6 +223,61 @@ class TestKernelParity:
         assert result.metrics.mode == "step"
         serial = DatacenterSimulator(halved, teg_original()).run()
         assert result.records == serial.records
+
+
+class TestKernelPropertyParity:
+    """Hypothesis: kernel == serial over drawn shapes, schemes and models."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        circulation_size=st.integers(min_value=1, max_value=140),
+        full_circulations=st.integers(min_value=1, max_value=4),
+        ragged=st.floats(min_value=0.0, max_value=0.99),
+        n_steps=st.integers(min_value=2, max_value=7),
+        block_rows=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        policy=st.sampled_from(["lookup", "analytic", "static", "hot"]),
+        scheduler=st.sampled_from(["none", "ideal"]),
+        physical_outlet=st.booleans(),
+        physical_teg=st.booleans(),
+        power_scale=st.sampled_from([1.0, 0.8, 1.35]),
+        extra_resistance=st.sampled_from([0.0, 0.03]),
+    )
+    def test_kernel_equals_serial(self, circulation_size,
+                                  full_circulations, ragged, n_steps,
+                                  block_rows, seed, policy, scheduler,
+                                  physical_outlet, physical_teg,
+                                  power_scale, extra_resistance):
+        # Sizes above 128 cross NumPy's pairwise-summation block; a
+        # ragged fraction adds a trailing, underpopulated circulation.
+        n_servers = (full_circulations * circulation_size
+                     + int(ragged * circulation_size))
+        trace = drastic_trace(n_servers=n_servers,
+                              duration_s=n_steps * 300.0,
+                              interval_s=300.0, seed=seed)
+        config = SimulationConfig(
+            name="drawn", policy="static" if policy == "hot" else policy,
+            scheduler=scheduler, circulation_size=circulation_size,
+            static_setting=CoolingSetting(
+                flow_l_per_h=30.0 if policy == "hot" else 50.0,
+                inlet_temp_c=60.0 if policy == "hot" else 45.0))
+        cpu_model = CpuThermalModel(
+            outlet_model=OutletDeltaModel(
+                mode="physical" if physical_outlet else "empirical"),
+            power_scale=power_scale,
+            extra_resistance_k_per_w=extra_resistance)
+        teg_module = default_server_module(TegDevice(
+            mode="physical" if physical_teg else "empirical"))
+        serial = DatacenterSimulator(trace, config, cpu_model,
+                                     teg_module).run()
+        with pytest.MonkeyPatch.context() as patch:
+            # Several row blocks per trace.
+            patch.setattr(kernel_module, "ROW_BLOCK_CELLS",
+                          block_rows * n_servers)
+            fast = simulate(trace, config, cpu_model, teg_module,
+                            mode="kernel")
+        assert fast.records == serial.records
+        assert fast.violations == serial.violations
 
 
 class TestFaultShadowSkip:
