@@ -51,6 +51,7 @@ import hashlib
 import json
 import os
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -93,10 +94,35 @@ RESULT_NAME = "result.pkl"
 # Content digests
 # ----------------------------------------------------------------------
 
+#: Row blocks of about this many bytes are the leaves of
+#: :func:`trace_digest`'s two-level hash.
+DIGEST_LEAF_BYTES = 8 << 20
+
+
 def _hasher() -> "hashlib._Hash":
-    # blake2b is in hashlib everywhere we run and is the fastest
-    # stdlib hash over the ~GB trace planes this keys.
-    return hashlib.blake2b(digest_size=16)
+    # OpenSSL's SHA-256 runs on the CPU's SHA extensions: about 1.05
+    # GB/s per core against blake2b's 0.35-0.55 GB/s on a 2-vCPU Xeon.
+    return hashlib.sha256()
+
+
+def _hexdigest(h: "hashlib._Hash") -> str:
+    # Keys keep the 32-hex-character width manifests have always had.
+    return h.hexdigest()[:32]
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _leaf_digest(leaf: np.ndarray) -> bytes:
+    # A window tile's rows are strided: copy this leaf, never the plane.
+    h = _hasher()
+    h.update(np.ascontiguousarray(leaf))
+    return h.digest()
 
 
 def trace_digest(trace: WorkloadTrace) -> str:
@@ -105,15 +131,32 @@ def trace_digest(trace: WorkloadTrace) -> str:
     The trace *name* is deliberately excluded — it names the run in the
     manifest key separately; two identically-named traces with
     different planes must never collide.
+
+    The hash has two levels so a fleet-scale plane hashes on every
+    usable CPU: each leaf (rows of about :data:`DIGEST_LEAF_BYTES`) is
+    hashed on its own, then the root hashes the header and the leaf
+    digests in row order.  The value depends on the content alone,
+    never on the thread count, and a one-leaf plane starts no thread.
     """
     matrix = trace.utilisation
+    rows = max(1, DIGEST_LEAF_BYTES // (matrix.shape[1] * matrix.itemsize))
+    leaves = [matrix[start:start + rows]
+              for start in range(0, matrix.shape[0], rows)]
+    threads = min(_usable_cpus(), len(leaves))
+    if threads > 1:
+        # hashlib releases the GIL while it hashes a large buffer.  The
+        # pool is joined before returning, so no digest thread is alive
+        # when the engine forks its process pool.
+        with ThreadPoolExecutor(threads) as pool:
+            digests = list(pool.map(_leaf_digest, leaves))
+    else:
+        digests = [_leaf_digest(leaf) for leaf in leaves]
     h = _hasher()
     h.update(repr((matrix.shape, str(matrix.dtype),
                    trace.interval_s)).encode())
-    data = matrix if matrix.flags.c_contiguous else np.ascontiguousarray(
-        matrix)
-    h.update(data)
-    return h.hexdigest()
+    for digest in digests:
+        h.update(digest)
+    return _hexdigest(h)
 
 
 def _canonical(value: Any) -> Any:
@@ -133,7 +176,7 @@ def _canonical(value: Any) -> Any:
         digest = _hasher()
         digest.update(np.ascontiguousarray(value))
         return {"__ndarray__": [list(value.shape), str(value.dtype),
-                                digest.hexdigest()]}
+                                _hexdigest(digest)]}
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items(),
                                                          key=repr)}
@@ -151,7 +194,7 @@ def fingerprint(*values: Any) -> str:
     h = _hasher()
     h.update(json.dumps([_canonical(v) for v in values],
                         sort_keys=True).encode())
-    return h.hexdigest()
+    return _hexdigest(h)
 
 
 @dataclass(frozen=True)

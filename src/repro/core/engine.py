@@ -644,15 +644,19 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     if cache is None:
         cache = CoolingDecisionCache(resolution=cache_resolution)
     store = resolve_result_cache(result_cache)
-    key = None
+    key = trace_hash = None
     has_faults = faults is not None and len(faults) > 0
     if store is not None and type(trace) is WorkloadTrace:
+        from .checkpoint import trace_digest
+
+        # One digest keys the result and both warm-start snapshots.
+        trace_hash = trace_digest(trace)
         effective_mode = "loop" if has_faults else resolve_mode(
             mode, vectorised)
         key = result_key(trace, config, cpu_model, teg_module,
                          faults=faults if has_faults else None,
                          cache_resolution=cache.resolution,
-                         mode=effective_mode)
+                         mode=effective_mode, trace_hash=trace_hash)
         cached = store.load(key)
         if cached is not None:
             return cached
@@ -668,7 +672,8 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
                 warmed = None
                 if key is not None and not has_faults:
                     warmed = _warm_restore(store, simulator, trace,
-                                           config, cpu_model, teg_module)
+                                           config, cpu_model, teg_module,
+                                           trace_hash=trace_hash)
             setup_done = time.perf_counter()
             result = simulator.run()
             finished = time.perf_counter()
@@ -700,7 +705,7 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         store.store(key, result)
         if not has_faults and warmed != "direct":
             _warm_save(store, simulator, trace, config, cpu_model,
-                       teg_module)
+                       teg_module, trace_hash=trace_hash)
     return result
 
 

@@ -1103,13 +1103,19 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                         shard_servers=shard_servers,
                         shard_steps=shard_steps)
     results_store = resolve_result_cache(result_cache)
+    trace_hash = None
+    if results_store is not None or checkpoint is not None:
+        from .checkpoint import trace_digest
+
+        # One digest keys the result, the checkpoint and the warm start.
+        trace_hash = trace_digest(trace)
     cache_key = None
     if results_store is not None and type(trace) is WorkloadTrace:
         cache_key = result_key(trace, config, cpu_model, teg_module,
                                faults=faults if has_faults else None,
                                cache_resolution=cache_resolution,
                                mode="loop" if has_faults else "kernel",
-                               specs=specs)
+                               specs=specs, trace_hash=trace_hash)
         cached = results_store.load(cache_key)
         if cached is not None:
             return cached
@@ -1121,7 +1127,8 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             checkpoint,
             run_key(trace, config, cpu_model, teg_module,
                     faults=faults if has_faults else None,
-                    cache_resolution=cache_resolution, specs=specs),
+                    cache_resolution=cache_resolution, specs=specs,
+                    trace_hash=trace_hash),
             n_shards=len(specs),
             kind="fault" if has_faults else "kernel",
             resume=resume)
@@ -1196,7 +1203,8 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                 primed = primed_or_warm(trace, config, cpu_model,
                                         teg_module,
                                         cache_resolution=cache_resolution,
-                                        result_cache=results_store)
+                                        result_cache=results_store,
+                                        trace_hash=trace_hash)
             for spec in missing:
                 outcome = run_shard(
                     trace.window(spec.step_start, spec.step_stop,

@@ -15,6 +15,8 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.core.cache as cache_module
+import repro.core.checkpoint as checkpoint_module
 from repro.core.cache import (
     CACHE_FORMAT_VERSION,
     CACHE_SCHEMA,
@@ -463,6 +465,39 @@ class TestShardedIntegration:
                                result_cache=cache, **self.SHARD_KW)
         assert hit.metrics.result_cache_hit
         assert_identical(hit, golden)
+
+
+class TestOneDigestPerCall:
+    """A cache miss hashes its trace once, however many keys it derives."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        calls = []
+        original = checkpoint_module.trace_digest
+
+        def counted(trace):
+            calls.append(trace.name)
+            return original(trace)
+
+        for module in (checkpoint_module, cache_module):
+            monkeypatch.setattr(module, "trace_digest", counted)
+        return calls
+
+    def test_simulate_miss(self, tmp_path, digests):
+        trace = common_trace(n_servers=40, duration_s=30 * 300.0,
+                             seed=9)
+        result = simulate(trace, teg_original(), result_cache=tmp_path)
+        assert not result.metrics.result_cache_hit
+        assert len(digests) == 1
+
+    def test_sharded_miss_with_checkpoint(self, tmp_path, digests):
+        result = simulate_sharded(make_trace(steps=32, servers=80),
+                                  teg_original(),
+                                  result_cache=tmp_path / "cache",
+                                  checkpoint=tmp_path / "ckpt",
+                                  shard_servers=40, shard_steps=16)
+        assert not result.metrics.result_cache_hit
+        assert len(digests) == 1
 
 
 class TestBatchIntegration:

@@ -6,12 +6,15 @@ the wipe/refuse semantics of the ``resume`` flag.  End-to-end
 kill-and-resume behaviour lives in ``test_checkpoint_resume.py``.
 """
 
+import hashlib
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core import checkpoint
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CHECKPOINT_SCHEMA,
@@ -38,6 +41,29 @@ def make_key(trace=None, config=None, specs=None):
     return run_key(trace, config, specs=specs)
 
 
+def reference_digest(trace):
+    """The two-level trace digest as a plain serial loop over leaves."""
+    matrix = np.ascontiguousarray(trace.utilisation)
+    rows = max(1, checkpoint.DIGEST_LEAF_BYTES
+               // (matrix.shape[1] * matrix.itemsize))
+    root = hashlib.sha256(repr((matrix.shape, str(matrix.dtype),
+                                trace.interval_s)).encode())
+    for start in range(0, matrix.shape[0], rows):
+        leaf = matrix[start:start + rows].tobytes()
+        root.update(hashlib.sha256(leaf).digest())
+    return root.hexdigest()[:32]
+
+
+@pytest.fixture
+def small_leaves(monkeypatch):
+    """Leaves of three 40-server rows, so small planes span many."""
+    monkeypatch.setattr(checkpoint, "DIGEST_LEAF_BYTES", 3 * 40 * 8)
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(checkpoint, "_usable_cpus", lambda: n)
+
+
 class TestDigests:
     def test_trace_digest_is_content_not_name(self):
         a = make_trace(seed=1, name="one")
@@ -51,6 +77,49 @@ class TestDigests:
         a = WorkloadTrace(matrix, 300.0, name="t")
         b = WorkloadTrace(matrix.copy(), 600.0, name="t")
         assert trace_digest(a) != trace_digest(b)
+
+    def test_trace_digest_matches_serial_reference(self, small_leaves):
+        trace = make_trace(steps=25)  # nine leaves, the last one ragged
+        assert trace_digest(trace) == reference_digest(trace)
+
+    def test_trace_digest_independent_of_thread_count(self, small_leaves,
+                                                       monkeypatch):
+        trace = make_trace(steps=25)
+        usable_cpus(monkeypatch, 1)
+        serial = trace_digest(trace)
+        usable_cpus(monkeypatch, 2)
+        assert trace_digest(trace) == serial == reference_digest(trace)
+
+    def test_window_tile_digests_like_its_copy(self, small_leaves,
+                                               monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        tile = make_trace(steps=25).window(2, 23, 0, 30)
+        assert not tile.utilisation.flags.c_contiguous
+        copy = WorkloadTrace(np.array(tile.utilisation), 300.0)
+        assert trace_digest(tile) == trace_digest(copy)
+
+    def test_last_leaf_change_changes_digest(self, small_leaves):
+        matrix = np.random.default_rng(4).random((25, 40))
+        edited = matrix.copy()
+        edited[-1, -1] = 0.5 * edited[-1, -1]
+        assert (trace_digest(WorkloadTrace(matrix, 300.0))
+                != trace_digest(WorkloadTrace(edited, 300.0)))
+
+    def test_no_digest_thread_outlives_the_call(self, small_leaves,
+                                                monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        trace_digest(make_trace(steps=25))
+        assert threading.active_count() == before
+
+    def test_one_leaf_plane_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-leaf plane started a pool")
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(checkpoint, "ThreadPoolExecutor", no_pool)
+        trace = make_trace()
+        assert trace_digest(trace) == reference_digest(trace)
 
     def test_fingerprint_stable_and_discriminating(self):
         config = teg_original()
