@@ -70,11 +70,9 @@ keep the hard bit-identity guarantee.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import os
 import pickle
-import threading
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -82,10 +80,10 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from .. import obs
+from .._durable import atomic_write, pid_alive
 from ..errors import CacheError, ConfigurationError
 from ..workloads.trace import WorkloadTrace
-from .checkpoint import (RunKey, _fsync_directory, fingerprint, run_key,
-                         trace_digest)
+from .checkpoint import RunKey, fingerprint, run_key, trace_digest
 from .results import (STEP_COLUMNS, STEP_FLOAT_COLUMNS, STEP_INT_COLUMNS,
                       ColumnarSteps, SafetyViolation, SimulationResult,
                       StepRecord)
@@ -311,29 +309,6 @@ class _EntryMismatch(Exception):
     """A structurally valid entry that belongs to a different key."""
 
 
-_WRITE_COUNTER = itertools.count()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Crash- *and* thread-safe write-then-rename.
-
-    Same durability contract as :func:`repro.core.checkpoint.
-    _atomic_write`, but the temp name embeds the thread id and a
-    process-wide counter: a cache directory is shared between engine
-    threads (e.g. two thread-pool workers finishing jobs with the same
-    warm key), and pid-only temp names would let their writes collide.
-    """
-    tmp = path.with_name(
-        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-        f"-{next(_WRITE_COUNTER)}")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_directory(path.parent)
-
-
 def _sweep_stale_temp_files(directory: Path) -> None:
     """Remove ``.tmp-*`` leftovers of *crashed* writers (best effort).
 
@@ -350,17 +325,8 @@ def _sweep_stale_temp_files(directory: Path) -> None:
             pid = int(pid_word)
         except ValueError:
             pid = None
-        if pid is not None:
-            if pid == os.getpid():
-                continue
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                pass  # writer is gone: a genuine crash leftover
-            except OSError:  # pragma: no cover - e.g. EPERM: alive
-                continue
-            else:
-                continue  # writer still running
+        if pid is not None and (pid == os.getpid() or pid_alive(pid)):
+            continue  # the writer is still running
         try:
             leftover.unlink()
         except OSError:  # pragma: no cover - concurrent cleanup
@@ -543,7 +509,7 @@ class ResultCache:
         try:
             raw = path.read_text()
         except FileNotFoundError:
-            _atomic_write(path, (json.dumps(
+            atomic_write(path, (json.dumps(
                 {"schema": CACHE_SCHEMA,
                  "version": CACHE_FORMAT_VERSION},
                 indent=2, sort_keys=True) + "\n").encode())
@@ -630,7 +596,7 @@ class ResultCache:
     def store(self, key: RunKey, result: SimulationResult) -> None:
         """Persist ``result`` under ``key`` (atomic), then evict LRU."""
         data = _encode_result(key, result)
-        _atomic_write(self.path_for(key), data)
+        atomic_write(self.path_for(key), data)
         self.stats.stores += 1
         obs.add("engine.cache.store", 1,
                 labels={"scheme": key.scheme, "trace": key.trace_name})
@@ -683,9 +649,9 @@ class ResultCache:
         payload = {"schema": CACHE_SCHEMA,
                    "version": CACHE_FORMAT_VERSION,
                    "kind": "warm", "w1": w1, "entries": list(entries)}
-        _atomic_write(self.warm_path(w2),
-                      pickle.dumps(payload,
-                                   protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(self.warm_path(w2),
+                     pickle.dumps(payload,
+                                  protocol=pickle.HIGHEST_PROTOCOL))
         obs.add("engine.cache.warm_store", 1)
         self._evict()
 

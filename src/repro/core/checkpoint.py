@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from .. import obs
+from .._durable import atomic_write, fsync_directory
 from ..errors import CheckpointError
 from ..workloads.trace import WorkloadTrace
 
@@ -260,40 +261,12 @@ def run_key(trace: WorkloadTrace, config, cpu_model=None,
     )
 
 
-# ----------------------------------------------------------------------
-# Atomic file primitives
-# ----------------------------------------------------------------------
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` so ``path`` is either complete or absent.
-
-    Temp file in the same directory (rename must not cross
-    filesystems), fsync'd before the rename and the directory fsync'd
-    after, so the entry survives a machine crash, not just a process
-    one.
-    """
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_directory(path.parent)
-
-
 def _sweep_temp_files(directory: Path) -> None:
-    """Remove ``.tmp-*`` leftovers of crashed writers (best effort)."""
+    """Remove ``.tmp-*`` leftovers of crashed writers (best effort).
+
+    A checkpoint directory belongs to one run, so every temp file in it
+    is a leftover, whichever process wrote it.
+    """
     for leftover in directory.glob("*.tmp-*"):
         try:
             leftover.unlink()
@@ -404,9 +377,9 @@ class CheckpointStore:
             "kind": self.kind,
             "n_shards": self.n_shards,
         }
-        _atomic_write(self.manifest_path,
-                      (json.dumps(manifest, indent=2, sort_keys=True)
-                       + "\n").encode())
+        atomic_write(self.manifest_path,
+                     (json.dumps(manifest, indent=2, sort_keys=True)
+                      + "\n").encode())
 
     def _wipe(self) -> None:
         """Discard every artefact; the manifest goes last."""
@@ -415,7 +388,7 @@ class CheckpointStore:
                 shard_file.unlink(missing_ok=True)
         (self.directory / RESULT_NAME).unlink(missing_ok=True)
         self.manifest_path.unlink(missing_ok=True)
-        _fsync_directory(self.directory)
+        fsync_directory(self.directory)
 
     # -- shard outcomes ------------------------------------------------
 
@@ -443,9 +416,9 @@ class CheckpointStore:
         resume must restore before running the next window.
         """
         payload = {"outcome": outcome, "cache_store": cache_store}
-        _atomic_write(self._shard_path(index),
-                      pickle.dumps(payload,
-                                   protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(self._shard_path(index),
+                     pickle.dumps(payload,
+                                  protocol=pickle.HIGHEST_PROTOCOL))
         self.saved.add(index)
         obs.add("engine.checkpoint.saved", 1)
         obs.emit("checkpoint.save", scheme=self.key.scheme,
@@ -479,9 +452,9 @@ class CheckpointStore:
 
     def save_result(self, result: "SimulationResult") -> None:
         """Persist one whole (non-sharded) job's result atomically."""
-        _atomic_write(self.directory / RESULT_NAME,
-                      pickle.dumps(result,
-                                   protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(self.directory / RESULT_NAME,
+                     pickle.dumps(result,
+                                  protocol=pickle.HIGHEST_PROTOCOL))
         obs.add("engine.checkpoint.saved", 1)
         obs.emit("checkpoint.save", scheme=self.key.scheme,
                  trace=self.key.trace_name, shard=-1)

@@ -12,7 +12,11 @@ circulations times bounded time windows.  This module
 * runs kernel phases 1–3 on one tile (:func:`run_shard`, returning a
   :class:`ShardOutcome` of per-circulation columns), and
 * stitches the tiles back into whole-cluster columns and replays the
-  phase-4 fold once over them (:func:`merge_shard_outcomes`).
+  phase-4 fold once over them (:func:`merge_shard_outcomes`), and
+* runs a whole plan — checkpoint resume, priming, the fault-window
+  loop, the streaming merge and the run metrics — in one private
+  function, :func:`_drive_shards`, which :func:`simulate_sharded` runs
+  in-process and the batch engine runs over its pool.
 
 Bit-identity
 ------------
@@ -54,8 +58,9 @@ can enumerate, so fault windows execute **sequentially in time order**,
 sharing one decision cache and one policy instance — reproducing the
 serial priming sequence exactly.
 
-``tests/core/test_shard_parity.py`` enforces all of this, golden
-fixtures and hypothesis property tests included.
+``tests/core/test_shard_parity.py`` enforces all of this against the
+serial simulator, golden fixtures and hypothesis property tests
+included, for :func:`simulate_sharded` and the engine alike.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ from .engine import (
     CoolingDecisionCache,
     EngineMetrics,
     SharedTraceRef,
+    SimulationJob,
     _CachedVectorisedSimulator,
     _trace_from_ref,
     _warm_restore,
@@ -105,12 +111,10 @@ from .kernel import (
 from .results import ColumnarSteps, SimulationResult
 
 __all__ = [
-    "AUTOTUNE_TARGET_SHARD_S",
     "AUTO_SHARD_MIN_CELLS",
     "COLUMN_PLANES",
     "DEFAULT_SHARD_SERVERS",
     "DEFAULT_SHARD_STEPS",
-    "SHARD_AUTOTUNE_ENV_VAR",
     "SHARD_SERVERS_ENV_VAR",
     "SHARD_STEPS_ENV_VAR",
     "ShardColumnRef",
@@ -124,7 +128,6 @@ __all__ = [
     "plan_shards",
     "prime_decisions",
     "primed_or_warm",
-    "resolve_shard_autotune",
     "resolve_shard_size",
     "run_shard",
     "simulate_sharded",
@@ -135,12 +138,6 @@ __all__ = [
 SHARD_SERVERS_ENV_VAR = "REPRO_SHARD_SERVERS"
 SHARD_STEPS_ENV_VAR = "REPRO_SHARD_STEPS"
 
-#: Environment flag enabling throughput-based shard re-planning (see
-#: :meth:`BatchSimulationEngine._autotune_shards`).  Explicit engine
-#: arguments win over the environment; default off, so planned shard
-#: counts stay deterministic unless a run opts in.
-SHARD_AUTOTUNE_ENV_VAR = "REPRO_SHARD_AUTOTUNE"
-
 #: A kernel job auto-shards once its plane reaches this many cells
 #: (steps x servers) — about the point where splitting pays for the
 #: merge.  12.5k x 8,900 is ~111M cells, 55 default tiles.
@@ -149,11 +146,6 @@ AUTO_SHARD_MIN_CELLS = 2_000_000
 #: Default tile dimensions when auto-sharding (clamped to the trace).
 DEFAULT_SHARD_SERVERS = 2500
 DEFAULT_SHARD_STEPS = 2500
-
-#: Autotuned tiles (opt-in; see ``BatchSimulationEngine``'s
-#: ``shard_autotune``) are re-sized so one tile takes about this many
-#: seconds at the first tile's measured throughput.
-AUTOTUNE_TARGET_SHARD_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -277,29 +269,6 @@ def resolve_shard_size(explicit: int | None, env_var: str) -> int | None:
     if value <= 0:
         raise ConfigurationError(f"{env_var} must be > 0, got {value}")
     return value
-
-
-def resolve_shard_autotune(explicit: bool | None) -> bool:
-    """Whether shard autotuning is on: explicit > environment > off.
-
-    Raises
-    ------
-    ConfigurationError
-        When ``REPRO_SHARD_AUTOTUNE`` is set to something that is not a
-        recognisable boolean.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(SHARD_AUTOTUNE_ENV_VAR)
-    if env is None:
-        return False
-    value = env.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("", "0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(
-        f"{SHARD_AUTOTUNE_ENV_VAR} must be a boolean flag, got {env!r}")
 
 
 def plan_shards(n_steps: int, n_servers: int, circulation_size: int,
@@ -1027,15 +996,191 @@ def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
     return merge.result()
 
 
-def _merged_telemetry(outcomes: Sequence[ShardOutcome]):
-    """One :class:`repro.obs.TelemetrySnapshot` over all shard sessions."""
-    telemetry = obs.Telemetry()
-    merged_any = False
-    for outcome in outcomes:
-        if outcome.telemetry is not None:
-            telemetry.merge_snapshot(outcome.telemetry)
-            merged_any = True
-    return telemetry.snapshot() if merged_any else None
+def _retry_shard(job: SimulationJob, spec: ShardSpec, attempt: int,
+                 exc: BaseException, max_retries: int,
+                 backoff_s: float) -> bool:
+    """Record one failed attempt at a shard; True when it should rerun.
+
+    The emitted ``shard.retry`` / ``shard.failed`` event always carries
+    the shard's coordinates, attempt number and (when the worker
+    wrapped it as a :class:`~repro.errors.ShardExecutionError`) the
+    worker pid.  A retry first sleeps ``backoff_s * 2**(attempt - 1)``
+    seconds, the engine's job-level schedule.
+    """
+    if isinstance(exc, ShardExecutionError):
+        exc.attempt = attempt
+        context = dict(exc.context())
+    else:
+        context = {"shard_index": spec.index,
+                   "step_start": spec.step_start,
+                   "step_stop": spec.step_stop,
+                   "server_start": spec.server_start,
+                   "server_stop": spec.server_stop,
+                   "attempt": attempt, "worker_pid": None}
+    retrying = attempt <= max_retries
+    obs.emit("shard.retry" if retrying else "shard.failed",
+             scheme=job.config.name, trace=job.trace.name,
+             error_type=type(exc).__name__, error=str(exc), **context)
+    if retrying:
+        obs.add("engine.shards.retried", 1)
+        if backoff_s > 0:
+            time.sleep(backoff_s * 2 ** (attempt - 1))
+    return retrying
+
+
+def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
+                  cache_resolution: float, telemetry: bool,
+                  health: "obs.RunHealth", store=None,
+                  telemetry_sink: "obs.Telemetry | None" = None,
+                  result_cache: ResultCache | None = None,
+                  trace_hash: str | None = None,
+                  max_retries: int = 0, retry_backoff_s: float = 0.0,
+                  dispatch=None,
+                  plane_block: np.ndarray | None = None
+                  ) -> SimulationResult:
+    """Run one job's shard plan and merge it into one audited result.
+
+    The orchestration :func:`simulate_sharded` and the batch engine
+    share; what differs between them arrives as arguments.
+
+    * Shards already saved in the checkpoint ``store`` are folded from
+      disk and never run again.
+    * A fault plan runs its time windows in order, in-process, sharing
+      one decision cache and one policy instance (see the module note).
+      Each saved window carries the cache store its successor needs, so
+      a resume replays the identical sequence from the first missing
+      window onward.
+    * A kernel plan primes one decision cache with
+      :func:`primed_or_warm` (warm-started from ``result_cache``, keyed
+      by ``trace_hash``) and hands the missing tiles to
+      ``dispatch(pending, primed, run_local, land)``, which calls
+      ``land`` with each outcome it completes and may return before
+      landing them all.  Every tile it did not land runs in-process
+      through ``run_local``; without a dispatcher all of them do.  The
+      pre-pass is deterministic, so recomputing it on resume hands the
+      remaining tiles the cache an uninterrupted run would have.
+    * An in-process shard that raises is retried up to ``max_retries``
+      times (see :func:`_retry_shard`).
+    * Every completed shard is saved to ``store``, folded into a
+      :class:`StreamingMerge` (over ``plane_block`` when given, with
+      shard telemetry going to ``telemetry_sink`` when given) and
+      counted on ``health``.
+
+    The result carries :class:`~repro.core.engine.EngineMetrics` and,
+    without a sink, the merged shard telemetry.
+    """
+    started = time.perf_counter()
+    trace, config = job.trace, job.config
+    has_faults = job.faults is not None and len(job.faults) > 0
+    merge = StreamingMerge(trace, config,
+                           kind="fault" if has_faults else "kernel",
+                           plane_block=plane_block,
+                           telemetry_sink=telemetry_sink)
+
+    def resume(spec: ShardSpec) -> dict | None:
+        saved = store.load_shard(spec.index) if store is not None else None
+        if saved is not None:
+            merge.add(saved["outcome"])
+            health.shard_done()
+        return saved
+
+    def land(outcome: ShardOutcome, cache_store: dict | None = None) -> None:
+        if store is not None:
+            store.save_shard(outcome.spec.index, outcome,
+                             cache_store=cache_store)
+        merge.add(outcome)
+        health.shard_done()
+
+    def attempt(spec: ShardSpec, run) -> ShardOutcome:
+        failures = 0
+        while True:
+            try:
+                return run(spec)
+            except Exception as exc:
+                failures += 1
+                if not _retry_shard(job, spec, failures, exc, max_retries,
+                                    retry_backoff_s):
+                    raise
+
+    try:
+        if has_faults:
+            shared = CoolingDecisionCache(resolution=cache_resolution)
+            policy = None
+
+            def run_window(spec: ShardSpec) -> ShardOutcome:
+                tile = trace.window(spec.step_start, spec.step_stop,
+                                    spec.server_start, spec.server_stop)
+                return run_shard(tile, spec, config, job.cpu_model,
+                                 job.teg_module, faults=job.faults,
+                                 cache_resolution=cache_resolution,
+                                 cache=shared, policy=policy,
+                                 telemetry=telemetry)
+
+            for spec in specs:
+                saved = resume(spec)
+                if saved is not None:
+                    if saved.get("cache_store") is not None:
+                        shared._store = dict(saved["cache_store"])
+                    if saved["outcome"].policy is not None:
+                        policy = saved["outcome"].policy
+                    continue
+                outcome = attempt(spec, run_window)
+                policy = outcome.policy
+                land(outcome, cache_store=dict(shared._store))
+        else:
+            pending = [spec for spec in specs if resume(spec) is None]
+            if pending:
+                primed = primed_or_warm(trace, config, job.cpu_model,
+                                        job.teg_module,
+                                        cache_resolution=cache_resolution,
+                                        result_cache=result_cache,
+                                        trace_hash=trace_hash)
+
+                def run_local(spec: ShardSpec) -> ShardOutcome:
+                    tile = trace.window(spec.step_start, spec.step_stop,
+                                        spec.server_start, spec.server_stop)
+                    return run_shard(tile, spec, config, job.cpu_model,
+                                     job.teg_module,
+                                     cache_resolution=cache_resolution,
+                                     cache=clone_cache(primed),
+                                     telemetry=telemetry)
+
+                landed: set[int] = set()
+
+                def land_tile(outcome: ShardOutcome) -> None:
+                    land(outcome)
+                    landed.add(outcome.spec.index)
+
+                if dispatch is not None:
+                    dispatch(pending, primed, run_local, land_tile)
+                for spec in pending:
+                    if spec.index not in landed:
+                        land_tile(attempt(spec, run_local))
+        result = merge.result()
+    finally:
+        # Drop every view of the caller's plane block, so the caller can
+        # unmap it even if a shard failed and a traceback holds this
+        # frame.
+        merge.release_planes()
+        plane_block = None
+    wall = time.perf_counter() - started
+    hits, misses = merge.cache_hits, merge.cache_misses
+    result.metrics = EngineMetrics(
+        wall_time_s=wall,
+        step_time_s=wall,
+        n_steps=trace.n_steps,
+        steps_per_s=trace.n_steps / wall if wall > 0 else 0.0,
+        cache_hits=hits,
+        cache_misses=misses,
+        cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+        mode="loop" if has_faults else "kernel",
+        vectorised=not has_faults,
+        kernel=merge.timings,
+        n_shards=merge.n_added,
+        shards_resumed=len(store.loaded) if store is not None else 0,
+    )
+    result.telemetry = merge.telemetry_snapshot()
+    return result
 
 
 def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
@@ -1050,13 +1195,13 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                      checkpoint: "str | os.PathLike | None" = None,
                      resume: bool = True,
                      result_cache=None) -> SimulationResult:
-    """Split → run → merge one trace in-process (the reference path).
+    """Split → run → merge one trace, every shard in-process.
 
-    Bit-identical to ``simulate(trace, config, ...)``; the parity suite
-    pins that down.  The batch engine dispatches the same shards over
-    its executor instead — this function is the executable
-    specification the engine path is tested against, and a convenient
-    way to bound peak memory on a single core.
+    Bit-identical to ``simulate(trace, config, ...)`` and to the serial
+    simulator, the oracle the parity suite tests this function and the
+    batch engine against.  It runs the same :func:`_drive_shards` as
+    the engine, with no pool, so it is also a convenient way to bound
+    peak memory on a single core.
 
     ``checkpoint`` names a directory in which every completed shard is
     persisted as it finishes (atomic write-then-rename, content-keyed
@@ -1082,7 +1227,6 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     bit-identical with it attached or not) and is shut down before the
     function returns.
     """
-    started = time.perf_counter()
     live_port = obs.resolve_metrics_port(metrics_port)
     if live_port is not None and telemetry is None:
         telemetry = True
@@ -1133,119 +1277,30 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             kind="fault" if has_faults else "kernel",
             resume=resume)
 
+    health = obs.RunHealth()
+    health.begin(jobs_total=1, shards_total=len(specs))
     live_server = None
     live_sink = None
-    health = None
     if live_port is not None:
         live_server = obs.LiveTelemetryServer(port=live_port)
-        health = obs.RunHealth()
-        health.begin(jobs_total=1, shards_total=len(specs))
         if record:
             # Shard outcomes fold straight into this session, so a
             # mid-run scrape sees every completed shard's series.
             live_sink = obs.Telemetry()
         live_server.bind(live_sink, health)
-    merge = StreamingMerge(trace, config,
-                           kind="fault" if has_faults else "kernel",
-                           telemetry_sink=live_sink)
     try:
-        if has_faults:
-            # Sequential time windows sharing one cache and one policy:
-            # exactly the serial decision sequence (see the module note).
-            # A saved window restores both the outcome and the cache store
-            # its successor depends on, so resuming replays the identical
-            # sequence from the first missing window onward.
-            shared = CoolingDecisionCache(resolution=cache_resolution)
-            policy = None
-            for spec in specs:
-                saved = (store.load_shard(spec.index)
-                         if store is not None else None)
-                if saved is not None:
-                    outcome = saved["outcome"]
-                    if saved.get("cache_store") is not None:
-                        shared._store = dict(saved["cache_store"])
-                    if outcome.policy is not None:
-                        policy = outcome.policy
-                    merge.add(outcome)
-                    if health is not None:
-                        health.shard_done()
-                    continue
-                outcome = run_shard(
-                    trace.window(spec.step_start, spec.step_stop,
-                                 spec.server_start, spec.server_stop),
-                    spec, config, cpu_model, teg_module, faults=faults,
-                    cache_resolution=cache_resolution, cache=shared,
-                    policy=policy, telemetry=record)
-                policy = outcome.policy
-                if store is not None:
-                    store.save_shard(spec.index, outcome,
-                                     cache_store=dict(shared._store))
-                merge.add(outcome)
-                if health is not None:
-                    health.shard_done()
-        else:
-            missing: list[ShardSpec] = []
-            for spec in specs:
-                saved = (store.load_shard(spec.index)
-                         if store is not None else None)
-                if saved is not None:
-                    merge.add(saved["outcome"])
-                    if health is not None:
-                        health.shard_done()
-                else:
-                    missing.append(spec)
-            primed = None
-            if missing:
-                # The pre-pass is deterministic, so recomputing it on
-                # resume hands the remaining shards the same primed cache
-                # an uninterrupted run would have.  A warm-start snapshot
-                # (result cache) reproduces it without the full-plane pass.
-                primed = primed_or_warm(trace, config, cpu_model,
-                                        teg_module,
-                                        cache_resolution=cache_resolution,
-                                        result_cache=results_store,
-                                        trace_hash=trace_hash)
-            for spec in missing:
-                outcome = run_shard(
-                    trace.window(spec.step_start, spec.step_stop,
-                                 spec.server_start, spec.server_stop),
-                    spec, config, cpu_model, teg_module,
-                    cache_resolution=cache_resolution,
-                    cache=clone_cache(primed), telemetry=record)
-                if store is not None:
-                    store.save_shard(spec.index, outcome)
-                merge.add(outcome)
-                if health is not None:
-                    health.shard_done()
-        result = merge.result()
-        wall = time.perf_counter() - started
-        cache_hits = merge.cache_hits
-        cache_misses = merge.cache_misses
-        lookups = cache_hits + cache_misses
-        result.metrics = EngineMetrics(
-            wall_time_s=wall,
-            step_time_s=wall,
-            n_steps=trace.n_steps,
-            steps_per_s=trace.n_steps / wall if wall > 0 else 0.0,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-            mode="loop" if has_faults else "kernel",
-            vectorised=not has_faults,
-            kernel=merge.timings,
-            n_shards=len(specs),
-            shards_resumed=len(store.loaded) if store is not None else 0,
-        )
-        if record:
-            # With a live sink the merge holds no private session; the
-            # sink is private to this call, so its snapshot is exactly
-            # the per-run telemetry the non-live path would attach.
-            result.telemetry = (live_sink.snapshot() if live_sink
-                                is not None else merge.telemetry_snapshot())
+        result = _drive_shards(
+            SimulationJob(trace, config, cpu_model, teg_module, faults),
+            specs, cache_resolution=cache_resolution, telemetry=record,
+            health=health, store=store, telemetry_sink=live_sink,
+            result_cache=results_store, trace_hash=trace_hash)
+        if live_sink is not None:
+            # The sink is private to this call, so its snapshot is
+            # exactly the per-run telemetry the non-live path attaches.
+            result.telemetry = live_sink.snapshot()
         if cache_key is not None:
             results_store.store(cache_key, result)
-        if health is not None:
-            health.finish()
+        health.finish()
     finally:
         if live_server is not None:
             live_server.close()

@@ -8,11 +8,10 @@ itself; the run manifest is assembled in :mod:`repro.obs.manifest`.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from pathlib import Path
 
+from .._durable import atomic_write
 from .metrics import (MetricsSnapshot, decode_series, escape_label_value,
                       series_family)
 
@@ -116,40 +115,13 @@ def prometheus_text(snapshot: MetricsSnapshot) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Durably replace ``path`` with ``text``: write-fsync-rename.
+    """Durably replace ``path`` with ``text`` (UTF-8): write-fsync-rename.
 
-    The same discipline the checkpoint store uses — the bytes go to a
-    temporary file in the target directory, are fsynced, then renamed
-    over the destination, and the directory entry is fsynced — so a
-    SIGKILL at any point leaves either the old artifact or the new one,
-    never a truncated hybrid.
+    The same :func:`repro._durable.atomic_write` the checkpoint store and
+    result cache use, so a SIGKILL at any point leaves either the old
+    artifact or the new one, never a truncated hybrid.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
-        return path
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-    return path
+    return atomic_write(path, text.encode("utf-8"))
 
 
 def write_prometheus(snapshot: MetricsSnapshot, path: str | Path) -> Path:

@@ -69,7 +69,7 @@ def load_trace_csv(path: str | Path) -> WorkloadTrace:
     if len(widths) != 1:
         raise TraceFormatError(
             f"{path}: ragged rows (widths {sorted(widths)})")
-    return WorkloadTrace(np.array(rows), interval_s, name=name)
+    return WorkloadTrace._owning(np.array(rows), interval_s, name=name)
 
 
 def load_cluster_table(path: str | Path, interval_s: float = 300.0,
@@ -163,8 +163,8 @@ def load_cluster_table(path: str | Path, interval_s: float = 300.0,
     for step in range(1, n_steps):
         missing = ~have[step]
         matrix[step, missing] = matrix[step - 1, missing]
-    return WorkloadTrace(np.clip(matrix, 0.0, 1.0), interval_s,
-                         name=name or path.stem)
+    return WorkloadTrace._owning(np.clip(matrix, 0.0, 1.0), interval_s,
+                                 name=name or path.stem)
 
 
 def _is_numeric(token: str) -> bool:

@@ -166,5 +166,5 @@ class ScenarioBuilder:
 
     def build(self) -> WorkloadTrace:
         """Clip to [0, 1] and produce the trace."""
-        return WorkloadTrace(np.clip(self._matrix, 0.0, 1.0),
-                             self.interval_s, name=self.name)
+        return WorkloadTrace._owning(np.clip(self._matrix, 0.0, 1.0),
+                                     self.interval_s, name=self.name)

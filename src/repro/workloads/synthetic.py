@@ -92,7 +92,7 @@ def drastic_trace(n_servers: int = 1313, duration_s: float = 12 * 3600.0,
     # ~90 % is rare in the public Alibaba data, so stacked bursts saturate
     # there rather than at the theoretical 100 %.
     matrix = np.clip(base[:, None] + noise + bursts, 0.0, 0.90)
-    return WorkloadTrace(matrix, interval_s, name="drastic")
+    return WorkloadTrace._owning(matrix, interval_s, name="drastic")
 
 
 def irregular_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
@@ -117,7 +117,7 @@ def irregular_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
                                              heights):
         spikes[start:start + length, server] += height
     matrix = np.clip(base[:, None] + noise + spikes, 0.0, 1.0)
-    return WorkloadTrace(matrix, interval_s, name="irregular")
+    return WorkloadTrace._owning(matrix, interval_s, name="irregular")
 
 
 def common_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
@@ -140,7 +140,7 @@ def common_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
     per_server_offset[hot] += rng.uniform(0.18, 0.32, size=int(hot.sum()))
     matrix = np.clip(base[:, None] + noise + per_server_offset[None, :],
                      0.0, 1.0)
-    return WorkloadTrace(matrix, interval_s, name="common")
+    return WorkloadTrace._owning(matrix, interval_s, name="common")
 
 
 #: Registry of the paper's three workload classes.

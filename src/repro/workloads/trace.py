@@ -44,7 +44,8 @@ class WorkloadTrace:
     ----------
     utilisation:
         2-D array-like of shape ``(n_steps, n_servers)`` with values in
-        ``[0, 1]``.
+        ``[0, 1]``.  The trace stores a read-only copy, so later writes
+        to the caller's array do not reach it.
     interval_s:
         Seconds between consecutive rows.
     name:
@@ -53,7 +54,26 @@ class WorkloadTrace:
 
     def __init__(self, utilisation: np.ndarray, interval_s: float,
                  name: str = "trace") -> None:
-        matrix = np.asarray(utilisation, dtype=float)
+        # The trace keeps its own copy: callers key digests and
+        # shared-memory segments on the trace object, so the plane must
+        # not change behind it through the caller's array or a view.
+        self._adopt(np.array(utilisation, dtype=float), interval_s, name)
+
+    @classmethod
+    def _owning(cls, matrix: np.ndarray, interval_s: float,
+                name: str = "trace") -> "WorkloadTrace":
+        """A trace over ``matrix`` without copying it.
+
+        Only for arrays no one else writes to: built fresh by the
+        caller, or a view of a plane a trace already owns.
+        """
+        trace = cls.__new__(cls)
+        trace._adopt(np.asarray(matrix, dtype=float), interval_s, name)
+        return trace
+
+    def _adopt(self, matrix: np.ndarray, interval_s: float,
+               name: str) -> None:
+        """Validate ``matrix`` and make it this trace's read-only plane."""
         if matrix.ndim != 2:
             raise TraceFormatError(
                 f"utilisation must be 2-D (time x servers), "
@@ -91,7 +111,7 @@ class WorkloadTrace:
         view was created from; the trace holds it so the mapping outlives
         the caller's local variable.
         """
-        trace = cls(matrix, interval_s, name=name)
+        trace = cls._owning(matrix, interval_s, name=name)
         trace._shared_block = block
         return trace
 
@@ -233,8 +253,8 @@ class WorkloadTrace:
                 "trace too short for the requested interval")
         blocks = self._matrix[:usable].reshape(
             usable // block, block, self.n_servers)
-        return WorkloadTrace(blocks.mean(axis=1), block * self.interval_s,
-                             name=self.name)
+        return WorkloadTrace._owning(blocks.mean(axis=1),
+                                     block * self.interval_s, name=self.name)
 
     def balanced(self) -> "WorkloadTrace":
         """The trace after ideal workload balancing (Sec. V-B2).
@@ -244,8 +264,8 @@ class WorkloadTrace:
         """
         means = self.mean_per_step()
         matrix = np.repeat(means[:, None], self.n_servers, axis=1)
-        return WorkloadTrace(matrix, self.interval_s,
-                             name=f"{self.name}-balanced")
+        return WorkloadTrace._owning(matrix, self.interval_s,
+                                     name=f"{self.name}-balanced")
 
     def concat_time(self, other: "WorkloadTrace") -> "WorkloadTrace":
         """Append another trace of the same width and interval in time."""
@@ -256,6 +276,6 @@ class WorkloadTrace:
         if not np.isclose(other.interval_s, self.interval_s):
             raise TraceFormatError(
                 f"intervals differ: {self.interval_s} vs {other.interval_s}")
-        return WorkloadTrace(
+        return WorkloadTrace._owning(
             np.vstack([self._matrix, other.utilisation]), self.interval_s,
             name=f"{self.name}+{other.name}")

@@ -40,6 +40,7 @@ from repro.core.engine import (
 from repro.core.simulator import DatacenterSimulator
 from repro.errors import ConfigurationError
 from repro.workloads.synthetic import common_trace
+from repro.workloads.trace import WorkloadTrace
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
@@ -395,3 +396,40 @@ class TestZeroCopyDispatch:
             # runs, minus the fork.
             result = _execute_payload(payload)
             assert result.records == serial.records
+
+
+class TestTraceOwnsItsPlane:
+    """Writing to the caller's array after construction changes nothing.
+
+    Engines key their digest memo and shared-memory segments on the
+    trace object, so a plane that could still change under them would
+    let a second run reuse stale state.
+    """
+
+    ENGINES = {
+        "serial": dict(n_workers=1, prefer="serial"),
+        "process-whole": dict(n_workers=2, prefer="process", shard=False),
+        "process-sharded": dict(n_workers=2, prefer="process", shard=True,
+                                shard_servers=20, shard_steps=12),
+        "result-cached": dict(n_workers=1, prefer="serial"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_base_array_edit_leaves_trace_and_runs_unchanged(
+            self, name, tmp_path):
+        rng = np.random.default_rng(7)
+        base = rng.random((48, 40))
+        trace = WorkloadTrace(base[:], 300.0, name="fleet")
+        plane = trace.utilisation.copy()
+        jobs = [SimulationJob(trace, config)
+                for config in (teg_original(), teg_loadbalance())]
+        cache = tmp_path if name == "result-cached" else False
+        with BatchSimulationEngine(cache=cache,
+                                   **self.ENGINES[name]) as engine:
+            first = engine.run(jobs)
+            base[:] = rng.random(base.shape)
+            assert np.array_equal(trace.utilisation, plane)
+            second = engine.run(jobs)
+        assert first.ok and second.ok
+        for a, b in zip(first.results, second.results):
+            assert a.records == b.records
