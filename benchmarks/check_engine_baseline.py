@@ -17,8 +17,8 @@ selected baseline(s) from a fresh measurement instead.
 Scenarios (``--all`` runs every one in a single invocation — the CI
 entry point):
 
-* default (``BENCH_engine.json``): kernel and per-step throughput on
-  the pinned 1,000-step x 200-server trace.
+* default (``BENCH_engine.json``): kernel and serial-loop throughput
+  on the pinned 1,000-step x 200-server trace.
 * ``--fleet`` (``BENCH_fleet.json``): the fleet-scale sharded scenario
   (12,500 servers x 8,900 steps); the measurement itself asserts
   shard/unshard bit-parity and the bounded worker payload, and the
@@ -49,11 +49,11 @@ from pathlib import Path
 #: A checked figure fails below this fraction of its baseline.
 TOLERANCE = 0.25
 
-#: The default scenario's figures: per-step vectorised, kernel with
+#: The default scenario's figures: the serial cached loop, kernel with
 #: telemetry off, and kernel under a live repro.obs session (so a
 #: telemetry-hook regression is caught even though the default path
 #: has telemetry disabled).
-CHECKED_FIELDS = ("step_steps_per_s", "kernel_steps_per_s",
+CHECKED_FIELDS = ("loop_steps_per_s", "kernel_steps_per_s",
                   "kernel_telemetry_steps_per_s")
 
 #: The fleet (``--fleet``) figures, from ``BENCH_fleet.json``: the

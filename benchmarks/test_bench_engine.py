@@ -1,16 +1,16 @@
 """Engine throughput smoke: the batch fast path must not be slower.
 
 Runs one scheme over a 50-step trace through the serial
-``DatacenterSimulator`` and through the engine's vectorised, cached
-path, timing the *stepping* phase only (simulators are constructed
+``DatacenterSimulator`` and through the engine's cached kernel path,
+timing the *stepping* phase only (simulators are constructed
 outside the timed region; the engine's ``EngineMetrics.step_time_s``
 isolates the same phase).  Asserts the engine is at least as fast as
 serial within a small headroom, and bit-identical.
 
 A second benchmark pins the whole-trace kernel pipeline: on a
 1,000-step x 200-server trace the ``"kernel"`` mode must deliver at
-least :data:`KERNEL_SPEEDUP_FLOOR` x the per-step vectorised
-(``"step"``) throughput.  ``measure_kernel_throughput`` is shared with
+least :data:`KERNEL_SPEEDUP_FLOOR` x the serial cached loop's
+(``"loop"``) throughput.  ``measure_kernel_throughput`` is shared with
 ``benchmarks/check_engine_baseline.py``, which compares fresh numbers
 against the committed ``BENCH_engine.json`` baseline in CI.
 """
@@ -34,8 +34,8 @@ HEADROOM = 1.10
 #: The kernel benchmark scenario (ISSUE 3 acceptance scenario).
 KERNEL_TRACE_KWARGS = dict(n_servers=200, duration_s=1000 * 300.0,
                            interval_s=300.0, seed=7)
-#: Minimum kernel-vs-step speedup on that scenario.  Measured ~20x on
-#: a developer container; 3x leaves room for slow CI runners.
+#: Minimum kernel-vs-loop speedup on that scenario.  Measured ~130x on
+#: a 2-vCPU host; 3x leaves room for slow CI runners.
 KERNEL_SPEEDUP_FLOOR = 3.0
 
 
@@ -45,9 +45,9 @@ def _fifty_step_trace():
 
 
 def measure_kernel_throughput(rounds: int = ROUNDS) -> dict:
-    """Kernel vs per-step vectorised throughput on the 1,000 x 200 trace.
+    """Kernel vs serial-loop throughput on the 1,000 x 200 trace.
 
-    Measures three variants — per-step vectorised, kernel with
+    Measures three variants — the serial cached loop, kernel with
     telemetry off (the default) and kernel with a live ``repro.obs``
     session — and returns a plain dict so the baseline checker can
     serialise it.  Bit-identity is asserted across all three so a
@@ -57,7 +57,7 @@ def measure_kernel_throughput(rounds: int = ROUNDS) -> dict:
     trace = common_trace(**KERNEL_TRACE_KWARGS)
     config = teg_original()
     variants = (
-        ("step", dict(mode="step")),
+        ("loop", dict(mode="loop")),
         ("kernel", dict(mode="kernel")),
         ("kernel+obs", dict(mode="kernel", telemetry=True)),
     )
@@ -71,17 +71,17 @@ def measure_kernel_throughput(rounds: int = ROUNDS) -> dict:
             best = step_time if best is None else min(best, step_time)
             results[name] = result
         measured[name] = trace.n_steps / best
-    assert results["kernel"].records == results["step"].records
+    assert results["kernel"].records == results["loop"].records
     assert results["kernel+obs"].records == results["kernel"].records
     assert results["kernel+obs"].telemetry is not None
     kernel_metrics = results["kernel"].metrics
     return {
         "trace": dict(KERNEL_TRACE_KWARGS),
         "n_steps": trace.n_steps,
-        "step_steps_per_s": round(measured["step"], 1),
+        "loop_steps_per_s": round(measured["loop"], 1),
         "kernel_steps_per_s": round(measured["kernel"], 1),
         "kernel_telemetry_steps_per_s": round(measured["kernel+obs"], 1),
-        "speedup": round(measured["kernel"] / measured["step"], 2),
+        "speedup": round(measured["kernel"] / measured["loop"], 2),
         "telemetry_overhead": round(
             1.0 - measured["kernel+obs"] / measured["kernel"], 4),
         "kernel_phases": kernel_metrics.kernel.summary(),
@@ -89,14 +89,14 @@ def measure_kernel_throughput(rounds: int = ROUNDS) -> dict:
 
 
 @pytest.mark.benchmark
-def test_bench_kernel_speedup_over_step_mode(benchmark):
+def test_bench_kernel_speedup_over_loop_mode(benchmark):
     report = benchmark.pedantic(measure_kernel_throughput,
                                 rounds=1, iterations=1)
     print_table(
-        "Kernel vs per-step vectorised — 1,000-step trace, 200 servers",
+        "Kernel vs serial loop — 1,000-step trace, 200 servers",
         ["mode", "steps/s"],
         [
-            ["step", report["step_steps_per_s"]],
+            ["loop", report["loop_steps_per_s"]],
             ["kernel", report["kernel_steps_per_s"]],
             ["speedup", report["speedup"]],
         ])

@@ -10,7 +10,7 @@ so this benchmark pins two contracts from ISSUE 5:
   ``BENCH_engine.json`` figure.  Raw steps/sec are machine-dependent,
   so the check accepts the better of two ratios: the direct one (right
   on the machine that wrote the baseline) and one normalised by the
-  step-mode ratio measured in the same run (a uniformly slower runner
+  loop-mode ratio measured in the same run (a uniformly slower runner
   cancels out).  A regression specific to the kernel path — where the
   hooks live — fails both.
 * **enabled** — a live session records spans, counters and histograms
@@ -36,7 +36,7 @@ from bench_utils import print_table
 BASELINE_PATH = Path(__file__).parent / "BENCH_engine.json"
 
 #: Disabled-telemetry kernel throughput must stay within this fraction
-#: of the committed baseline (after normalising by step-mode speed).
+#: of the committed baseline (after normalising by loop-mode speed).
 DISABLED_TOLERANCE = 0.03
 
 #: An enabled session may cost at most this fraction of kernel
@@ -58,13 +58,13 @@ def test_bench_telemetry_overhead(benchmark):
 
     # Two views of "within 3% of the baseline": the direct ratio (valid
     # on the machine that wrote the baseline) and one normalised by the
-    # step-mode ratio (cancels a uniformly slower runner).  Step-mode
+    # loop-mode ratio (cancels a uniformly slower runner).  Loop-mode
     # timing is the noisier of the two, so take whichever is kinder —
     # a kernel-path-specific slowdown (the telemetry hooks) fails both.
     direct_ratio = (report["kernel_steps_per_s"]
                     / baseline["kernel_steps_per_s"])
-    machine_scale = (report["step_steps_per_s"]
-                     / baseline["step_steps_per_s"])
+    machine_scale = (report["loop_steps_per_s"]
+                     / baseline["loop_steps_per_s"])
     normalised_ratio = direct_ratio / machine_scale
     disabled_ratio = max(direct_ratio, normalised_ratio)
     enabled_overhead = report["telemetry_overhead"]

@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock budget (default: "
                             "REPRO_JOB_TIMEOUT or none)")
     batch.add_argument("--mode", default=None,
-                       choices=("kernel", "step", "loop"),
+                       choices=("kernel", "loop"),
                        help="execution mode for every job (default: "
                             "kernel)")
     batch.add_argument("--prefer", default="process",

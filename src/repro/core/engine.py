@@ -9,9 +9,8 @@ scheme per trace.  This module turns that hot path into a batch API:
   pool (``concurrent.futures``), degrading gracefully to threads or a
   serial loop when processes are unavailable, with a ``REPRO_WORKERS``
   environment override;
-* inside each job the step loop is *vectorised*: circulations sharing a
-  cooling setting are evaluated as one NumPy batch instead of per-group
-  Python calls, and cooling decisions are memoised by
+* inside each job the whole-trace kernel (:mod:`repro.core.kernel`)
+  replaces the step loop, and cooling decisions are memoised by
   :class:`CoolingDecisionCache`;
 * :class:`EngineMetrics` (wall time per phase, steps/sec, cache hit
   rate) is attached to every :class:`~repro.core.results.SimulationResult`
@@ -57,24 +56,25 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .. import obs
 from .._durable import pid_alive
-from ..cooling.loop import CirculationState
 from ..errors import ConfigurationError, JobExecutionError
 from ..faults import FaultSchedule
 from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
-from ..thermal.hydraulics import loop_pump_power_w
 from ..workloads.trace import WorkloadTrace
 from .cache import ResultCache, resolve_result_cache, result_key, warm_keys
 from .config import SimulationConfig
 from .kernel import KernelTimings, run_whole_trace
 from .results import SimulationResult
 from .simulator import DatacenterSimulator
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .checkpoint import CheckpointStore, RunKey
 
 #: Environment variable overriding the engine's worker count.
 #: ``0`` or ``1`` force the serial in-process path.
@@ -98,25 +98,21 @@ _POLL_INTERVAL_S = 0.05
 #: matching :class:`~repro.control.cooling_policy.LookupSpacePolicy`.
 DEFAULT_CACHE_RESOLUTION = 0.005
 
-#: Execution modes of one job, fastest first.  All are bit-identical:
+#: Execution modes of one job, fastest first.  Both are bit-identical:
 #:
 #: * ``"kernel"`` — whole-trace NumPy pipeline (no per-step Python loop);
-#: * ``"step"``   — PR 1's per-step loop, vectorised within each step;
 #: * ``"loop"``   — the serial per-circulation loop with cached decisions.
 #:
-#: Jobs carrying a fault schedule always step through the simulator's
-#: fault-aware serial loop, whatever mode was requested.
-EXECUTION_MODES = ("kernel", "step", "loop")
+#: Jobs carrying a fault schedule, and jobs on a ``WorkloadTrace``
+#: subclass, always step through the simulator's serial loop, whatever
+#: mode was requested.
+EXECUTION_MODES = ("kernel", "loop")
 
 
-def resolve_mode(mode: str | None, vectorised: bool = True) -> str:
-    """Normalise the (mode, legacy ``vectorised`` flag) pair.
-
-    ``mode`` wins when given; otherwise ``vectorised=True`` selects the
-    kernel pipeline and ``vectorised=False`` the serial cached loop.
-    """
+def resolve_mode(mode: str | None) -> str:
+    """Validate an execution mode; ``None`` selects ``"kernel"``."""
     if mode is None:
-        return "kernel" if vectorised else "loop"
+        return "kernel"
     if mode not in EXECUTION_MODES:
         raise ConfigurationError(
             f"mode must be one of {EXECUTION_MODES}, got {mode!r}")
@@ -286,9 +282,6 @@ class EngineMetrics:
     mode:
         Execution mode actually used (see :data:`EXECUTION_MODES`;
         fault-carrying jobs report ``"loop"``).
-    vectorised:
-        Whether an array-batched path (``"kernel"`` or ``"step"``) ran;
-        kept for backward compatibility with ``mode``.
     kernel:
         Per-phase wall times of the whole-trace kernel
         (decide/evaluate/reduce/fold); ``None`` outside kernel mode.
@@ -316,7 +309,6 @@ class EngineMetrics:
     cache_misses: int = 0
     cache_hit_rate: float = 0.0
     mode: str = "kernel"
-    vectorised: bool = True
     kernel: KernelTimings | None = None
     executor: str = "serial"
     n_workers: int = 1
@@ -334,7 +326,6 @@ class EngineMetrics:
             "steps_per_s": round(self.steps_per_s, 1),
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "mode": self.mode,
-            "vectorised": self.vectorised,
             "executor": self.executor,
             "n_workers": self.n_workers,
             "retries": self.retries,
@@ -447,24 +438,19 @@ class SimulationJob:
 
 
 class _CachedVectorisedSimulator(DatacenterSimulator):
-    """A :class:`DatacenterSimulator` with memoised, batched stepping.
+    """A :class:`DatacenterSimulator` with memoised decisions.
 
     The scheduler, policy, partitioning and aggregation all come from
-    the parent class; what changes depends on the execution mode:
-
-    * every mode routes cooling decisions through a
-      :class:`CoolingDecisionCache`;
-    * ``"step"`` batches the per-server thermal/TEG evaluation across
-      all circulations that chose the same (clamped) cooling setting;
-    * ``"kernel"`` skips the step loop entirely and runs the
-      whole-trace pipeline of :mod:`repro.core.kernel`.
+    the parent class; every mode routes cooling decisions through a
+    :class:`CoolingDecisionCache`, and ``"kernel"`` skips the step loop
+    entirely and runs the whole-trace pipeline of
+    :mod:`repro.core.kernel`.
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig,
                  cpu_model: CpuThermalModel | None = None,
                  teg_module: TegModule | None = None,
                  cache: CoolingDecisionCache | None = None,
-                 vectorised: bool = True,
                  mode: str | None = None,
                  faults: FaultSchedule | None = None,
                  step_offset: int = 0,
@@ -479,16 +465,14 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
                          server_offset=server_offset, **kwargs)
         # `is None` check: an empty cache is falsy (it has __len__).
         self._cache = cache if cache is not None else CoolingDecisionCache()
-        # Fault injection needs the parent's fault-aware serial step
-        # (degraded fallback, shadow accounting); decisions stay cached.
-        mode = resolve_mode(mode, vectorised)
-        if mode == "kernel" and type(trace) is not WorkloadTrace:
-            # Trace subclasses may override step(); the whole-trace
-            # kernel reads the utilisation plane directly and would
-            # silently bypass them, so drop to the per-step path.
-            mode = "step"
-        self._mode = "loop" if self._fault_runtime is not None else mode
-        self._vectorised = self._mode in ("kernel", "step")
+        self._mode = resolve_mode(mode)
+        if self._fault_runtime is not None or type(trace) is not WorkloadTrace:
+            # Fault injection needs the parent's fault-aware serial step
+            # (degraded fallback, shadow accounting), and a trace
+            # subclass may override step(), which the kernel would
+            # silently bypass by reading the plane: both run the serial
+            # loop.  Decisions stay cached either way.
+            self._mode = "loop"
         self.kernel_timings: KernelTimings | None = None
         self._context = (config.name, config.policy, config.scheduler,
                          config.cold_source_temp_c, config.safe_temp_c)
@@ -525,86 +509,10 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
         self._record_telemetry(result)
         return result
 
-    def _run_step(self, step_index: int):
-        if self._mode != "step":
-            return super()._run_step(step_index)
-        step_utils = self.trace.step(step_index)
-
-        # Phase 1 — schedule and decide per circulation (cache-assisted).
-        scheduled_groups = []
-        applied_settings = []
-        for group, circulation in zip(self._groups, self._circulations):
-            scheduled = self._scheduler.schedule(step_utils[group])
-            decision = self._decide(scheduled)
-            scheduled_groups.append(scheduled)
-            applied_settings.append(circulation.cdu.apply(decision.setting))
-
-        # Phase 2 — batched per-server evaluation.  All model entry
-        # points are elementwise over utilisation, so evaluating the
-        # gathered batch yields exactly the per-circulation values.
-        n = self.trace.n_servers
-        sched_all = np.empty(n)
-        cpu_temps = np.empty(n)
-        outlet_temps = np.empty(n)
-        cpu_powers = np.empty(n)
-        teg_powers = np.empty(n)
-        for group, scheduled in zip(self._groups, scheduled_groups):
-            sched_all[group] = scheduled
-
-        by_setting: dict[tuple[float, float], list[int]] = {}
-        for index, applied in enumerate(applied_settings):
-            by_setting.setdefault(
-                (applied.flow_l_per_h, applied.inlet_temp_c),
-                []).append(index)
-        for members in by_setting.values():
-            applied = applied_settings[members[0]]
-            if len(members) == 1:
-                indices = self._groups[members[0]]
-            else:
-                indices = np.concatenate(
-                    [self._groups[m] for m in members])
-            power, temps, outlets = self.cpu_model.response(
-                sched_all[indices], self.cpu_model.setting_terms(applied))
-            cpu_powers[indices] = power
-            cpu_temps[indices] = temps
-            outlet_temps[indices] = outlets
-            teg_powers[indices] = self.teg_module.generation_w(
-                outlets, self.config.cold_source_temp_c,
-                applied.flow_l_per_h)
-
-        # Phase 3 — per-circulation facility accounting, then fold with
-        # the serial aggregation (same order, same arithmetic).
-        states = []
-        for group, circulation, applied, scheduled in zip(
-                self._groups, self._circulations, applied_settings,
-                scheduled_groups):
-            group_powers = cpu_powers[group]
-            captured_heat_w = float(np.sum(group_powers))
-            tower_heat, chiller_heat = circulation.tower.split_with_chiller(
-                captured_heat_w, applied.inlet_temp_c,
-                circulation.wet_bulb_c)
-            states.append(CirculationState(
-                utilisations=scheduled,
-                cpu_temps_c=cpu_temps[group],
-                outlet_temps_c=outlet_temps[group],
-                cpu_powers_w=group_powers,
-                teg_powers_w=teg_powers[group],
-                setting=applied,
-                chiller_power_w=circulation.chiller.electricity_w_for_heat(
-                    chiller_heat),
-                tower_power_w=circulation.tower.electricity_w_for_heat(
-                    tower_heat),
-                pump_power_w=circulation.n_servers * loop_pump_power_w(
-                    circulation.pipe_segments, applied.flow_l_per_h,
-                    applied.inlet_temp_c),
-            ))
-        return self._aggregate_step(step_index, step_utils, states)
-
 
 def simulate(trace: WorkloadTrace, config: SimulationConfig,
              cpu_model: CpuThermalModel | None = None,
              teg_module: TegModule | None = None, *,
-             vectorised: bool = True,
              mode: str | None = None,
              cache: CoolingDecisionCache | None = None,
              cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
@@ -618,10 +526,10 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     ``DatacenterSimulator(trace, config, ...).run()`` but carries
     :class:`EngineMetrics` (phase wall times, steps/sec, cache stats,
     kernel-phase timings).  ``mode`` picks the execution path (see
-    :data:`EXECUTION_MODES`; default ``"kernel"``, or ``"loop"`` when
-    ``vectorised=False``).  Attaching a ``faults`` schedule switches
-    stepping to the simulator's fault-aware serial loop (decisions stay
-    cached); without one the output is unchanged down to the bit.
+    :data:`EXECUTION_MODES`; default ``"kernel"``).  Attaching a
+    ``faults`` schedule switches stepping to the simulator's
+    fault-aware serial loop (decisions stay cached); without one the
+    output is unchanged down to the bit.
 
     ``telemetry`` (explicit, else ``REPRO_TELEMETRY``) records the run
     into a *private* :class:`repro.obs.Telemetry` session and attaches
@@ -649,8 +557,7 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
 
         # One digest keys the result and both warm-start snapshots.
         trace_hash = trace_digest(trace)
-        effective_mode = "loop" if has_faults else resolve_mode(
-            mode, vectorised)
+        effective_mode = "loop" if has_faults else resolve_mode(mode)
         key = result_key(trace, config, cpu_model, teg_module,
                          faults=faults if has_faults else None,
                          cache_resolution=cache.resolution,
@@ -666,7 +573,7 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
             with obs.span("engine.setup"):
                 simulator = _CachedVectorisedSimulator(
                     trace, config, cpu_model, teg_module, cache=cache,
-                    vectorised=vectorised, mode=mode, faults=faults)
+                    mode=mode, faults=faults)
                 warmed = None
                 if key is not None and not has_faults:
                     warmed = _warm_restore(store, simulator, trace,
@@ -694,7 +601,6 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         cache_misses=cache.stats.misses,
         cache_hit_rate=cache.stats.hit_rate,
         mode=simulator.mode,
-        vectorised=simulator._vectorised,
         kernel=simulator.kernel_timings,
     )
     if local is not None:
@@ -1356,12 +1262,33 @@ def resolve_shard_straggler(deadline_s: float | None = None
     return deadline_s
 
 
+@dataclass(eq=False)
+class _Answer:
+    """How one batch job is answered, resolved once before dispatch.
+
+    ``source`` is ``"duplicate"`` (an earlier job has the same content
+    ``key``; ``rep`` is that job's record and the two share one result
+    or failure), ``"resumed"`` (a whole job's result loaded from its
+    checkpoint ``store``), ``"cached"`` (served by the result cache) or
+    ``"computed"``.  Everything the batch reports — metrics, telemetry,
+    ``/healthz`` — is read from these records.
+    """
+
+    job: SimulationJob
+    key: RunKey
+    specs: list | None
+    store: CheckpointStore | None = None
+    source: str = "computed"
+    rep: _Answer | None = None
+    result: SimulationResult | None = None
+    failure: FailedJob | None = None
+
+
 @dataclass
 class _JobState:
-    """Book-keeping for one job while the batch executes it."""
+    """Book-keeping for one whole job while an executor runs it."""
 
-    index: int
-    job: SimulationJob
+    answer: _Answer
     attempts: int = 0
     retries: int = 0
     started_at: float | None = None
@@ -1369,6 +1296,11 @@ class _JobState:
     #: (``None`` while queued); the timeout clock starts here so time
     #: spent waiting for a worker is never billed against the job.
     running_since: float | None = None
+
+    @property
+    def job(self) -> SimulationJob:
+        """The job being run."""
+        return self.answer.job
 
     def failed(self, exc: BaseException) -> FailedJob:
         """Package the terminal exception as a :class:`FailedJob`."""
@@ -1406,26 +1338,6 @@ def _fs_slug(name: str, limit: int = 48) -> str:
     return (cleaned or "run")[:limit]
 
 
-class _CheckpointingResults(dict):
-    """A results map that persists whole-job results as they land.
-
-    The serial and pooled paths both assign ``results[sub] = result``
-    the moment a job completes; routing that through this dict means a
-    coordinator crash one job into a 50-job batch still leaves the
-    finished jobs' results on disk, whatever executor ran them.
-    """
-
-    def __init__(self, stores: "dict[int, object]") -> None:
-        super().__init__()
-        self._stores = stores
-
-    def __setitem__(self, sub: int, result) -> None:
-        super().__setitem__(sub, result)
-        store = self._stores.get(sub)
-        if store is not None:
-            store.save_result(result)
-
-
 class BatchSimulationEngine:
     """Run many (scheme x trace) simulations through one API.
 
@@ -1434,13 +1346,9 @@ class BatchSimulationEngine:
     n_workers:
         Parallel workers; ``None`` defers to ``REPRO_WORKERS`` or the
         CPU count.  ``1`` runs serially in-process.
-    vectorised:
-        Legacy switch between the fastest array path and the serial
-        cached loop; superseded by ``mode`` (results are bit-identical
-        either way).
     mode:
-        Execution mode inside each job — ``"kernel"`` (default),
-        ``"step"`` or ``"loop"``; see :data:`EXECUTION_MODES`.
+        Execution mode inside each job — ``"kernel"`` (default) or
+        ``"loop"``; see :data:`EXECUTION_MODES`.
     cache_resolution:
         Utilisation quantisation of each job's decision cache.
     prefer:
@@ -1513,7 +1421,6 @@ class BatchSimulationEngine:
     """
 
     def __init__(self, n_workers: int | None = None, *,
-                 vectorised: bool = True,
                  mode: str | None = None,
                  cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
                  prefer: str = "process",
@@ -1562,8 +1469,7 @@ class BatchSimulationEngine:
         #: alongside, so an id can never be recycled while cached).
         self._trace_digests: dict[int, tuple[WorkloadTrace, str]] = {}
         self.n_workers = n_workers
-        self.vectorised = vectorised
-        self.mode = resolve_mode(mode, vectorised)
+        self.mode = resolve_mode(mode)
         self.cache_resolution = cache_resolution
         self.prefer = prefer
         self.max_retries = max_retries
@@ -1746,42 +1652,49 @@ class BatchSimulationEngine:
             if process.is_alive():
                 process.kill()
 
-    def _run_serial(self, jobs: Sequence[SimulationJob],
-                    results: "dict[int, SimulationResult] | None" = None):
+    def _land(self, state: _JobState, result: SimulationResult) -> None:
+        """Record a whole job's result: retries, checkpoint, ``/healthz``.
+
+        Saving the moment a job completes means a coordinator crash one
+        job into a 50-job batch still leaves the finished jobs' results
+        on disk, whatever executor ran them.  A result the worker served
+        from the result cache turns its job ``cached``.
+        """
+        answer = state.answer
+        if result.metrics is not None:
+            result.metrics.retries = state.retries
+            if result.metrics.result_cache_hit:
+                answer.source = "cached"
+        answer.result = result
+        if answer.store is not None:
+            answer.store.save_result(result)
+        self._health.job_done()
+
+    def _run_serial(self, states: Sequence[_JobState]) -> None:
         """In-process execution with retry; no timeout enforcement."""
-        results = {} if results is None else results
-        failures: dict[int, FailedJob] = {}
-        stats = {"retries": 0, "timeouts": 0}
-        for index, job in enumerate(jobs):
-            state = _JobState(index=index, job=job,
-                              started_at=time.perf_counter())
+        for state in states:
+            state.started_at = time.perf_counter()
             while True:
                 state.attempts += 1
                 try:
-                    result = _execute_job(job, self.mode,
+                    result = _execute_job(state.job, self.mode,
                                           self.cache_resolution,
                                           self.telemetry,
                                           self.result_cache)
                 except Exception as exc:
                     if state.attempts < self._budget:
-                        stats["retries"] += 1
                         state.retries += 1
                         self._emit_job_event("job.retry", state, exc)
                         self._backoff(state.attempts)
                         continue
-                    failures[index] = state.failed(exc)
+                    state.answer.failure = state.failed(exc)
                     self._emit_job_event("job.failed", state, exc)
                     break
-                if result.metrics is not None:
-                    result.metrics.retries = state.retries
-                results[index] = result
-                self._health.job_done()
+                self._land(state, result)
                 break
-        return results, failures, stats
 
-    def _run_pool(self, jobs: Sequence[SimulationJob], workers: int,
-                  kind: str, timeout_s: float | None,
-                  results: "dict[int, SimulationResult] | None" = None):
+    def _run_pool(self, states: Sequence[_JobState], workers: int,
+                  kind: str, timeout_s: float | None) -> None:
         """Pooled execution: shared pool fast path, isolated recovery.
 
         All jobs start on one shared pool.  When that pool can no
@@ -1799,58 +1712,45 @@ class BatchSimulationEngine:
             # thread pool instead of surfacing as per-job failures.
             # Process jobs ship a _JobPayload — config plus shared-memory
             # trace handle — never the trace array itself.
-            pickle.dumps([self._payload(job) for job in jobs])
+            pickle.dumps([self._payload(state.job) for state in states])
         else:
             executor_cls = ThreadPoolExecutor
-
-        results = {} if results is None else results
-        failures: dict[int, FailedJob] = {}
-        stats = {"retries": 0, "timeouts": 0}
-        states = {index: _JobState(index=index, job=job)
-                  for index, job in enumerate(jobs)}
 
         executor = self._ensure_executor(kind, workers)
         clean = False
         try:
-            leftovers = self._drain_shared(
-                executor, kind, states, results, failures, stats,
-                timeout_s)
+            leftovers = self._drain_shared(executor, kind, states,
+                                           timeout_s)
             clean = not leftovers
         finally:
             if not clean:
                 # Broken/timed-out pools are killed and forgotten; a
                 # clean pool stays alive for the next run() call.
                 self._drop_executor()
-        for index in leftovers:
-            self._run_isolated(executor_cls, kind, states[index],
-                               results, failures, stats, timeout_s)
-        return results, failures, stats
+        for state in leftovers:
+            self._run_isolated(executor_cls, kind, state, timeout_s)
 
     def _drain_shared(self, executor, kind: str,
-                      states: dict[int, _JobState],
-                      results: dict[int, SimulationResult],
-                      failures: dict[int, FailedJob],
-                      stats: dict[str, int],
-                      timeout_s: float | None) -> list[int]:
-        """Run every job on the shared pool; return unfinished indices.
+                      states: Sequence[_JobState],
+                      timeout_s: float | None) -> list[_JobState]:
+        """Run every job on the shared pool; return the unfinished ones.
 
         A non-empty return means the pool is no longer trustworthy
         (broken, or torn down after a timeout) and the listed jobs must
         be re-run in isolation.  Attempts consumed by pool-wide
         breakage are not charged to innocent jobs.
         """
-        futures: dict[Future, int] = {}
+        futures: dict[Future, _JobState] = {}
         now = time.perf_counter()
-        for index, state in states.items():
+        for state in states:
             state.started_at = now
-            futures[self._submit(executor, kind, state.job)] = index
+            futures[self._submit(executor, kind, state.job)] = state
 
         while futures:
             done, _ = wait(futures, timeout=_POLL_INTERVAL_S,
                            return_when=FIRST_COMPLETED)
             for future in done:
-                index = futures.pop(future)
-                state = states[index]
+                state = futures.pop(future)
                 state.attempts += 1
                 state.running_since = None
                 try:
@@ -1860,33 +1760,26 @@ class BatchSimulationEngine:
                     # future specifically.  Un-charge the attempt and
                     # redo everything unfinished in isolation.
                     state.attempts -= 1
-                    return [index] + [futures.pop(f)
-                                      for f in list(futures)]
+                    return [state, *futures.values()]
                 except Exception as exc:
                     if state.attempts < self._budget:
-                        stats["retries"] += 1
                         state.retries += 1
                         self._emit_job_event("job.retry", state, exc)
                         self._backoff(state.attempts)
                         try:
                             futures[self._submit(executor, kind,
-                                                 state.job)] = index
+                                                 state.job)] = state
                         except BrokenExecutor:
-                            return [index] + [futures.pop(f)
-                                              for f in list(futures)]
+                            return [state, *futures.values()]
                     else:
-                        failures[index] = state.failed(exc)
+                        state.answer.failure = state.failed(exc)
                         self._emit_job_event("job.failed", state, exc)
                 else:
-                    if result.metrics is not None:
-                        result.metrics.retries = state.retries
-                    results[index] = result
-                    self._health.job_done()
+                    self._land(state, result)
             if timeout_s is None:
                 continue
             now = time.perf_counter()
-            for future, index in list(futures.items()):
-                state = states[index]
+            for future, state in list(futures.items()):
                 if state.running_since is None and future.running():
                     state.running_since = now
                 if (state.running_since is not None
@@ -1895,17 +1788,13 @@ class BatchSimulationEngine:
                     # unusable, so fail this job and move the rest to
                     # isolated execution.
                     state.attempts += 1
-                    stats["timeouts"] += 1
-                    failures[index] = state.timed_out(timeout_s)
+                    state.answer.failure = state.timed_out(timeout_s)
                     self._emit_job_event("job.timeout", state)
                     futures.pop(future)
-                    return [futures.pop(f) for f in list(futures)]
+                    return list(futures.values())
         return []
 
     def _run_isolated(self, executor_cls, kind: str, state: _JobState,
-                      results: dict[int, SimulationResult],
-                      failures: dict[int, FailedJob],
-                      stats: dict[str, int],
                       timeout_s: float | None) -> None:
         """Run one job in its own single-worker pool, with retry.
 
@@ -1920,23 +1809,18 @@ class BatchSimulationEngine:
             verdict, payload = self._attempt_isolated(
                 executor_cls, kind, state.job, timeout_s)
             if verdict == "ok":
-                if payload.metrics is not None:
-                    payload.metrics.retries = state.retries
-                results[state.index] = payload
-                self._health.job_done()
+                self._land(state, payload)
                 return
             if verdict == "timeout":
-                stats["timeouts"] += 1
-                failures[state.index] = state.timed_out(timeout_s)
+                state.answer.failure = state.timed_out(timeout_s)
                 self._emit_job_event("job.timeout", state)
                 return
             if state.attempts < self._budget:
-                stats["retries"] += 1
                 state.retries += 1
                 self._emit_job_event("job.retry", state, payload)
                 self._backoff(state.attempts)
                 continue
-            failures[state.index] = state.failed(payload)
+            state.answer.failure = state.failed(payload)
             self._emit_job_event("job.failed", state, payload)
             return
 
@@ -2001,8 +1885,8 @@ class BatchSimulationEngine:
             return None
         has_faults = job.faults is not None and len(job.faults) > 0
         if not has_faults and self.mode != "kernel":
-            # "step"/"loop" exist to cross-check the kernel; sharding
-            # only accelerates the kernel and fault paths.
+            # "loop" exists to cross-check the kernel; sharding only
+            # accelerates the kernel and fault paths.
             return None
         if trace.n_servers < job.config.circulation_size:
             # The unsharded path raises the proper ConfigurationError.
@@ -2339,17 +2223,52 @@ class BatchSimulationEngine:
         batch.telemetry = batch_telemetry
         return batch
 
+    def _resolve(self, jobs: list[SimulationJob],
+                 plans: list) -> list[_Answer]:
+        """Decide, once and before dispatch, how each job is answered.
+
+        In order: a job whose content key an earlier job already has is
+        a duplicate and is never looked up anywhere; a sharded job is
+        looked up in the result cache; a whole job is looked up in its
+        checkpoint store, and a saved result resumes it; anything else
+        is computed.  Only a job that is neither a duplicate nor a cache
+        hit opens a checkpoint store.  Whole jobs still consult the
+        result cache inside their worker, where warm starts live (see
+        :meth:`_land`).
+        """
+        answers: list[_Answer] = []
+        first: dict = {}
+        for job, specs in zip(jobs, plans):
+            answer = _Answer(job, self._content_key(job, specs), specs)
+            answers.append(answer)
+            rep = first.setdefault(answer.key, answer)
+            if rep is not answer:
+                answer.source, answer.rep = "duplicate", rep
+                continue
+            if specs is not None and self.result_cache is not None:
+                answer.result = self.result_cache.load(answer.key)
+                if answer.result is not None:
+                    answer.source = "cached"
+                    continue
+            if self.checkpoint is not None:
+                answer.store = self._job_store(job, specs)
+                if specs is None:
+                    answer.result = answer.store.load_result()
+                    if answer.result is not None:
+                        answer.source = "resumed"
+        return answers
+
     def _run_validated(self, jobs: list[SimulationJob],
                        batch_telemetry: "obs.Telemetry | None"
                        ) -> BatchResult:
         """Execute a validated job list (under the batch session).
 
-        Jobs that shard (see :meth:`_shard_plan`) are peeled off the
-        normal dispatch: the worker count is resolved against the total
-        unit count (whole jobs + shards), the remaining jobs run
-        through the usual serial/pool machinery, and each sharded job
-        is then fanned out over the same persistent executor and merged
-        back into a single result in place.
+        Every job is first resolved to one :class:`_Answer` (see
+        :meth:`_resolve`).  The whole jobs left to compute run through
+        the usual serial/pool machinery, with the worker count resolved
+        against the total unit count (whole jobs + shards); each
+        sharded job is then fanned out over the same persistent
+        executor and merged back into a single result.
         """
         from .shard import (
             SHARD_SERVERS_ENV_VAR,
@@ -2366,181 +2285,100 @@ class BatchSimulationEngine:
                                            SHARD_SERVERS_ENV_VAR)
         shard_steps = resolve_shard_size(self.shard_steps,
                                          SHARD_STEPS_ENV_VAR)
-        plans = {}
-        for index, job in enumerate(jobs):
-            specs = self._shard_plan(job, shard_servers, shard_steps)
-            if specs is not None:
-                plans[index] = specs
-        total_shards = sum(len(specs) for specs in plans.values())
+        # Every plan is validated before a cache entry is read or a
+        # checkpoint store opens.
+        plans = [self._shard_plan(job, shard_servers, shard_steps)
+                 for job in jobs]
+        answers = self._resolve(jobs, plans)
 
-        # Checkpointing: one content-keyed store per job.  Whole jobs
-        # with a saved result are answered from disk before any worker
-        # is resolved; sharded jobs resume shard-by-shard inside
-        # _run_sharded_job.
-        stores: dict[int, object] = {}
-        resumed_results: dict[int, SimulationResult] = {}
-        if self.checkpoint is not None:
-            for index, job in enumerate(jobs):
-                stores[index] = self._job_store(job, plans.get(index))
-            for index in range(len(jobs)):
-                if index in plans:
-                    continue
-                cached = stores[index].load_result()
-                if cached is not None:
-                    resumed_results[index] = cached
+        def having(*sources: str) -> list[_Answer]:
+            return [answer for answer in answers if answer.source in sources]
 
-        # Result cache: sharded jobs are pre-checked here, before any
-        # shard plan is primed or dispatched (whole jobs check inside
-        # simulate() in their worker, which also gives them warm
-        # starts).  A hit drops the job's plan entirely.
-        cache_keys: dict[int, object] = {}
-        cache_results: dict[int, SimulationResult] = {}
-        if self.result_cache is not None:
-            for index, job in enumerate(jobs):
-                if index in resumed_results or index not in plans:
-                    continue
-                if type(job.trace) is not WorkloadTrace:
-                    continue
-                key = self._content_key(job, plans[index])
-                cache_keys[index] = key
-                cached = self.result_cache.load(key)
-                if cached is not None:
-                    cache_results[index] = cached
-                    plans.pop(index)
-
-        # Within-batch dedup: identical (trace, config, models, faults,
-        # mode/plan) jobs execute once; duplicates fan the
-        # representative's result out at collection time.
-        dup_of: dict[int, int] = {}
-        seen_keys: dict = {}
-        for index, job in enumerate(jobs):
-            if index in resumed_results or index in cache_results:
-                continue
-            dedup_key = self._content_key(job, plans.get(index))
-            rep = seen_keys.setdefault(dedup_key, index)
-            if rep != index:
-                dup_of[index] = rep
-                plans.pop(index, None)
-        if dup_of:
-            obs.add("engine.jobs.deduped", len(dup_of))
-        total_shards = sum(len(specs) for specs in plans.values())
-
-        normal = [index for index in range(len(jobs))
-                  if index not in plans and index not in resumed_results
-                  and index not in cache_results and index not in dup_of]
-        n_units = len(normal) + total_shards
+        whole = [answer for answer in having("computed")
+                 if answer.specs is None]
+        sharded = [answer for answer in having("computed")
+                   if answer.specs is not None]
+        duplicates = having("duplicate")
+        n_resumed = len(having("resumed"))
+        if duplicates:
+            obs.add("engine.jobs.deduped", len(duplicates))
+        total_shards = sum(len(answer.specs) for answer in sharded)
+        n_units = len(whole) + total_shards
         self._health.begin(jobs_total=len(jobs), shards_total=total_shards)
-        for _ in resumed_results:
-            self._health.job_done()
-        for _ in cache_results:
+        for _ in having("resumed", "cached"):
             self._health.job_done()
         workers = resolve_workers(self.n_workers, n_units)
         timeout_s = resolve_job_timeout(self.job_timeout_s)
         obs.emit("batch.start", n_jobs=len(jobs), mode=self.mode,
                  workers=workers, prefer=self.prefer,
-                 shards=total_shards, resumed=len(resumed_results),
-                 deduped=len(dup_of), cache_hits=len(cache_results))
+                 shards=total_shards, resumed=n_resumed,
+                 deduped=len(duplicates), cache_hits=len(having("cached")))
         started = time.perf_counter()
         executor = self.prefer
-        outcome = None
-        normal_jobs = [jobs[index] for index in normal]
-        sub_stores = {sub: stores[index]
-                      for sub, index in enumerate(normal)
-                      if index in stores}
-        sink = _CheckpointingResults(sub_stores) if sub_stores else None
+        states: list[_JobState] = []
         if workers <= 1 or self.prefer == "serial" or n_units == 1:
             executor = "serial"
-            outcome = self._run_serial(normal_jobs, sink)
-        elif normal_jobs:
-            kinds = (["process", "thread"] if self.prefer == "process"
-                     else ["thread"])
-            for kind in kinds:
+        elif whole:
+            executor = "serial"
+            for kind in (("process", "thread") if self.prefer == "process"
+                         else ("thread",)):
+                states = [_JobState(answer) for answer in whole]
                 try:
-                    outcome = self._run_pool(normal_jobs, workers, kind,
-                                             timeout_s, sink)
-                    executor = kind
-                    break
+                    self._run_pool(states, workers, kind, timeout_s)
                 except Exception:  # pool unavailable: degrade gracefully
                     continue
-            if outcome is None:
-                executor = "serial"
-                outcome = self._run_serial(normal_jobs, sink)
-        else:
-            outcome = ({}, {}, {"retries": 0, "timeouts": 0})
-        sub_results, sub_failures, stats = outcome
-        results_map = {normal[sub]: result
-                       for sub, result in sub_results.items()}
-        results_map.update(resumed_results)
-        failures_map = {normal[sub]: failed
-                        for sub, failed in sub_failures.items()}
-        for index, specs in plans.items():
-            state = _JobState(index=index, job=jobs[index],
+                executor = kind
+                break
+        if executor == "serial":
+            states = [_JobState(answer) for answer in whole]
+            self._run_serial(states)
+        for answer in sharded:
+            state = _JobState(answer, attempts=1,
                               started_at=time.perf_counter())
-            state.attempts = 1
             try:
-                results_map[index] = self._run_sharded_job(
-                    jobs[index], specs, executor, workers,
-                    store=stores.get(index))
+                answer.result = self._run_sharded_job(
+                    answer.job, answer.specs, executor, workers,
+                    store=answer.store)
             except Exception as exc:
-                failures_map[index] = state.failed(exc)
+                answer.failure = state.failed(exc)
                 self._emit_job_event("job.failed", state, exc)
             else:
                 self._health.job_done()
-                if index in cache_keys:
-                    self.result_cache.store(cache_keys[index],
-                                            results_map[index])
-        results_map.update(cache_results)
-        for index, rep in dup_of.items():
-            # Duplicates share the representative's result object (or
+                if self.result_cache is not None:
+                    self.result_cache.store(answer.key, answer.result)
+        for answer in duplicates:
+            # A duplicate shares its representative's result object (or
             # its failure record) — the content key proved them the
             # same run.
-            if rep in results_map:
-                results_map[index] = results_map[rep]
-                self._health.job_done()
-            elif rep in failures_map:
-                failures_map[index] = failures_map[rep]
-                self._health.job_done(failed=True)
+            answer.result = answer.rep.result
+            answer.failure = answer.rep.failure
+            self._health.job_done(failed=answer.result is None)
         wall = time.perf_counter() - started
         if executor == "serial":
             workers = 1
 
-        results = [results_map[i] for i in sorted(results_map)]
-        failures = [failures_map[i] for i in sorted(failures_map)]
-        total_steps = 0
-        cache_hits = 0
-        cache_misses = 0
-        shards_resumed = 0
-        result_cache_hits = 0
-        for index in sorted(results_map):
-            metrics = results_map[index].metrics
-            if metrics is None:
-                continue
-            if index in resumed_results:
-                # A result answered from the checkpoint keeps the
-                # metrics of the run that computed it; nothing here
-                # executed, so nothing is re-labelled or re-counted.
-                continue
-            if index in dup_of:
-                # Shares its representative's result object — counted
-                # once, under the representative's index.
-                continue
-            if metrics.result_cache_hit:
-                # Same contract as checkpoint-resumed jobs: the metrics
-                # describe the run that computed the entry.
-                result_cache_hits += 1
-                continue
+        # Only work done here is labelled and summed: resumed and cached
+        # answers keep the metrics (and telemetry) of the run that
+        # computed them, and a duplicate shares its representative's.
+        ran = [answer.result for answer in having("computed")
+               if answer.result is not None]
+        ran_metrics = [result.metrics for result in ran
+                       if result.metrics is not None]
+        for metrics in ran_metrics:
             metrics.executor = executor
             metrics.n_workers = workers
-            total_steps += metrics.n_steps
-            cache_hits += metrics.cache_hits
-            cache_misses += metrics.cache_misses
-            shards_resumed += metrics.shards_resumed
-        cache_eligible = 0
-        if self.result_cache is not None:
-            cache_eligible = sum(
-                1 for index, job in enumerate(jobs)
-                if index not in resumed_results and index not in dup_of
-                and type(job.trace) is WorkloadTrace)
+        total_steps = sum(metrics.n_steps for metrics in ran_metrics)
+        cacheable = ([answer for answer in having("cached", "computed")
+                      if type(answer.job.trace) is WorkloadTrace]
+                     if self.result_cache is not None else [])
+        n_cached = len(having("cached"))
+        results = [answer.result for answer in answers
+                   if answer.result is not None]
+        failures = [answer.failure for answer in answers
+                    if answer.failure is not None]
+        retries = sum(state.retries for state in states)
+        timeouts = sum(answer.failure is not None and answer.failure.timed_out
+                       for answer in whole)
         batch = BatchResult(
             results=results,
             failures=failures,
@@ -2551,80 +2389,54 @@ class BatchSimulationEngine:
                 executor=executor,
                 total_steps=total_steps,
                 steps_per_s=total_steps / wall if wall > 0 else 0.0,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                retries=stats["retries"],
-                timeouts=stats["timeouts"],
+                cache_hits=sum(m.cache_hits for m in ran_metrics),
+                cache_misses=sum(m.cache_misses for m in ran_metrics),
+                retries=retries,
+                timeouts=timeouts,
                 n_failed=len(failures),
                 shards=total_shards,
-                shards_resumed=shards_resumed,
-                jobs_resumed=len(resumed_results),
-                result_cache_hits=result_cache_hits,
-                result_cache_misses=max(
-                    0, cache_eligible - result_cache_hits),
-                jobs_deduped=len(dup_of),
+                shards_resumed=sum(m.shards_resumed for m in ran_metrics),
+                jobs_resumed=n_resumed,
+                result_cache_hits=n_cached,
+                result_cache_misses=len(cacheable) - n_cached,
+                jobs_deduped=len(duplicates),
             ),
         )
         if batch_telemetry is not None:
-            for index in sorted(results_map):
-                if index in resumed_results or index in dup_of:
-                    # A checkpoint-answered job's snapshot records the
-                    # run that computed it, not this one; a duplicate
-                    # shares its representative's snapshot.
-                    continue
-                metrics = results_map[index].metrics
-                if metrics is not None and metrics.result_cache_hit:
-                    # A cache-served job's snapshot likewise records
-                    # the original run.
-                    continue
-                if results_map[index].telemetry is not None:
-                    batch_telemetry.merge_snapshot(
-                        results_map[index].telemetry)
+            for result in ran:
+                if result.telemetry is not None:
+                    batch_telemetry.merge_snapshot(result.telemetry)
             registry = batch_telemetry.registry
             registry.counter("engine.jobs.submitted").inc(len(jobs))
             registry.counter("engine.jobs.completed").inc(len(results))
             registry.counter("engine.jobs.failed").inc(len(failures))
-            registry.counter("engine.jobs.retries").inc(stats["retries"])
-            registry.counter("engine.jobs.timeouts").inc(stats["timeouts"])
-            if resumed_results:
-                registry.counter("engine.jobs.resumed").inc(
-                    len(resumed_results))
-            if self.result_cache is not None:
-                # Serial/thread workers and the coordinator's sharded
-                # pre-checks already counted themselves through the
-                # live session; process workers could not.  Top the
-                # labelled counters up to the authoritative BatchMetrics
-                # totals, per (scheme, trace) series, so the manifest
-                # always agrees with them.
-                per_key: dict[tuple[str, str], list[int]] = {}
-                for index, job in enumerate(jobs):
-                    if index in resumed_results or index in dup_of:
-                        continue
-                    if type(job.trace) is not WorkloadTrace:
-                        continue
-                    per_key.setdefault(
-                        (job.config.name, job.trace.name),
-                        []).append(index)
-                for (scheme, trace_name), indices in per_key.items():
-                    hits = sum(
-                        1 for index in indices
-                        if index in results_map
-                        and results_map[index].metrics is not None
-                        and results_map[index].metrics.result_cache_hit)
-                    labels = {"scheme": scheme, "trace": trace_name}
-                    for name, target in (
-                            ("engine.cache.hit", hits),
-                            ("engine.cache.miss", len(indices) - hits)):
-                        counter = registry.counter(name, labels)
-                        if target > counter.value:
-                            counter.inc(target - counter.value)
+            registry.counter("engine.jobs.retries").inc(retries)
+            registry.counter("engine.jobs.timeouts").inc(timeouts)
+            if n_resumed:
+                registry.counter("engine.jobs.resumed").inc(n_resumed)
+            # Serial workers and the sharded lookups in _resolve already
+            # counted themselves through the live session; pool workers
+            # could not.  Top the labelled counters up to the
+            # authoritative BatchMetrics totals, per (scheme, trace)
+            # series, so the manifest always agrees with them.
+            tally: dict[tuple[str, str], list[int]] = {}
+            for answer in cacheable:
+                hit_miss = tally.setdefault(
+                    (answer.job.config.name, answer.job.trace.name), [0, 0])
+                hit_miss[answer.source != "cached"] += 1
+            for (scheme, trace_name), hit_miss in tally.items():
+                labels = {"scheme": scheme, "trace": trace_name}
+                for name, target in zip(("engine.cache.hit",
+                                         "engine.cache.miss"), hit_miss):
+                    counter = registry.counter(name, labels)
+                    if target > counter.value:
+                        counter.inc(target - counter.value)
             obs.emit("batch.end", **batch.metrics.summary())
         return batch
 
 
 def run_batch(jobs: Iterable[SimulationJob],
               n_workers: int | None = None, *,
-              vectorised: bool = True,
               mode: str | None = None,
               prefer: str = "process",
               max_retries: int = 0,
@@ -2647,8 +2459,7 @@ def run_batch(jobs: Iterable[SimulationJob],
     across several batches.  With ``telemetry`` on, the merged session
     survives on ``BatchResult.telemetry``.
     """
-    engine = BatchSimulationEngine(n_workers, vectorised=vectorised,
-                                   mode=mode,
+    engine = BatchSimulationEngine(n_workers, mode=mode,
                                    prefer=prefer, max_retries=max_retries,
                                    retry_backoff_s=retry_backoff_s,
                                    job_timeout_s=job_timeout_s,
@@ -2672,7 +2483,6 @@ def compare_batch(traces: Sequence[WorkloadTrace],
                   n_workers: int | None = None, *,
                   cpu_model: CpuThermalModel | None = None,
                   teg_module: TegModule | None = None,
-                  vectorised: bool = True,
                   mode: str | None = None,
                   prefer: str = "process",
                   cache=None,
@@ -2681,8 +2491,8 @@ def compare_batch(traces: Sequence[WorkloadTrace],
     jobs = [SimulationJob(trace=trace, config=config, cpu_model=cpu_model,
                           teg_module=teg_module)
             for trace in traces for config in configs]
-    return run_batch(jobs, n_workers, vectorised=vectorised, mode=mode,
-                     prefer=prefer, cache=cache, metrics_port=metrics_port)
+    return run_batch(jobs, n_workers, mode=mode, prefer=prefer,
+                     cache=cache, metrics_port=metrics_port)
 
 
 __all__ = [

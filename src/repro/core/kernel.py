@@ -1,8 +1,8 @@
 """Whole-trace simulation kernel: the time dimension as NumPy planes.
 
-PR 1 vectorised *within* a control interval; this module removes the
-per-step Python loop entirely.  For a fault-free run the simulation is
-a pure function of the trace, so the kernel:
+The serial simulator steps through a trace one control interval at a
+time; this module removes that Python loop entirely.  For a fault-free
+run the simulation is a pure function of the trace, so the kernel:
 
 1. **decides** — builds the scheduled ``(steps x servers)`` utilisation
    plane (the trace itself under ``NoScheduler``), computes every

@@ -1174,7 +1174,6 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         cache_misses=misses,
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         mode="loop" if has_faults else "kernel",
-        vectorised=not has_faults,
         kernel=merge.timings,
         n_shards=merge.n_added,
         shards_resumed=len(store.loaded) if store is not None else 0,

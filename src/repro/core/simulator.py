@@ -339,9 +339,9 @@ def compare_schemes(trace: WorkloadTrace, baseline: SimulationConfig,
 
     Convenience wrapper used by the Fig. 14/15 benchmarks.  ``mode``
     selects the execution path: ``None`` (default) runs the serial
-    :class:`DatacenterSimulator`; ``"kernel"``, ``"step"`` or ``"loop"``
-    route through :func:`repro.core.engine.simulate` with that engine
-    mode.  Every path is bit-identical, so the comparison is too.
+    :class:`DatacenterSimulator`; ``"kernel"`` or ``"loop"`` route
+    through :func:`repro.core.engine.simulate` with that engine mode.
+    Every path is bit-identical, so the comparison is too.
 
     ``result_cache`` (see :mod:`repro.core.cache`) memoises each
     scheme's result on disk: repeating a comparison — or sharing one

@@ -9,8 +9,10 @@ executor fallbacks.
 """
 
 import gc
+import inspect
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.control.cooling_policy import (
     LookupSpacePolicy,
     StaticPolicy,
 )
+from repro.core.cache import ResultCache
 from repro.core.config import (
     SimulationConfig,
     teg_loadbalance,
@@ -82,7 +85,7 @@ class TestBitIdentity:
     def test_unvectorised_path_also_matches(self):
         trace = golden_trace()
         serial = DatacenterSimulator(trace, teg_original()).run()
-        fast = simulate(trace, teg_original(), vectorised=False)
+        fast = simulate(trace, teg_original(), mode="loop")
         assert fast.records == serial.records
 
     def test_metrics_attached(self):
@@ -111,7 +114,7 @@ class TestGoldens:
                              [teg_original, teg_loadbalance],
                              ids=lambda f: f.__name__)
     @pytest.mark.parametrize("runner",
-                             ["serial", "kernel", "step", "loop"])
+                             ["serial", "kernel", "loop"])
     def test_matches_golden(self, scheme_factory, runner):
         config = scheme_factory()
         golden = load_golden(config.name)
@@ -219,13 +222,17 @@ class TestDeterminism:
     def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
         jobs = self.jobs()[:2]
         reference = run_batch(jobs, n_workers=1)
+        run_pool = inspect.signature(BatchSimulationEngine._run_pool)
+        tried = []
 
-        def broken_pool(self, jobs, workers, kind, timeout_s):
+        def broken_pool(*args, **kwargs):
+            tried.append(run_pool.bind(*args, **kwargs).arguments["kind"])
             raise OSError("no pools in this sandbox")
 
         monkeypatch.setattr(BatchSimulationEngine, "_run_pool",
                             broken_pool)
         batch = run_batch(jobs, n_workers=4, prefer="process")
+        assert tried == ["process", "thread"]
         assert batch.metrics.executor == "serial"
         assert batch.metrics.n_workers == 1
         for a, b in zip(reference.results, batch.results):
@@ -433,3 +440,92 @@ class TestTraceOwnsItsPlane:
         assert first.ok and second.ok
         for a, b in zip(first.results, second.results):
             assert a.records == b.records
+
+
+class TestOneAnswerPerJob:
+    """A duplicated job is answered once, whatever answers its twin.
+
+    Jobs are ``[A, A2, B]`` with ``A2`` a same-content copy of ``A``.
+    Whether the result cache, a checkpoint or a fresh computation
+    answers ``A``, ``A2`` is a duplicate: it is never looked up, and
+    hits and resumes count ``A`` and ``B`` only.
+    """
+
+    LAYOUTS = {
+        "whole": dict(shard=False),
+        "sharded": dict(shard=True, shard_servers=20, shard_steps=12),
+    }
+    #: 40 servers x 48 steps cut into 20 x 12 tiles.
+    SHARDS_PER_JOB = 8
+
+    @pytest.mark.parametrize("state", ["cold", "hot", "resumed"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_duplicate_is_answered_once(self, layout, state, tmp_path,
+                                        monkeypatch):
+        trace = golden_trace()
+        twin = WorkloadTrace(trace.utilisation, trace.interval_s,
+                             name=trace.name)
+        a = SimulationJob(trace, teg_original())
+        b = SimulationJob(trace, teg_loadbalance())
+        kwargs = dict(n_workers=2, prefer="thread", mode="kernel",
+                      **self.LAYOUTS[layout])
+        if state == "resumed":
+            kwargs["checkpoint"] = tmp_path / "ckpt"
+        else:
+            kwargs["cache"] = tmp_path / "cache"
+        if state != "cold":
+            assert run_batch([a, b], **kwargs).ok
+
+        loaded = []
+        load = ResultCache.load
+
+        def spy(self, key):
+            loaded.append(key)
+            return load(self, key)
+
+        monkeypatch.setattr(ResultCache, "load", spy)
+        batch = run_batch([a, SimulationJob(twin, teg_original()), b],
+                          telemetry=True, **kwargs)
+        metrics = batch.metrics
+        assert batch.ok
+        assert metrics.jobs_deduped == 1
+        assert metrics.result_cache_hits == (2 if state == "hot" else 0)
+        resumed = state == "resumed"
+        assert metrics.jobs_resumed == (
+            2 if resumed and layout == "whole" else 0)
+        assert metrics.shards_resumed == (
+            2 * self.SHARDS_PER_JOB if resumed and layout == "sharded"
+            else 0)
+        assert max(Counter(loaded).values(), default=0) <= 1
+        counters = batch.telemetry.registry.snapshot().counters
+        assert sum(counters.family("engine.cache.hit").values()) \
+            == metrics.result_cache_hits
+        assert batch.results[1] is batch.results[0]
+        serial = DatacenterSimulator(trace, teg_original()).run()
+        assert batch.results[0].records == serial.records
+
+    def test_cache_hit_leaves_checkpoint_alone(self, tmp_path):
+        jobs = [SimulationJob(golden_trace(), teg_original())]
+        kwargs = dict(n_workers=1, mode="kernel", shard=True,
+                      shard_servers=20, shard_steps=13,
+                      cache=tmp_path / "cache")
+        checkpoint = tmp_path / "ckpt"
+
+        def files(root):
+            return sorted(path.relative_to(root)
+                          for path in root.rglob("*") if path.is_file())
+
+        cold = run_batch(jobs, checkpoint=checkpoint, **kwargs)
+        saved = files(checkpoint)
+        assert cold.metrics.result_cache_misses == 1
+        assert len(list(checkpoint.rglob("shard-*.pkl"))) \
+            == cold.metrics.shards == 8
+        # Without resume a store that opened would wipe its shards.
+        hot = run_batch(jobs, checkpoint=checkpoint, resume=False,
+                        **kwargs)
+        assert hot.metrics.result_cache_hits == 1
+        assert files(checkpoint) == saved
+        fresh = tmp_path / "fresh"
+        again = run_batch(jobs, checkpoint=fresh, **kwargs)
+        assert again.metrics.result_cache_hits == 1
+        assert not fresh.exists()

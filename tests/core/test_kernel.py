@@ -83,12 +83,6 @@ class TestModeResolution:
     def test_default_is_kernel(self):
         assert resolve_mode(None) == "kernel"
 
-    def test_unvectorised_default_is_loop(self):
-        assert resolve_mode(None, vectorised=False) == "loop"
-
-    def test_explicit_mode_wins_over_vectorised(self):
-        assert resolve_mode("step", vectorised=False) == "step"
-
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_known_modes_pass_through(self, mode):
         assert resolve_mode(mode) == mode
@@ -121,10 +115,7 @@ class TestKernelParity:
             "decide_s", "evaluate_s", "reduce_s", "fold_s", "total_s"}
 
     def test_step_and_loop_modes_report_no_kernel_timings(self):
-        trace = trailing_trace()
-        assert simulate(trace, teg_original(),
-                        mode="step").metrics.kernel is None
-        assert simulate(trace, teg_original(),
+        assert simulate(trailing_trace(), teg_original(),
                         mode="loop").metrics.kernel is None
 
     def test_compare_schemes_parity_across_paths(self):
@@ -220,7 +211,7 @@ class TestKernelParity:
         base = trailing_trace()
         halved = Halved(base.utilisation, base.interval_s, name="halved")
         result = simulate(halved, teg_original())
-        assert result.metrics.mode == "step"
+        assert result.metrics.mode == "loop"
         serial = DatacenterSimulator(halved, teg_original()).run()
         assert result.records == serial.records
 

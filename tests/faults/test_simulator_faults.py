@@ -41,7 +41,7 @@ class TestNominalEquivalence:
         nominal = DatacenterSimulator(trace(), teg_original()).run()
         engine = simulate(trace(), teg_original(), faults=None)
         assert engine == nominal
-        assert engine.metrics.vectorised
+        assert engine.metrics.mode == "kernel"
 
 
 class TestDegradedMode:
@@ -116,7 +116,7 @@ class TestFaultedDeterminism:
         serial = run(schedule)
         engine = simulate(trace(), teg_original(), faults=schedule)
         assert engine == serial
-        assert not engine.metrics.vectorised  # fault path is serial
+        assert engine.metrics.mode == "loop"  # fault path is serial
 
 
 class TestSafetyViolationRecords:

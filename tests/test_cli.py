@@ -25,6 +25,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate", "--trace", "bursty"])
 
+    def test_batch_mode_is_kernel_or_loop(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--mode", "step"])
+        assert excinfo.value.code == 2
+
 
 class TestSimulate:
     def test_runs_and_reports(self, capsys):
