@@ -30,8 +30,9 @@ entry point):
   same fleet trace through ``simulate_sharded``): the warm-hit speedup
   floor and the cache-off envelope, normalised the same way.
 * ``--pipeline`` (``BENCH_pipeline.json``): the batched-decision A/B —
-  the kernel's decide phase with the vectorised path on versus
-  ``REPRO_KERNEL_BATCH=0``, enforcing the committed speedup floor.
+  the kernel's decide phase with the vectorised path on versus the
+  scalar loop a policy without ``decide_batch`` takes, enforcing the
+  committed speedup floor.
 
 ``--report-dir DIR`` additionally writes each scenario's fresh
 measurement as ``DIR/BENCH_<scenario>.json`` so CI can archive the

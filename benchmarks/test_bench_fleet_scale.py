@@ -76,8 +76,7 @@ def fleet_payload_bytes(trace, config, primed):
                          col_stop=spec.server_stop)
     payload = _ShardPayload(trace_ref=ref, spec=spec, config=config,
                             cpu_model=None, teg_module=None,
-                            faults=None, cache_resolution=0.005,
-                            decisions=primed)
+                            faults=None, decisions=primed)
     return len(pickle.dumps(payload)), len(specs)
 
 

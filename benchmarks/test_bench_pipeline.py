@@ -2,8 +2,10 @@
 
 Runs the whole-trace kernel twice on the pinned 1,000-step x
 200-server scenario — once with the batched decision path (the
-default) and once with ``REPRO_KERNEL_BATCH=0`` forcing the scalar
-per-plane loop — and compares the kernel's *decide phase* wall time
+default) and once with ``decide_batch`` removed from
+:class:`~repro.control.cooling_policy.LookupSpacePolicy`, which sends
+the kernel down the scalar per-cell loop a third-party policy takes —
+and compares the kernel's *decide phase* wall time
 (``EngineMetrics.kernel.decide_s``).  Bit-identity between the two is
 asserted before any timing is trusted: a fast-but-different batch path
 can never look good.
@@ -15,13 +17,11 @@ which compares fresh numbers against the committed
 :data:`PIPELINE_DECIDE_SPEEDUP_FLOOR`.
 """
 
-import os
-
 import pytest
 
+from repro.control.cooling_policy import LookupSpacePolicy
 from repro.core.config import teg_original
 from repro.core.engine import simulate
-from repro.core.kernel import KERNEL_BATCH_ENV_VAR
 from repro.workloads.synthetic import common_trace
 
 from bench_utils import print_table
@@ -48,28 +48,25 @@ def measure_pipeline_throughput(rounds: int = ROUNDS) -> dict:
     """
     trace = common_trace(**PIPELINE_TRACE_KWARGS)
     config = teg_original()
-    variants = (("batched", None), ("scalar", "0"))
     decide_s = {}
     results = {}
-    saved = os.environ.get(KERNEL_BATCH_ENV_VAR)
+
+    def measure(name):
+        best = None
+        for _ in range(rounds):
+            result = simulate(trace, config, mode="kernel")
+            phase = result.metrics.kernel.decide_s
+            best = phase if best is None else min(best, phase)
+            results[name] = result
+        decide_s[name] = best
+
+    measure("batched")
+    decide_batch = LookupSpacePolicy.decide_batch
     try:
-        for name, env in variants:
-            if env is None:
-                os.environ.pop(KERNEL_BATCH_ENV_VAR, None)
-            else:
-                os.environ[KERNEL_BATCH_ENV_VAR] = env
-            best = None
-            for _ in range(rounds):
-                result = simulate(trace, config, mode="kernel")
-                phase = result.metrics.kernel.decide_s
-                best = phase if best is None else min(best, phase)
-                results[name] = result
-            decide_s[name] = best
+        del LookupSpacePolicy.decide_batch
+        measure("scalar")
     finally:
-        if saved is None:
-            os.environ.pop(KERNEL_BATCH_ENV_VAR, None)
-        else:
-            os.environ[KERNEL_BATCH_ENV_VAR] = saved
+        LookupSpacePolicy.decide_batch = decide_batch
     assert results["batched"].records == results["scalar"].records
     assert results["batched"].violations == results["scalar"].violations
     return {

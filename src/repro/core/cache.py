@@ -37,9 +37,9 @@ Columnar results round-trip their NumPy columns losslessly through an
 list-backed records round-trip through float64/int64 columns, which is
 exact for the Python floats/ints they hold.  Violations, engine
 metrics and telemetry snapshots ride along.  The key is conservative:
-anything that *could* shape the numbers (mode, shard plan, decision
-cache resolution, fault schedule) is part of the identity, so a hit can
-never alias two runs that would diverge.
+anything that *could* shape the numbers (mode, shard plan, fault
+schedule) is part of the identity, so a hit can never alias two runs
+that would diverge.
 
 Warm starts
 -----------
@@ -79,9 +79,9 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
-from .. import obs
+from .. import _env, obs
 from .._durable import atomic_write, pid_alive
-from ..errors import CacheError, ConfigurationError
+from ..errors import CacheError
 from ..workloads.trace import WorkloadTrace
 from .checkpoint import RunKey, fingerprint, run_key, trace_digest
 from .results import (STEP_COLUMNS, STEP_FLOAT_COLUMNS, STEP_INT_COLUMNS,
@@ -131,9 +131,6 @@ RESULTS_DIR = "results"
 #: Subdirectory holding warm-start decision snapshots.
 WARM_DIR = "warm"
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
 
 # ----------------------------------------------------------------------
 # Environment knobs
@@ -148,19 +145,7 @@ def cache_enabled(explicit: bool | None = None) -> bool:
         When ``REPRO_CACHE`` is set to something that is not a boolean
         word (``1/0``, ``true/false``, ``yes/no``, ``on/off``).
     """
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env is None:
-        return False
-    word = env.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS or word == "":
-        return False
-    raise ConfigurationError(
-        f"{CACHE_ENV_VAR} must be one of "
-        f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {env!r}")
+    return _env.flag(explicit, CACHE_ENV_VAR)
 
 
 def default_cache_dir() -> Path:
@@ -179,44 +164,13 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
         When ``REPRO_CACHE_DIR`` is blank, or either source names an
         existing path that is not a directory.
     """
-    if explicit is not None:
-        path = Path(os.fspath(explicit))
-    else:
-        env = os.environ.get(CACHE_DIR_ENV_VAR)
-        if env is None:
-            return default_cache_dir()
-        if not env.strip():
-            raise ConfigurationError(
-                f"{CACHE_DIR_ENV_VAR} must be a directory path, "
-                f"got {env!r}")
-        path = Path(env)
-    if path.exists() and not path.is_dir():
-        raise ConfigurationError(
-            f"cache directory {str(path)!r} exists and is not a "
-            f"directory ({CACHE_DIR_ENV_VAR})")
-    return path
+    path = _env.directory(explicit, CACHE_DIR_ENV_VAR, "cache directory")
+    return default_cache_dir() if path is None else path
 
 
 def resolve_cache_max_bytes(explicit: int | None = None) -> int | None:
     """Size cap: explicit > ``REPRO_CACHE_MAX_BYTES`` > unbounded."""
-    if explicit is not None:
-        if explicit <= 0:
-            raise ConfigurationError(
-                f"cache max_bytes must be positive, got {explicit}")
-        return int(explicit)
-    env = os.environ.get(CACHE_MAX_BYTES_ENV_VAR)
-    if env is None or not env.strip():
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"{CACHE_MAX_BYTES_ENV_VAR} must be an integer byte count, "
-            f"got {env!r}") from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"{CACHE_MAX_BYTES_ENV_VAR} must be positive, got {env!r}")
-    return value
+    return _env.number(explicit, CACHE_MAX_BYTES_ENV_VAR, "cache max_bytes")
 
 
 def resolve_result_cache(cache=None, *,
@@ -251,7 +205,6 @@ def resolve_result_cache(cache=None, *,
 
 def result_key(trace: WorkloadTrace, config, cpu_model=None,
                teg_module=None, *, faults=None,
-               cache_resolution: float | None = None,
                mode: str = "kernel",
                specs: "Iterable[ShardSpec] | None" = None,
                trace_hash: str | None = None) -> RunKey:
@@ -259,8 +212,8 @@ def result_key(trace: WorkloadTrace, config, cpu_model=None,
     run_key` extended with the execution mode (and shard plan via
     ``specs``) so a hit can never alias runs that could diverge."""
     return run_key(trace, config, cpu_model, teg_module, faults=faults,
-                   cache_resolution=cache_resolution, specs=specs,
-                   extra=(("mode", mode),), trace_hash=trace_hash)
+                   specs=specs, extra=(("mode", mode),),
+                   trace_hash=trace_hash)
 
 
 def warm_keys(trace: WorkloadTrace, config, cpu_model=None,
@@ -483,11 +436,8 @@ class ResultCache:
 
     def __init__(self, directory: str | os.PathLike, *,
                  max_bytes: int | None = None) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ConfigurationError(
-                f"cache max_bytes must be positive, got {max_bytes}")
         self.directory = Path(os.fspath(directory))
-        self.max_bytes = max_bytes
+        self.max_bytes = _env.number(max_bytes, None, "cache max_bytes")
         self.stats = ResultCacheStats()
         self._results_dir = self.directory / RESULTS_DIR
         self._warm_dir = self.directory / WARM_DIR

@@ -18,8 +18,8 @@ Durability contract
   file that the next open sweeps away.
 * **Content-keyed manifests.**  A checkpoint directory is owned by one
   run identity: the :class:`RunKey` digests of the trace plane, the
-  full configuration (config + hardware models + fault schedule +
-  cache resolution) and the shard plan.  Opening a directory whose
+  full configuration (config + hardware models + fault schedule) and
+  the shard plan.  Opening a directory whose
   manifest carries a different key refuses to resume
   (:class:`~repro.errors.CheckpointError`) — stale state can never
   silently leak into a different run — unless ``resume=False``
@@ -204,9 +204,9 @@ class RunKey:
 
     ``trace`` hashes the workload plane (shape, dtype, interval,
     bytes); ``run`` hashes everything else that shapes the numbers —
-    config, hardware models, fault schedule, cache resolution and the
-    shard plan.  Two runs share a checkpoint directory iff both digests
-    (and the human-readable labels) match.
+    config, hardware models, fault schedule and the shard plan.  Two
+    runs share a checkpoint directory iff both digests (and the
+    human-readable labels) match.
     """
 
     scheme: str
@@ -237,7 +237,6 @@ class RunKey:
 
 def run_key(trace: WorkloadTrace, config, cpu_model=None,
             teg_module=None, *, faults=None,
-            cache_resolution: float | None = None,
             specs: "Iterable[ShardSpec] | None" = None,
             extra: tuple = (),
             trace_hash: str | None = None) -> RunKey:
@@ -256,8 +255,8 @@ def run_key(trace: WorkloadTrace, config, cpu_model=None,
         scheme=config.name,
         trace_name=trace.name,
         trace=trace_digest(trace) if trace_hash is None else trace_hash,
-        run=fingerprint(config, cpu_model, teg_module, faults,
-                        cache_resolution, plan, list(extra)),
+        run=fingerprint(config, cpu_model, teg_module, faults, plan,
+                        list(extra)),
     )
 
 

@@ -41,6 +41,7 @@ import atexit
 import os
 import pickle
 import signal
+import sys
 import time
 import uuid
 import weakref
@@ -60,14 +61,20 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .. import obs
+from .. import _env, obs
 from .._durable import pid_alive
 from ..errors import ConfigurationError, JobExecutionError
 from ..faults import FaultSchedule
 from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
 from ..workloads.trace import WorkloadTrace
-from .cache import ResultCache, resolve_result_cache, result_key, warm_keys
+from .cache import (
+    ResultCache,
+    _fs_slug,
+    resolve_result_cache,
+    result_key,
+    warm_keys,
+)
 from .config import SimulationConfig
 from .kernel import KernelTimings, run_whole_trace
 from .results import SimulationResult
@@ -93,10 +100,6 @@ SHARD_STRAGGLER_ENV_VAR = "REPRO_SHARD_STRAGGLER"
 #: How often the batch layer polls in-flight futures for completion,
 #: timeouts and pool breakage.
 _POLL_INTERVAL_S = 0.05
-
-#: Default utilisation quantisation of the cooling-decision cache,
-#: matching :class:`~repro.control.cooling_policy.LookupSpacePolicy`.
-DEFAULT_CACHE_RESOLUTION = 0.005
 
 #: Execution modes of one job, fastest first.  Both are bit-identical:
 #:
@@ -166,11 +169,7 @@ class CoolingDecisionCache:
       pure function of it.
     """
 
-    def __init__(self, resolution: float = DEFAULT_CACHE_RESOLUTION) -> None:
-        if resolution <= 0:
-            raise ConfigurationError(
-                f"cache resolution must be > 0, got {resolution}")
-        self.resolution = resolution
+    def __init__(self) -> None:
         self.stats = CacheStats()
         self._store: dict = {}
 
@@ -514,8 +513,6 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
              cpu_model: CpuThermalModel | None = None,
              teg_module: TegModule | None = None, *,
              mode: str | None = None,
-             cache: CoolingDecisionCache | None = None,
-             cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
              faults: FaultSchedule | None = None,
              telemetry: bool | None = None,
              result_cache=None,
@@ -547,8 +544,6 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     near-miss runs (see ``docs/cache.md``).
     """
     started = time.perf_counter()
-    if cache is None:
-        cache = CoolingDecisionCache(resolution=cache_resolution)
     store = resolve_result_cache(result_cache)
     key = trace_hash = None
     has_faults = faults is not None and len(faults) > 0
@@ -560,20 +555,18 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         effective_mode = "loop" if has_faults else resolve_mode(mode)
         key = result_key(trace, config, cpu_model, teg_module,
                          faults=faults if has_faults else None,
-                         cache_resolution=cache.resolution,
                          mode=effective_mode, trace_hash=trace_hash)
         cached = store.load(key)
         if cached is not None:
             return cached
     local = obs.Telemetry() if obs.telemetry_enabled(telemetry) else None
     context = obs.session(local) if local is not None else nullcontext()
-    hits_before, misses_before = cache.stats.hits, cache.stats.misses
     with context:
         with obs.span("engine.simulate"):
             with obs.span("engine.setup"):
                 simulator = _CachedVectorisedSimulator(
-                    trace, config, cpu_model, teg_module, cache=cache,
-                    mode=mode, faults=faults)
+                    trace, config, cpu_model, teg_module, mode=mode,
+                    faults=faults)
                 warmed = None
                 if key is not None and not has_faults:
                     warmed = _warm_restore(store, simulator, trace,
@@ -582,14 +575,11 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
             setup_done = time.perf_counter()
             result = simulator.run()
             finished = time.perf_counter()
+        stats = simulator.cache.stats
         if local is not None:
-            # Deltas, not absolutes: the cache may be shared across
-            # calls, and batch aggregation must sum per-job work only.
             labels = {"scheme": config.name, "trace": trace.name}
-            obs.add("engine.cache.hits", cache.stats.hits - hits_before,
-                    labels=labels)
-            obs.add("engine.cache.misses",
-                    cache.stats.misses - misses_before, labels=labels)
+            obs.add("engine.cache.hits", stats.hits, labels=labels)
+            obs.add("engine.cache.misses", stats.misses, labels=labels)
     step_time = finished - setup_done
     result.metrics = EngineMetrics(
         setup_time_s=setup_done - started,
@@ -597,9 +587,9 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         wall_time_s=finished - started,
         n_steps=trace.n_steps,
         steps_per_s=trace.n_steps / step_time if step_time > 0 else 0.0,
-        cache_hits=cache.stats.hits,
-        cache_misses=cache.stats.misses,
-        cache_hit_rate=cache.stats.hit_rate,
+        cache_hits=stats.hits,
+        cache_misses=stats.misses,
+        cache_hit_rate=stats.hit_rate,
         mode=simulator.mode,
         kernel=simulator.kernel_timings,
     )
@@ -690,7 +680,6 @@ def _warm_save(store: ResultCache, simulator, trace, config,
 
 
 def _execute_job(job: SimulationJob, mode: str,
-                 cache_resolution: float,
                  telemetry: bool = False,
                  cache_dir=None) -> SimulationResult:
     """Worker entry point (module-level so process pools can pickle it).
@@ -706,7 +695,6 @@ def _execute_job(job: SimulationJob, mode: str,
     """
     return simulate(job.trace, job.config, job.cpu_model, job.teg_module,
                     mode=mode,
-                    cache_resolution=cache_resolution,
                     faults=job.faults,
                     telemetry=telemetry,
                     result_cache=cache_dir if cache_dir else False)
@@ -1039,7 +1027,6 @@ class _JobPayload:
     teg_module: TegModule | None
     faults: FaultSchedule | None
     mode: str
-    cache_resolution: float
     trace: WorkloadTrace | None = None
     #: Resolved by the engine before dispatch so worker processes need
     #: no environment propagation to agree on whether to record.
@@ -1057,7 +1044,6 @@ def _execute_payload(payload: _JobPayload) -> SimulationResult:
         trace = _trace_from_ref(payload.trace_ref)
     return simulate(trace, payload.config, payload.cpu_model,
                     payload.teg_module, mode=payload.mode,
-                    cache_resolution=payload.cache_resolution,
                     faults=payload.faults,
                     telemetry=payload.telemetry,
                     result_cache=(payload.cache_dir if payload.cache_dir
@@ -1177,24 +1163,14 @@ def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
     Raises
     ------
     ConfigurationError
-        When ``REPRO_WORKERS`` is set to a non-integer or negative
-        value.
+        When ``REPRO_WORKERS`` is not a non-negative integer.
     """
     if n_workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env is not None:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV_VAR} must be an integer, "
-                    f"got {env!r}") from None
-            if n_workers < 0:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV_VAR} must be >= 0, got {n_workers}")
-        else:
-            n_workers = min(n_jobs, os.cpu_count() or 1)
-    return max(1, min(n_workers, max(n_jobs, 1)))
+        n_workers = _env.number(None, WORKERS_ENV_VAR, "n_workers",
+                                positive=False)
+    if n_workers is None:
+        n_workers = os.cpu_count() or 1
+    return max(1, min(n_workers, n_jobs))
 
 
 def resolve_job_timeout(timeout_s: float | None = None) -> float | None:
@@ -1205,28 +1181,11 @@ def resolve_job_timeout(timeout_s: float | None = None) -> float | None:
     Raises
     ------
     ConfigurationError
-        When ``REPRO_JOB_TIMEOUT`` is set to a non-numeric or
-        non-positive value (an explicit non-positive argument raises
-        too).
+        When ``timeout_s`` or ``REPRO_JOB_TIMEOUT`` is not a positive
+        number of seconds.
     """
-    if timeout_s is None:
-        env = os.environ.get(JOB_TIMEOUT_ENV_VAR)
-        if env is None:
-            return None
-        try:
-            timeout_s = float(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{JOB_TIMEOUT_ENV_VAR} must be a number of seconds, "
-                f"got {env!r}") from None
-        if timeout_s <= 0:
-            raise ConfigurationError(
-                f"{JOB_TIMEOUT_ENV_VAR} must be > 0, got {env!r}")
-        return timeout_s
-    if timeout_s <= 0:
-        raise ConfigurationError(
-            f"job timeout must be > 0 seconds, got {timeout_s}")
-    return timeout_s
+    return _env.number(timeout_s, JOB_TIMEOUT_ENV_VAR, "job_timeout_s",
+                       kind=float)
 
 
 def resolve_shard_straggler(deadline_s: float | None = None
@@ -1238,28 +1197,11 @@ def resolve_shard_straggler(deadline_s: float | None = None
     Raises
     ------
     ConfigurationError
-        When ``REPRO_SHARD_STRAGGLER`` (or an explicit argument) is
-        non-numeric or non-positive.
+        When ``deadline_s`` or ``REPRO_SHARD_STRAGGLER`` is not a
+        positive number of seconds.
     """
-    if deadline_s is None:
-        env = os.environ.get(SHARD_STRAGGLER_ENV_VAR)
-        if env is None:
-            return None
-        try:
-            deadline_s = float(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SHARD_STRAGGLER_ENV_VAR} must be a number of "
-                f"seconds, got {env!r}") from None
-        if deadline_s <= 0:
-            raise ConfigurationError(
-                f"{SHARD_STRAGGLER_ENV_VAR} must be > 0, got {env!r}")
-        return deadline_s
-    if deadline_s <= 0:
-        raise ConfigurationError(
-            f"shard straggler deadline must be > 0 seconds, "
-            f"got {deadline_s}")
-    return deadline_s
+    return _env.number(deadline_s, SHARD_STRAGGLER_ENV_VAR,
+                       "shard_straggler_s", kind=float)
 
 
 @dataclass(eq=False)
@@ -1331,13 +1273,6 @@ class _JobState:
         )
 
 
-def _fs_slug(name: str, limit: int = 48) -> str:
-    """A filesystem-safe rendering of a scheme/trace label."""
-    cleaned = "".join(c if c.isalnum() or c in "._-" else "-"
-                      for c in name).strip("-")
-    return (cleaned or "run")[:limit]
-
-
 class BatchSimulationEngine:
     """Run many (scheme x trace) simulations through one API.
 
@@ -1349,8 +1284,6 @@ class BatchSimulationEngine:
     mode:
         Execution mode inside each job — ``"kernel"`` (default) or
         ``"loop"``; see :data:`EXECUTION_MODES`.
-    cache_resolution:
-        Utilisation quantisation of each job's decision cache.
     prefer:
         ``"process"`` (default), ``"thread"`` or ``"serial"``.  Process
         pools that cannot start (sandboxes, exotic platforms) degrade
@@ -1422,7 +1355,6 @@ class BatchSimulationEngine:
 
     def __init__(self, n_workers: int | None = None, *,
                  mode: str | None = None,
-                 cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
                  prefer: str = "process",
                  max_retries: int = 0,
                  retry_backoff_s: float = 0.1,
@@ -1446,35 +1378,27 @@ class BatchSimulationEngine:
         if retry_backoff_s < 0:
             raise ConfigurationError(
                 f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise ConfigurationError(
-                f"job timeout must be > 0 seconds, got {job_timeout_s}")
-        if shard_straggler_s is not None and shard_straggler_s <= 0:
-            raise ConfigurationError(
-                f"shard straggler deadline must be > 0 seconds, "
-                f"got {shard_straggler_s}")
-        for label, value in (("shard_servers", shard_servers),
-                             ("shard_steps", shard_steps)):
-            if value is not None and value <= 0:
-                raise ConfigurationError(
-                    f"{label} must be > 0, got {value}")
+        # Explicit knobs are checked here by the same rules the
+        # environment fallbacks go through; those are read by run().
+        self.n_workers = n_workers
+        self.job_timeout_s = _env.number(job_timeout_s, None,
+                                         "job_timeout_s", kind=float)
+        self.shard_straggler_s = _env.number(
+            shard_straggler_s, None, "shard_straggler_s", kind=float)
+        self.shard_servers = _env.number(shard_servers, None,
+                                         "shard_servers")
+        self.shard_steps = _env.number(shard_steps, None, "shard_steps")
         self.shard = shard
-        self.shard_servers = shard_servers
-        self.shard_steps = shard_steps
-        self.shard_straggler_s = shard_straggler_s
         self.checkpoint = (None if checkpoint is None
                            else Path(os.fspath(checkpoint)))
         self.resume = resume
         #: Trace plane digests keyed by object identity (strong ref kept
         #: alongside, so an id can never be recycled while cached).
         self._trace_digests: dict[int, tuple[WorkloadTrace, str]] = {}
-        self.n_workers = n_workers
         self.mode = resolve_mode(mode)
-        self.cache_resolution = cache_resolution
         self.prefer = prefer
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self.job_timeout_s = job_timeout_s
         # Resolved once up front (explicit > REPRO_TELEMETRY > off) so a
         # malformed environment fails here, not inside a worker, and all
         # executors agree on whether jobs record.
@@ -1613,7 +1537,6 @@ class BatchSimulationEngine:
             teg_module=job.teg_module,
             faults=job.faults,
             mode=self.mode,
-            cache_resolution=self.cache_resolution,
             trace=trace,
             telemetry=self.telemetry,
             cache_dir=self._cache_dir,
@@ -1623,8 +1546,7 @@ class BatchSimulationEngine:
         if kind == "process":
             return executor.submit(_execute_payload, self._payload(job))
         return executor.submit(_execute_job, job, self.mode,
-                               self.cache_resolution, self.telemetry,
-                               self.result_cache)
+                               self.telemetry, self.result_cache)
 
     @staticmethod
     def _kill_executor(executor, kind: str) -> None:
@@ -1678,7 +1600,6 @@ class BatchSimulationEngine:
                 state.attempts += 1
                 try:
                     result = _execute_job(state.job, self.mode,
-                                          self.cache_resolution,
                                           self.telemetry,
                                           self.result_cache)
                 except Exception as exc:
@@ -1935,12 +1856,11 @@ class BatchSimulationEngine:
         """The result-cache / dedup identity of one job.
 
         Matches the key a worker's :func:`simulate` derives for the
-        same job (same mode resolution, same decision-cache
-        resolution), so a result stored by a worker is found by the
-        coordinator on the next run and vice versa.  Trace subclasses
-        can carry behaviour the plane digest cannot see, so they key on
-        object identity — good enough for within-batch dedup, never
-        persisted.
+        same job (same mode resolution), so a result stored by a worker
+        is found by the coordinator on the next run and vice versa.
+        Trace subclasses can carry behaviour the plane digest cannot
+        see, so they key on object identity — good enough for
+        within-batch dedup, never persisted.
         """
         has_faults = job.faults is not None and len(job.faults) > 0
         if type(job.trace) is WorkloadTrace:
@@ -1954,7 +1874,6 @@ class BatchSimulationEngine:
         return result_key(job.trace, job.config, job.cpu_model,
                           job.teg_module,
                           faults=job.faults if has_faults else None,
-                          cache_resolution=self.cache_resolution,
                           mode=mode, specs=specs,
                           trace_hash=trace_hash)
 
@@ -1973,7 +1892,6 @@ class BatchSimulationEngine:
         key = run_key(
             job.trace, job.config, job.cpu_model, job.teg_module,
             faults=job.faults if has_faults else None,
-            cache_resolution=self.cache_resolution,
             specs=specs,
             extra=() if specs is not None else (("mode", self.mode),),
             trace_hash=self._trace_hash(job.trace))
@@ -1988,6 +1906,7 @@ class BatchSimulationEngine:
 
     def _run_sharded_job(self, job: SimulationJob, specs,
                          kind: str, workers: int,
+                         straggler_s: float | None,
                          store=None) -> SimulationResult:
         """Run one job's shard plan through the shared ``_drive_shards``.
 
@@ -2002,7 +1921,8 @@ class BatchSimulationEngine:
         for fault windows, ``_drive_shards`` runs them in-process.  The
         per-job wall-clock budget is **not** enforced on sharded jobs
         (documented in ``docs/engine.md``); shards that run past the
-        straggler deadline are speculatively re-dispatched instead.
+        ``straggler_s`` deadline are speculatively re-dispatched
+        instead.
         """
         from .shard import COLUMN_PLANES, ShardColumnRef, _drive_shards
 
@@ -2030,11 +1950,10 @@ class BatchSimulationEngine:
                                             n_circs=n_circs)
         dispatch = (None if kind == "serial"
                     else partial(self._dispatch_shards, job, kind,
-                                 workers, column_ref))
+                                 workers, column_ref, straggler_s))
         try:
             result = _drive_shards(
-                job, specs, cache_resolution=self.cache_resolution,
-                telemetry=self.telemetry, health=self._health,
+                job, specs, telemetry=self.telemetry, health=self._health,
                 store=store,
                 # With a live scrape endpoint attached, shard telemetry
                 # folds straight into the batch session as each shard
@@ -2060,8 +1979,8 @@ class BatchSimulationEngine:
         return result
 
     def _dispatch_shards(self, job: SimulationJob, kind: str, workers: int,
-                         column_ref, pending, primed, run_local,
-                         land) -> None:
+                         column_ref, straggler_s: float | None, pending,
+                         primed, run_local, land) -> None:
         """Run kernel tiles on the shared pool, landing each as it ends.
 
         Process pools ship :class:`~repro.core.shard._ShardPayload`
@@ -2070,15 +1989,14 @@ class BatchSimulationEngine:
         of trace length and shard count; thread pools run
         ``run_local``.  A failed tile is resubmitted while
         ``max_retries`` allows; a tile still running after the
-        straggler deadline gets one speculative twin, and the first
-        copy to finish wins.  A pool that breaks mid-flight (or cannot
+        ``straggler_s`` deadline gets one speculative twin, and the
+        first copy to finish wins.  A pool that breaks mid-flight (or cannot
         start) is dropped and the call returns early: ``_drive_shards``
         runs every tile not yet landed in-process, since the merge
         needs them all.
         """
         from .shard import _ShardPayload, _execute_shard_payload, _retry_shard
 
-        straggler_s = resolve_shard_straggler(self.shard_straggler_s)
         try:
             executor = self._ensure_executor(kind, workers)
             if kind == "process":
@@ -2094,7 +2012,6 @@ class BatchSimulationEngine:
                         spec=spec, config=job.config,
                         cpu_model=job.cpu_model,
                         teg_module=job.teg_module, faults=None,
-                        cache_resolution=self.cache_resolution,
                         decisions=primed,
                         telemetry=self.telemetry,
                         column_ref=column_ref)
@@ -2196,7 +2113,15 @@ class BatchSimulationEngine:
         :mod:`repro.obs` session: per-job worker snapshots are merged
         into it, engine-level counters and lifecycle events are added,
         and the live session is attached as ``BatchResult.telemetry``.
+        A job that is not a :class:`SimulationJob`, or a malformed
+        environment fallback, raises :class:`ConfigurationError` first.
         """
+        from .shard import (
+            SHARD_SERVERS_ENV_VAR,
+            SHARD_STEPS_ENV_VAR,
+            resolve_shard_size,
+        )
+
         jobs = list(jobs)
         if not jobs:
             raise ConfigurationError("batch must contain at least one job")
@@ -2205,6 +2130,17 @@ class BatchSimulationEngine:
                 raise ConfigurationError(
                     f"jobs must be SimulationJob instances, got "
                     f"{type(job).__name__}")
+        # Every environment fallback is read here, once, so a malformed
+        # knob fails the run with nothing touched.  The worker count is
+        # capped by the number of work units once the jobs are resolved.
+        knobs = dict(
+            workers=resolve_workers(self.n_workers, sys.maxsize),
+            timeout_s=resolve_job_timeout(self.job_timeout_s),
+            straggler_s=resolve_shard_straggler(self.shard_straggler_s),
+            shard_servers=resolve_shard_size(self.shard_servers,
+                                             SHARD_SERVERS_ENV_VAR),
+            shard_steps=resolve_shard_size(self.shard_steps,
+                                           SHARD_STEPS_ENV_VAR))
         batch_telemetry = obs.Telemetry() if self.telemetry else None
         if self._live_server is not None:
             # Point the scrape endpoint at this run's live session so a
@@ -2215,7 +2151,8 @@ class BatchSimulationEngine:
         try:
             with context:
                 with obs.span("engine.batch"):
-                    batch = self._run_validated(jobs, batch_telemetry)
+                    batch = self._run_validated(jobs, batch_telemetry,
+                                                **knobs)
         except BaseException:
             self._health.finish("failed")
             raise
@@ -2259,32 +2196,26 @@ class BatchSimulationEngine:
         return answers
 
     def _run_validated(self, jobs: list[SimulationJob],
-                       batch_telemetry: "obs.Telemetry | None"
-                       ) -> BatchResult:
+                       batch_telemetry: "obs.Telemetry | None", *,
+                       workers: int, timeout_s: float | None,
+                       straggler_s: float | None,
+                       shard_servers: int | None,
+                       shard_steps: int | None) -> BatchResult:
         """Execute a validated job list (under the batch session).
 
-        Every job is first resolved to one :class:`_Answer` (see
-        :meth:`_resolve`).  The whole jobs left to compute run through
-        the usual serial/pool machinery, with the worker count resolved
-        against the total unit count (whole jobs + shards); each
-        sharded job is then fanned out over the same persistent
-        executor and merged back into a single result.
+        The keyword arguments are the run's knobs, resolved by
+        :meth:`run`.  Every job is first resolved to one
+        :class:`_Answer` (see :meth:`_resolve`).  The whole jobs left to
+        compute run through the usual serial/pool machinery, with the
+        worker count capped at the total unit count (whole jobs +
+        shards); each sharded job is then fanned out over the same
+        persistent executor and merged back into a single result.
         """
-        from .shard import (
-            SHARD_SERVERS_ENV_VAR,
-            SHARD_STEPS_ENV_VAR,
-            resolve_shard_size,
-        )
-
         reaped = reap_orphaned_segments()
         if reaped:
             obs.add("engine.shm.reaped", len(reaped))
             obs.emit("shm.reap", segments=len(reaped))
 
-        shard_servers = resolve_shard_size(self.shard_servers,
-                                           SHARD_SERVERS_ENV_VAR)
-        shard_steps = resolve_shard_size(self.shard_steps,
-                                         SHARD_STEPS_ENV_VAR)
         # Every plan is validated before a cache entry is read or a
         # checkpoint store opens.
         plans = [self._shard_plan(job, shard_servers, shard_steps)
@@ -2307,8 +2238,7 @@ class BatchSimulationEngine:
         self._health.begin(jobs_total=len(jobs), shards_total=total_shards)
         for _ in having("resumed", "cached"):
             self._health.job_done()
-        workers = resolve_workers(self.n_workers, n_units)
-        timeout_s = resolve_job_timeout(self.job_timeout_s)
+        workers = resolve_workers(workers, n_units)
         obs.emit("batch.start", n_jobs=len(jobs), mode=self.mode,
                  workers=workers, prefer=self.prefer,
                  shards=total_shards, resumed=n_resumed,
@@ -2338,7 +2268,7 @@ class BatchSimulationEngine:
             try:
                 answer.result = self._run_sharded_job(
                     answer.job, answer.specs, executor, workers,
-                    store=answer.store)
+                    straggler_s, store=answer.store)
             except Exception as exc:
                 answer.failure = state.failed(exc)
                 self._emit_job_event("job.failed", state, exc)
@@ -2500,7 +2430,6 @@ __all__ = [
     "JOB_TIMEOUT_ENV_VAR",
     "SHARD_STRAGGLER_ENV_VAR",
     "SEGMENT_PREFIX",
-    "DEFAULT_CACHE_RESOLUTION",
     "EXECUTION_MODES",
     "CacheStats",
     "CoolingDecisionCache",

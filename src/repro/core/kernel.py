@@ -44,7 +44,6 @@ are replayed at the earliest offending cell in serial evaluation order.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -59,7 +58,6 @@ from ..thermal.hydraulics import loop_pump_power_w
 from .results import ColumnarSteps, SafetyViolation, SimulationResult
 
 __all__ = [
-    "KERNEL_BATCH_ENV_VAR",
     "KernelColumns",
     "KernelError",
     "KernelTimings",
@@ -67,12 +65,6 @@ __all__ = [
     "run_kernel_columns",
     "run_whole_trace",
 ]
-
-#: Set to ``0`` to disable the vectorised batch-decision path and run
-#: the scalar per-uid decide loop instead — the escape hatch for
-#: third-party debugging and the A/B lever the pipeline benchmark
-#: uses.  Both paths are bit-identical.
-KERNEL_BATCH_ENV_VAR = "REPRO_KERNEL_BATCH"
 
 #: Cells per row block of the evaluate pass (``max(1, ROW_BLOCK_CELLS //
 #: n_servers)`` rows): the block's float64 temporaries stay resident in
@@ -209,8 +201,6 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
 
     * the simulator or its policy does not implement the batch protocol
       (third-party policies keep working through ``sim._decide``);
-    * ``REPRO_KERNEL_BATCH=0`` disables the path (an escape hatch and
-      the A/B lever the pipeline benchmark uses);
     * the plane contains values outside ``[0, 1]`` (or NaN) — the serial
       path raises on the first offending *vector*, inside the policy,
       so the scalar loop must run to reproduce that exact error.
@@ -225,8 +215,6 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
     if decide_batch is None or policy is None:
         return None
     if not callable(getattr(policy, "decide_batch", None)):
-        return None
-    if os.environ.get(KERNEL_BATCH_ENV_VAR, "").strip() == "0":
         return None
     if plane.size == 0:
         return None

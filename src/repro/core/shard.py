@@ -74,7 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import obs
+from .. import _env, obs
 from ..errors import (
     ConfigurationError,
     CoolingFailureError,
@@ -89,7 +89,6 @@ from ..workloads.trace import WorkloadTrace
 from .config import SimulationConfig
 from .cache import ResultCache, resolve_result_cache, result_key
 from .engine import (
-    DEFAULT_CACHE_RESOLUTION,
     CacheStats,
     CoolingDecisionCache,
     EngineMetrics,
@@ -247,28 +246,18 @@ class ShardOutcome:
 def resolve_shard_size(explicit: int | None, env_var: str) -> int | None:
     """One shard dimension: explicit > environment > ``None`` (unset).
 
+    ``env_var`` is :data:`SHARD_SERVERS_ENV_VAR` or
+    :data:`SHARD_STEPS_ENV_VAR`; an explicit value is named after the
+    matching argument (``shard_servers`` / ``shard_steps``).
+
     Raises
     ------
     ConfigurationError
         When the explicit value or the environment variable is
         non-positive or not an integer.
     """
-    if explicit is not None:
-        if explicit <= 0:
-            raise ConfigurationError(
-                f"shard size must be > 0, got {explicit}")
-        return int(explicit)
-    env = os.environ.get(env_var)
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"{env_var} must be an integer, got {env!r}") from None
-    if value <= 0:
-        raise ConfigurationError(f"{env_var} must be > 0, got {value}")
-    return value
+    return _env.number(explicit, env_var,
+                       env_var.removeprefix("REPRO_").lower())
 
 
 def plan_shards(n_steps: int, n_servers: int, circulation_size: int,
@@ -332,8 +321,7 @@ def plan_shards(n_steps: int, n_servers: int, circulation_size: int,
 
 def prime_decisions(trace: WorkloadTrace, config: SimulationConfig,
                     cpu_model: CpuThermalModel | None = None,
-                    teg_module: TegModule | None = None, *,
-                    cache_resolution: float = DEFAULT_CACHE_RESOLUTION
+                    teg_module: TegModule | None = None
                     ) -> CoolingDecisionCache | None:
     """Every cooling decision of ``trace``, primed in serial order.
 
@@ -356,14 +344,12 @@ def prime_decisions(trace: WorkloadTrace, config: SimulationConfig,
     trace length.  Stats are reset before returning — shards account
     their own lookups.
     """
-    return primed_or_warm(trace, config, cpu_model, teg_module,
-                          cache_resolution=cache_resolution)
+    return primed_or_warm(trace, config, cpu_model, teg_module)
 
 
 def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
                    cpu_model: CpuThermalModel | None = None,
                    teg_module: TegModule | None = None, *,
-                   cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
                    result_cache: ResultCache | None = None,
                    trace_hash: str | None = None
                    ) -> CoolingDecisionCache | None:
@@ -379,10 +365,8 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
     its snapshot for the next run.  Without a ``result_cache`` this is
     exactly :func:`prime_decisions`.
     """
-    sim = _CachedVectorisedSimulator(
-        trace, config, cpu_model, teg_module,
-        cache=CoolingDecisionCache(resolution=cache_resolution),
-        mode="kernel")
+    sim = _CachedVectorisedSimulator(trace, config, cpu_model, teg_module,
+                                     mode="kernel")
     if not getattr(sim._policy, "cache_resolution", None):
         return None
     restored = None
@@ -413,7 +397,7 @@ def clone_cache(primed: CoolingDecisionCache | None
     """
     if primed is None:
         return None
-    clone = CoolingDecisionCache(resolution=primed.resolution)
+    clone = CoolingDecisionCache()
     clone._store = dict(primed._store)
     return clone
 
@@ -423,7 +407,6 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
               cpu_model: CpuThermalModel | None = None,
               teg_module: TegModule | None = None, *,
               faults: FaultSchedule | None = None,
-              cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
               cache: CoolingDecisionCache | None = None,
               policy: object = None,
               telemetry: bool = False) -> ShardOutcome:
@@ -472,7 +455,7 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
     local = obs.Telemetry() if telemetry else None
     outcome = ShardOutcome(spec=spec, n_cells=spec.n_cells)
     if cache is None:
-        cache = CoolingDecisionCache(resolution=cache_resolution)
+        cache = CoolingDecisionCache()
     hits_before = cache.stats.hits
     misses_before = cache.stats.misses
     with obs.session(local) if local is not None else nullcontext():
@@ -738,7 +721,7 @@ class StreamingMerge:
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig, *,
-                 kind: str = "kernel", audit: bool = True,
+                 kind: str = "kernel",
                  plane_block: np.ndarray | None = None,
                  telemetry_sink: "obs.Telemetry | None" = None) -> None:
         if kind not in ("kernel", "fault"):
@@ -747,7 +730,6 @@ class StreamingMerge:
         self.trace = trace
         self.config = config
         self.kind = kind
-        self.audit = audit
         #: Outcomes folded so far / decision-cache tallies across them.
         self.n_added = 0
         self.cache_hits = 0
@@ -922,8 +904,7 @@ class StreamingMerge:
                 n_servers=n_servers, interval_s=interval_s,
                 records=records)
             result.violations = violations
-            if self.audit:
-                audit_merged_result(trace, config, result)
+            audit_merged_result(trace, config, result)
             return result
 
         if not self._covered.all():
@@ -966,14 +947,13 @@ class StreamingMerge:
             scheme=config.name, trace_name=trace.name,
             n_servers=n_servers, interval_s=interval_s, records=records)
         result.violations = self._violations
-        if self.audit:
-            audit_merged_result(trace, config, result)
+        audit_merged_result(trace, config, result)
         return result
 
 
 def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
-                         outcomes: Sequence[ShardOutcome], *,
-                         audit: bool = True) -> SimulationResult:
+                         outcomes: Sequence[ShardOutcome]
+                         ) -> SimulationResult:
     """Stitch shard outcomes back into one whole-cluster result.
 
     A barriered veneer over :class:`StreamingMerge` (fold every outcome,
@@ -982,15 +962,15 @@ def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
     any shard reported one.  Kernel outcomes are stitched column-wise
     and folded once; fault outcomes (time windows) are concatenated in
     window order.  Either way the result is bit-identical to running
-    the trace unsharded, and (unless ``audit=False``) the merged result
-    must pass :func:`audit_merged_result` before it is returned.
+    the trace unsharded, and the merged result must pass
+    :func:`audit_merged_result` before it is returned.
     """
     if not outcomes:
         raise ConfigurationError("cannot merge zero shard outcomes")
     kind = ("kernel" if any(o.columns is not None
                             or getattr(o, "sizes", None) is not None
                             for o in outcomes) else "fault")
-    merge = StreamingMerge(trace, config, kind=kind, audit=audit)
+    merge = StreamingMerge(trace, config, kind=kind)
     for outcome in outcomes:
         merge.add(outcome)
     return merge.result()
@@ -1029,7 +1009,7 @@ def _retry_shard(job: SimulationJob, spec: ShardSpec, attempt: int,
 
 
 def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
-                  cache_resolution: float, telemetry: bool,
+                  telemetry: bool,
                   health: "obs.RunHealth", store=None,
                   telemetry_sink: "obs.Telemetry | None" = None,
                   result_cache: ResultCache | None = None,
@@ -1104,7 +1084,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
 
     try:
         if has_faults:
-            shared = CoolingDecisionCache(resolution=cache_resolution)
+            shared = CoolingDecisionCache()
             policy = None
 
             def run_window(spec: ShardSpec) -> ShardOutcome:
@@ -1112,7 +1092,6 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                     spec.server_start, spec.server_stop)
                 return run_shard(tile, spec, config, job.cpu_model,
                                  job.teg_module, faults=job.faults,
-                                 cache_resolution=cache_resolution,
                                  cache=shared, policy=policy,
                                  telemetry=telemetry)
 
@@ -1132,7 +1111,6 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
             if pending:
                 primed = primed_or_warm(trace, config, job.cpu_model,
                                         job.teg_module,
-                                        cache_resolution=cache_resolution,
                                         result_cache=result_cache,
                                         trace_hash=trace_hash)
 
@@ -1141,7 +1119,6 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                         spec.server_start, spec.server_stop)
                     return run_shard(tile, spec, config, job.cpu_model,
                                      job.teg_module,
-                                     cache_resolution=cache_resolution,
                                      cache=clone_cache(primed),
                                      telemetry=telemetry)
 
@@ -1188,7 +1165,6 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                      shard_servers: int | None = None,
                      shard_steps: int | None = None,
                      faults: FaultSchedule | None = None,
-                     cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
                      telemetry: bool | None = None,
                      metrics_port: int | None = None,
                      checkpoint: "str | os.PathLike | None" = None,
@@ -1256,7 +1232,6 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     if results_store is not None and type(trace) is WorkloadTrace:
         cache_key = result_key(trace, config, cpu_model, teg_module,
                                faults=faults if has_faults else None,
-                               cache_resolution=cache_resolution,
                                mode="loop" if has_faults else "kernel",
                                specs=specs, trace_hash=trace_hash)
         cached = results_store.load(cache_key)
@@ -1269,8 +1244,7 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
         store = CheckpointStore(
             checkpoint,
             run_key(trace, config, cpu_model, teg_module,
-                    faults=faults if has_faults else None,
-                    cache_resolution=cache_resolution, specs=specs,
+                    faults=faults if has_faults else None, specs=specs,
                     trace_hash=trace_hash),
             n_shards=len(specs),
             kind="fault" if has_faults else "kernel",
@@ -1290,9 +1264,9 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     try:
         result = _drive_shards(
             SimulationJob(trace, config, cpu_model, teg_module, faults),
-            specs, cache_resolution=cache_resolution, telemetry=record,
-            health=health, store=store, telemetry_sink=live_sink,
-            result_cache=results_store, trace_hash=trace_hash)
+            specs, telemetry=record, health=health, store=store,
+            telemetry_sink=live_sink, result_cache=results_store,
+            trace_hash=trace_hash)
         if live_sink is not None:
             # The sink is private to this call, so its snapshot is
             # exactly the per-run telemetry the non-live path attaches.
@@ -1326,7 +1300,6 @@ class _ShardPayload:
     cpu_model: CpuThermalModel | None
     teg_module: TegModule | None
     faults: FaultSchedule | None
-    cache_resolution: float
     decisions: CoolingDecisionCache | None = None
     telemetry: bool = False
     #: With a column ref, the worker publishes its plane tiles into the
@@ -1341,7 +1314,6 @@ def _execute_shard_payload(payload: _ShardPayload) -> ShardOutcome:
     outcome = run_shard(tile, payload.spec, payload.config,
                         payload.cpu_model, payload.teg_module,
                         faults=payload.faults,
-                        cache_resolution=payload.cache_resolution,
                         cache=payload.decisions,
                         telemetry=payload.telemetry)
     if payload.column_ref is not None and outcome.columns is not None:

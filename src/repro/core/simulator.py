@@ -346,9 +346,9 @@ def compare_schemes(trace: WorkloadTrace, baseline: SimulationConfig,
     ``result_cache`` (see :mod:`repro.core.cache`) memoises each
     scheme's result on disk: repeating a comparison — or sharing one
     scheme between comparisons — serves the finished runs from the
-    cache.  The serial path keys its entries as engine ``"loop"`` runs
-    key themselves conservatively apart, so a serial-cached entry is
-    never served to an engine caller or vice versa.
+    cache.  The serial path keys its entries with ``mode="serial"``, so
+    a serial-cached entry (which carries no engine metrics) is never
+    served to an engine caller or vice versa.
     """
     from .cache import resolve_result_cache, result_key
     from .results import SchemeComparison
@@ -362,7 +362,7 @@ def compare_schemes(trace: WorkloadTrace, baseline: SimulationConfig,
             key = None
             if store is not None and type(trace) is WorkloadTrace:
                 key = result_key(trace, config, cpu_model, teg_module,
-                                 cache_resolution=None, mode="loop")
+                                 mode="serial")
                 cached = store.load(key)
                 if cached is not None:
                     return cached

@@ -63,13 +63,7 @@ from .metrics import (
     escape_label_value,
     series_family,
 )
-from .otel import (
-    OTLP_ENDPOINT_ENV_VAR,
-    OtlpBridge,
-    otlp_available,
-    resolve_otlp_endpoint,
-    telemetry_to_otlp,
-)
+from .otel import telemetry_to_otlp
 from .reporter import Reporter
 from .session import (
     TELEMETRY_DIR_ENV_VAR,
@@ -139,9 +133,5 @@ __all__ = [
     "LiveTelemetryServer",
     "RunHealth",
     "resolve_metrics_port",
-    "OTLP_ENDPOINT_ENV_VAR",
-    "OtlpBridge",
-    "otlp_available",
-    "resolve_otlp_endpoint",
     "telemetry_to_otlp",
 ]

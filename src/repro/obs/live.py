@@ -29,10 +29,10 @@ the bound address is reported).  The engine shuts the server down in
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .. import _env
 from ..errors import ConfigurationError
 from .export import prometheus_text
 from .session import Telemetry
@@ -57,22 +57,8 @@ def resolve_metrics_port(explicit: int | None = None) -> int | None:
         When either source is not an integer in ``[0, 65535]`` (``0``
         asks the OS for an ephemeral port).
     """
-    if explicit is not None:
-        source, value = "metrics_port", explicit
-    else:
-        env = os.environ.get(METRICS_PORT_ENV_VAR)
-        if env is None or not env.strip():
-            return None
-        source, value = METRICS_PORT_ENV_VAR, env
-    try:
-        port = int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{source} must be an integer port, got {value!r}") from None
-    if not 0 <= port <= 65535:
-        raise ConfigurationError(
-            f"{source} must be in [0, 65535], got {port}")
-    return port
+    return _env.number(explicit, METRICS_PORT_ENV_VAR, "metrics_port",
+                       positive=False, most=65535)
 
 
 class RunHealth:

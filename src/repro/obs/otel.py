@@ -1,83 +1,26 @@
-"""Gated OpenTelemetry bridge: OTLP export without a hard dependency.
+"""OTLP export without a dependency: pure snapshot converters.
 
-Two layers, deliberately separated:
-
-* **Pure converters** — :func:`telemetry_to_otlp` maps a frozen
-  :class:`~repro.obs.session.TelemetrySnapshot` onto OTLP-JSON-shaped
-  dictionaries (``resourceSpans`` / ``resourceMetrics``).  Our spans are
-  aggregates (count + wall/cpu totals, no per-call timestamps), so span
-  times are synthesised: the root starts at ``base_time_unix_nano`` and
-  children nest sequentially inside their parent's window.  Histograms
-  convert losslessly (explicit bounds + bucket counts).  No third-party
-  import anywhere — this layer is always available and fully testable.
-
-* **The SDK bridge** — :class:`OtlpBridge` replays a snapshot through
-  the OpenTelemetry SDK (tracer spans with explicit start/end times;
-  counters, gauges and per-bucket histogram series through a meter) and
-  ships it to ``REPRO_OTLP_ENDPOINT`` / an explicit endpoint via the
-  OTLP/HTTP exporters.  The SDK import is *gated*: when
-  ``opentelemetry`` is not installed, constructing a bridge raises
-  :class:`~repro.errors.ConfigurationError` naming what is missing —
-  requesting OTLP never degrades silently, and not requesting it never
-  imports anything.
+:func:`telemetry_to_otlp` maps a frozen
+:class:`~repro.obs.session.TelemetrySnapshot` onto OTLP-JSON-shaped
+dictionaries (``resourceSpans`` / ``resourceMetrics``) that any
+OTLP/HTTP-JSON collector accepts.  Our spans are aggregates (count +
+wall/cpu totals, no per-call timestamps), so span times are
+synthesised: the root starts at ``base_time_unix_nano`` and children
+nest sequentially inside their parent's window.  Histograms convert
+losslessly (explicit bounds + bucket counts).  No third-party import
+anywhere — the converters are always available and fully testable.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
-from types import SimpleNamespace
 
-from ..errors import ConfigurationError
 from .metrics import MetricsSnapshot, decode_series
 from .session import TelemetrySnapshot
 
-__all__ = [
-    "OTLP_ENDPOINT_ENV_VAR",
-    "resolve_otlp_endpoint",
-    "otlp_available",
-    "telemetry_to_otlp",
-    "OtlpBridge",
-]
-
-#: Environment variable naming the OTLP/HTTP collector base endpoint.
-OTLP_ENDPOINT_ENV_VAR = "REPRO_OTLP_ENDPOINT"
+__all__ = ["telemetry_to_otlp"]
 
 _SCOPE = {"name": "repro.obs", "version": "1"}
-
-
-def resolve_otlp_endpoint(explicit: str | None = None) -> str | None:
-    """Collector endpoint: explicit > ``REPRO_OTLP_ENDPOINT`` > ``None``.
-
-    Raises
-    ------
-    ConfigurationError
-        When the configured value is blank or not an ``http(s)`` URL.
-    """
-    if explicit is not None:
-        source, value = "otlp endpoint", explicit
-    else:
-        value = os.environ.get(OTLP_ENDPOINT_ENV_VAR)
-        if value is None:
-            return None
-        source = OTLP_ENDPOINT_ENV_VAR
-    value = value.strip()
-    if not value:
-        raise ConfigurationError(f"{source} must not be blank")
-    if not value.startswith(("http://", "https://")):
-        raise ConfigurationError(
-            f"{source} must be an http(s) URL, got {value!r}")
-    return value.rstrip("/")
-
-
-def otlp_available() -> bool:
-    """Whether the OpenTelemetry SDK (and OTLP exporters) can import."""
-    try:
-        _import_sdk()
-    except ConfigurationError:
-        return False
-    return True
 
 
 def _attributes(mapping: dict) -> list[dict]:
@@ -202,132 +145,3 @@ def telemetry_to_otlp(snapshot: TelemetrySnapshot, *,
             }],
         }],
     }
-
-
-def _import_sdk() -> SimpleNamespace:
-    """Import every SDK piece the bridge needs, or raise (gated)."""
-    try:
-        from opentelemetry.exporter.otlp.proto.http.metric_exporter import (
-            OTLPMetricExporter)
-        from opentelemetry.exporter.otlp.proto.http.trace_exporter import (
-            OTLPSpanExporter)
-        from opentelemetry.sdk.metrics import MeterProvider
-        from opentelemetry.sdk.metrics.export import (
-            PeriodicExportingMetricReader)
-        from opentelemetry.sdk.resources import Resource
-        from opentelemetry.sdk.trace import TracerProvider
-        from opentelemetry.sdk.trace.export import BatchSpanProcessor
-    except ImportError as exc:
-        raise ConfigurationError(
-            "OTLP export requested but the OpenTelemetry SDK is not "
-            "importable (install opentelemetry-sdk and "
-            "opentelemetry-exporter-otlp-proto-http, or unset "
-            f"{OTLP_ENDPOINT_ENV_VAR}/--otlp): {exc}") from exc
-    return SimpleNamespace(
-        Resource=Resource,
-        TracerProvider=TracerProvider,
-        BatchSpanProcessor=BatchSpanProcessor,
-        OTLPSpanExporter=OTLPSpanExporter,
-        MeterProvider=MeterProvider,
-        PeriodicExportingMetricReader=PeriodicExportingMetricReader,
-        OTLPMetricExporter=OTLPMetricExporter,
-    )
-
-
-class OtlpBridge:
-    """Replay telemetry snapshots through the OpenTelemetry SDK.
-
-    Constructing the bridge resolves the endpoint and imports the SDK —
-    both failures raise :class:`ConfigurationError` immediately, so a
-    run never gets deep into a month-class simulation before finding out
-    its telemetry sink is missing.  :meth:`export` then ships one
-    snapshot: spans as SDK spans with explicit (synthetic) timestamps,
-    counters/gauges through a meter, histograms as per-bucket ``le``
-    counter series plus ``_sum``/``_count`` (lossless under OTLP's
-    delta-free cumulative temporality).
-    """
-
-    def __init__(self, endpoint: str | None = None) -> None:
-        self.endpoint = resolve_otlp_endpoint(endpoint)
-        if self.endpoint is None:
-            raise ConfigurationError(
-                f"OTLP bridge needs an endpoint: pass one or set "
-                f"{OTLP_ENDPOINT_ENV_VAR}")
-        self._sdk = _import_sdk()
-
-    def export(self, snapshot: TelemetrySnapshot, *,
-               resource: dict | None = None) -> dict:
-        """Ship one snapshot; returns the OTLP-JSON shape it mirrors."""
-        sdk = self._sdk
-        base_ns = time.time_ns()
-        payload = telemetry_to_otlp(snapshot, resource=resource,
-                                    base_time_unix_nano=base_ns)
-        sdk_resource = sdk.Resource.create(
-            {"service.name": "repro", **(resource or {})})
-
-        tracer_provider = sdk.TracerProvider(resource=sdk_resource)
-        tracer_provider.add_span_processor(sdk.BatchSpanProcessor(
-            sdk.OTLPSpanExporter(endpoint=f"{self.endpoint}/v1/traces")))
-        tracer = tracer_provider.get_tracer(_SCOPE["name"])
-        self._replay_spans(tracer, snapshot.spans, base_ns)
-        tracer_provider.shutdown()
-
-        reader = sdk.PeriodicExportingMetricReader(
-            sdk.OTLPMetricExporter(
-                endpoint=f"{self.endpoint}/v1/metrics"),
-            export_interval_millis=60_000)
-        meter_provider = sdk.MeterProvider(resource=sdk_resource,
-                                           metric_readers=[reader])
-        self._replay_metrics(meter_provider.get_meter(_SCOPE["name"]),
-                             snapshot.metrics)
-        meter_provider.shutdown()
-        return payload
-
-    @staticmethod
-    def _replay_spans(tracer, tree: dict, base_ns: int) -> None:
-        def walk(name: str, node: dict, start_ns: int, context) -> int:
-            wall_ns = int(float(node.get("wall_s", 0.0)) * 1e9)
-            span = tracer.start_span(name, context=context,
-                                     start_time=start_ns)
-            span.set_attribute("repro.span.count",
-                               int(node.get("count", 0)))
-            span.set_attribute("repro.span.cpu_s",
-                               float(node.get("cpu_s", 0.0)))
-            try:
-                from opentelemetry import trace as trace_api
-                child_context = trace_api.set_span_in_context(span)
-            except ImportError:  # pragma: no cover - SDK without API
-                child_context = None
-            cursor = start_ns
-            for child_name, child in (node.get("children") or {}).items():
-                cursor = walk(child_name, child, cursor, child_context)
-            span.end(end_time=start_ns + wall_ns)
-            return start_ns + wall_ns
-
-        cursor = base_ns
-        for name, node in (tree or {}).items():
-            cursor = walk(name, node, cursor, None)
-
-    @staticmethod
-    def _replay_metrics(meter, metrics: MetricsSnapshot) -> None:
-        for key, value in sorted(metrics.counters.items()):
-            name, labels = decode_series(key)
-            meter.create_counter(name).add(float(value), labels)
-        for key, value in sorted(metrics.gauges.items()):
-            name, labels = decode_series(key)
-            gauge_factory = getattr(meter, "create_gauge", None)
-            if gauge_factory is not None:
-                gauge_factory(name).set(float(value), labels)
-            else:  # older SDKs: a non-monotonic counter preserves values
-                meter.create_up_down_counter(name).add(float(value),
-                                                       labels)
-        for key, hist in sorted(metrics.histograms.items()):
-            name, labels = decode_series(key)
-            counter = meter.create_counter(f"{name}_bucket")
-            bounds = [str(b) for b in hist.buckets] + ["+Inf"]
-            for bound, count in zip(bounds, hist.counts):
-                counter.add(float(count), {**labels, "le": bound})
-            meter.create_counter(f"{name}_count").add(float(hist.total),
-                                                      labels)
-            meter.create_counter(f"{name}_sum").add(float(hist.sum),
-                                                    labels)

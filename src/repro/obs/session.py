@@ -33,14 +33,13 @@ variable on malformed values):
 from __future__ import annotations
 
 import contextvars
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from .. import _env
 from .events import Event, EventLog
 from .metrics import (
     DEFAULT_TEG_POWER_BUCKETS_W,
@@ -72,9 +71,6 @@ TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 #: Environment variable naming the default run-artefact directory.
 TELEMETRY_DIR_ENV_VAR = "REPRO_TELEMETRY_DIR"
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
 #: Cap on per-run safety-violation events so a pathological run cannot
 #: balloon the event log; the full count is always in the metrics.
 MAX_VIOLATION_EVENTS = 50
@@ -89,19 +85,7 @@ def telemetry_enabled(explicit: bool | None = None) -> bool:
         When ``REPRO_TELEMETRY`` is set to something that is not a
         boolean word (``1/0``, ``true/false``, ``yes/no``, ``on/off``).
     """
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(TELEMETRY_ENV_VAR)
-    if env is None:
-        return False
-    word = env.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS or word == "":
-        return False
-    raise ConfigurationError(
-        f"{TELEMETRY_ENV_VAR} must be one of "
-        f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {env!r}")
+    return _env.flag(explicit, TELEMETRY_ENV_VAR)
 
 
 def resolve_telemetry_dir(explicit: str | Path | None = None) -> Path | None:
@@ -113,22 +97,8 @@ def resolve_telemetry_dir(explicit: str | Path | None = None) -> Path | None:
         When ``REPRO_TELEMETRY_DIR`` is blank, or either source names an
         existing path that is not a directory.
     """
-    if explicit is not None:
-        path = Path(explicit)
-    else:
-        env = os.environ.get(TELEMETRY_DIR_ENV_VAR)
-        if env is None:
-            return None
-        if not env.strip():
-            raise ConfigurationError(
-                f"{TELEMETRY_DIR_ENV_VAR} must be a directory path, "
-                f"got {env!r}")
-        path = Path(env)
-    if path.exists() and not path.is_dir():
-        raise ConfigurationError(
-            f"telemetry directory {str(path)!r} exists and is not a "
-            f"directory ({TELEMETRY_DIR_ENV_VAR})")
-    return path
+    return _env.directory(explicit, TELEMETRY_DIR_ENV_VAR,
+                          "telemetry directory")
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,6 @@ class TestKeySensitivity:
         other = plan_shards(24, 40, 20, shard_steps=8)
         assert result_key(trace, teg_original(), specs=specs) \
             != result_key(trace, teg_original(), specs=other)
-        assert result_key(trace, teg_original(),
-                          cache_resolution=0.005) != base
 
     def test_warm_keys_two_level_structure(self):
         trace = make_trace()

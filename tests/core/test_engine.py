@@ -270,10 +270,6 @@ class TestWorkerResolution:
 class TestCoolingDecisionCache:
     """The cache must be observationally invisible except for speed."""
 
-    def test_bad_resolution_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CoolingDecisionCache(resolution=0.0)
-
     def test_hit_and_miss_counters(self, lookup_space):
         policy = LookupSpacePolicy(space=lookup_space, aggregation="max")
         cache = CoolingDecisionCache()
@@ -529,3 +525,44 @@ class TestOneAnswerPerJob:
         again = run_batch(jobs, checkpoint=fresh, **kwargs)
         assert again.metrics.result_cache_hits == 1
         assert not fresh.exists()
+
+
+class TestKnobsResolveFirst:
+    """A malformed knob fails the run before it touches anything."""
+
+    SHARDED = dict(shard=True, shard_servers=20, shard_steps=12)
+
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_JOB_TIMEOUT", "soon"),
+        ("REPRO_WORKERS", "abc"),
+        ("REPRO_SHARD_STRAGGLER", "-1"),
+    ])
+    def test_bad_env_leaves_checkpoint_alone(self, variable, value,
+                                             tmp_path, monkeypatch):
+        for name in ("REPRO_JOB_TIMEOUT", "REPRO_WORKERS",
+                     "REPRO_SHARD_STRAGGLER"):
+            monkeypatch.delenv(name, raising=False)
+        jobs = [SimulationJob(common_trace(n_servers=40), teg_original())]
+        kwargs = dict(prefer="thread", mode="kernel", shard=True,
+                      shard_servers=20, shard_steps=13,
+                      checkpoint=tmp_path / "ckpt")
+        assert run_batch(jobs, n_workers=2, **kwargs).ok
+        saved = sorted(tmp_path.rglob("shard-*.pkl"))
+        assert len(saved) == 46
+        monkeypatch.setenv(variable, value)
+        n_workers = None if variable == "REPRO_WORKERS" else 2
+        with pytest.raises(ConfigurationError, match=variable):
+            run_batch(jobs, n_workers=n_workers, resume=False, **kwargs)
+        assert sorted(tmp_path.rglob("shard-*.pkl")) == saved
+
+    @pytest.mark.parametrize("layout", ["whole", "sharded"])
+    @pytest.mark.parametrize("prefer", ["serial", "thread"])
+    def test_bad_straggler_fails_the_run(self, prefer, layout,
+                                         monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_STRAGGLER", "-1")
+        kwargs = self.SHARDED if layout == "sharded" else dict(shard=False)
+        jobs = [SimulationJob(golden_trace(), teg_original())]
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_SHARD_STRAGGLER"):
+            run_batch(jobs, n_workers=2, prefer=prefer, mode="kernel",
+                      **kwargs)

@@ -372,25 +372,24 @@ class TestColumnarSteps:
 
 
 class TestKernelBatchEscapeHatch:
-    """REPRO_KERNEL_BATCH=0 falls back to the scalar decide loop."""
+    """A policy without ``decide_batch`` takes the scalar decide loop."""
 
     def trace(self):
         return drastic_trace(n_servers=47, duration_s=24 * 300.0,
                              interval_s=300.0, seed=7)
 
     def test_scalar_path_is_bit_identical(self, monkeypatch):
-        from repro.core.kernel import KERNEL_BATCH_ENV_VAR
+        from repro.control.cooling_policy import LookupSpacePolicy
 
         trace = self.trace()
         batched = simulate(trace, teg_original(), mode="kernel")
-        monkeypatch.setenv(KERNEL_BATCH_ENV_VAR, "0")
+        monkeypatch.delattr(LookupSpacePolicy, "decide_batch")
         scalar = simulate(trace, teg_original(), mode="kernel")
         assert scalar.records == batched.records
         assert scalar.violations == batched.violations
 
     def test_escape_hatch_really_avoids_the_batch_api(self, monkeypatch):
         from repro.control.cooling_policy import LookupSpacePolicy
-        from repro.core.kernel import KERNEL_BATCH_ENV_VAR
 
         calls = []
 
@@ -405,24 +404,6 @@ class TestKernelBatchEscapeHatch:
         simulate(trace, teg_original(), mode="kernel")
         assert calls  # default path goes through decide_batch
         calls.clear()
-        monkeypatch.setenv(KERNEL_BATCH_ENV_VAR, "0")
+        monkeypatch.delattr(LookupSpacePolicy, "decide_batch")
         simulate(trace, teg_original(), mode="kernel")
         assert calls == []  # scalar loop never touches it
-
-    def test_other_values_keep_the_batched_path(self, monkeypatch):
-        from repro.control.cooling_policy import LookupSpacePolicy
-        from repro.core.kernel import KERNEL_BATCH_ENV_VAR
-
-        calls = []
-        original = LookupSpacePolicy.decide_batch
-
-        def spy(self, bindings):
-            calls.append(len(bindings))
-            return original(self, bindings)
-
-        monkeypatch.setattr(LookupSpacePolicy, "decide_batch", spy)
-        for value in ("1", "true", "", "off"):
-            calls.clear()
-            monkeypatch.setenv(KERNEL_BATCH_ENV_VAR, value)
-            simulate(self.trace(), teg_original(), mode="kernel")
-            assert calls, f"value {value!r} unexpectedly disabled batching"

@@ -295,7 +295,6 @@ class TestPayloadSizeIndependence:
         return _ShardPayload(
             trace_ref=ref, spec=spec, config=teg_original(),
             cpu_model=None, teg_module=None, faults=None,
-            cache_resolution=0.005,
             decisions=prime_decisions(trace, teg_original()))
 
     def test_pickled_size_independent_of_trace_length(self):

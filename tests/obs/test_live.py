@@ -35,9 +35,11 @@ class TestResolveMetricsPort:
         monkeypatch.setenv(obs.METRICS_PORT_ENV_VAR, "9464")
         assert obs.resolve_metrics_port() == 9464
 
-    def test_blank_env_is_off(self, monkeypatch):
+    def test_blank_env_raises(self, monkeypatch):
         monkeypatch.setenv(obs.METRICS_PORT_ENV_VAR, "  ")
-        assert obs.resolve_metrics_port() is None
+        with pytest.raises(ConfigurationError,
+                           match=obs.METRICS_PORT_ENV_VAR):
+            obs.resolve_metrics_port()
 
     @pytest.mark.parametrize("bad", ["nope", "-1", "65536"])
     def test_invalid_values_raise(self, monkeypatch, bad):

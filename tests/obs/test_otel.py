@@ -1,59 +1,12 @@
-"""Gated OTLP bridge: pure converters always, SDK only when present.
+"""OTLP export: the pure snapshot converters.
 
-The container deliberately does not ship the OpenTelemetry SDK, so the
-gating path (ConfigurationError naming the missing packages) is tested
-for real; the SDK replay is exercised against a recording fake injected
-through ``_import_sdk``.
+No OpenTelemetry package is imported anywhere; the converters map a
+snapshot onto OTLP-JSON-shaped dictionaries.
 """
 
 import pytest
 
 from repro import obs
-from repro.errors import ConfigurationError
-from repro.obs import otel
-
-
-class TestResolveEndpoint:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(obs.OTLP_ENDPOINT_ENV_VAR, raising=False)
-        assert obs.resolve_otlp_endpoint() is None
-
-    def test_explicit_normalised(self):
-        assert obs.resolve_otlp_endpoint(
-            "http://collector:4318/") == "http://collector:4318"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(obs.OTLP_ENDPOINT_ENV_VAR,
-                           "https://otel.example")
-        assert obs.resolve_otlp_endpoint() == "https://otel.example"
-
-    @pytest.mark.parametrize("bad", ["", "  ", "collector:4318",
-                                     "ftp://x"])
-    def test_invalid_raises(self, monkeypatch, bad):
-        monkeypatch.setenv(obs.OTLP_ENDPOINT_ENV_VAR, bad)
-        with pytest.raises(ConfigurationError,
-                           match=obs.OTLP_ENDPOINT_ENV_VAR):
-            obs.resolve_otlp_endpoint()
-
-
-class TestGating:
-    @pytest.mark.skipif(obs.otlp_available(),
-                        reason="OpenTelemetry SDK installed here")
-    def test_bridge_raises_without_sdk(self):
-        with pytest.raises(ConfigurationError,
-                           match="OpenTelemetry SDK is not importable"):
-            obs.OtlpBridge("http://collector:4318")
-
-    def test_bridge_requires_endpoint(self, monkeypatch):
-        monkeypatch.delenv(obs.OTLP_ENDPOINT_ENV_VAR, raising=False)
-        with pytest.raises(ConfigurationError, match="needs an endpoint"):
-            obs.OtlpBridge()
-
-    def test_not_requested_never_imports(self, monkeypatch):
-        # resolve returning None must short-circuit before any SDK
-        # import is attempted.
-        monkeypatch.delenv(obs.OTLP_ENDPOINT_ENV_VAR, raising=False)
-        assert obs.resolve_otlp_endpoint() is None
 
 
 def _snapshot() -> "obs.TelemetrySnapshot":
@@ -133,126 +86,3 @@ class TestPureConverters:
                                         base_time_unix_nano=10**9)
         span = shifted["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
         assert int(span["startTimeUnixNano"]) >= 10**9
-
-
-class _FakeSpan:
-    def __init__(self, log, name, start):
-        self.log = log
-        self.name = name
-        self.start = start
-        self.attributes = {}
-
-    def set_attribute(self, key, value):
-        self.attributes[key] = value
-
-    def end(self, end_time=None):
-        self.log.append(("span", self.name, self.start, end_time,
-                         dict(self.attributes)))
-
-
-class _FakeInstrument:
-    def __init__(self, log, kind, name):
-        self.log = log
-        self.kind = kind
-        self.name = name
-
-    def add(self, value, labels=None):
-        self.log.append((self.kind, self.name, value, labels or {}))
-
-    def set(self, value, labels=None):
-        self.log.append((self.kind, self.name, value, labels or {}))
-
-
-class TestSdkReplay:
-    @pytest.fixture
-    def bridge(self, monkeypatch):
-        from types import SimpleNamespace
-
-        log = []
-
-        class FakeTracer:
-            def start_span(self, name, context=None, start_time=None):
-                return _FakeSpan(log, name, start_time)
-
-        class FakeTracerProvider:
-            def __init__(self, resource=None):
-                pass
-
-            def add_span_processor(self, processor):
-                pass
-
-            def get_tracer(self, name):
-                return FakeTracer()
-
-            def shutdown(self):
-                log.append(("shutdown", "tracer"))
-
-        class FakeMeter:
-            def create_counter(self, name):
-                return _FakeInstrument(log, "counter", name)
-
-            def create_gauge(self, name):
-                return _FakeInstrument(log, "gauge", name)
-
-        class FakeMeterProvider:
-            def __init__(self, resource=None, metric_readers=()):
-                pass
-
-            def get_meter(self, name):
-                return FakeMeter()
-
-            def shutdown(self):
-                log.append(("shutdown", "meter"))
-
-        fake = SimpleNamespace(
-            Resource=SimpleNamespace(create=lambda attrs: attrs),
-            TracerProvider=FakeTracerProvider,
-            BatchSpanProcessor=lambda exporter: None,
-            OTLPSpanExporter=lambda endpoint: None,
-            MeterProvider=FakeMeterProvider,
-            PeriodicExportingMetricReader=lambda exporter,
-            export_interval_millis=0: None,
-            OTLPMetricExporter=lambda endpoint: None,
-        )
-        monkeypatch.setattr(otel, "_import_sdk", lambda: fake)
-        return obs.OtlpBridge("http://collector:4318"), log
-
-    def test_export_replays_spans_and_metrics(self, bridge):
-        bridge_obj, log = bridge
-        payload = bridge_obj.export(_snapshot())
-        assert payload["resourceSpans"]
-
-        spans = [entry for entry in log if entry[0] == "span"]
-        assert {entry[1] for entry in spans} \
-            == {"engine.batch", "engine.simulate"}
-        for _, _, start, end, attributes in spans:
-            assert end >= start
-            assert attributes["repro.span.count"] >= 1
-
-        counters = [entry for entry in log if entry[0] == "counter"]
-        assert ("counter", "engine.jobs.completed", 3.0,
-                {"scheme": "TEG_Original"}) in counters
-        # Histogram decomposes into per-bucket le counters + sum/count.
-        le_values = {labels["le"] for kind, name, _, labels in counters
-                     if name == "teg.power_w_bucket"}
-        assert le_values == {"1.0", "4.0", "+Inf"}
-        assert ("counter", "teg.power_w_count", 2.0, {}) in counters
-        gauges = [entry for entry in log if entry[0] == "gauge"]
-        assert ("gauge", "sim.peak_temp_c", 61.5, {}) in gauges
-        assert ("shutdown", "tracer") in log
-        assert ("shutdown", "meter") in log
-
-    def test_gauge_falls_back_to_up_down_counter(self, bridge,
-                                                 monkeypatch):
-        bridge_obj, log = bridge
-
-        class OldMeter:
-            def create_counter(self, name):
-                return _FakeInstrument(log, "counter", name)
-
-            def create_up_down_counter(self, name):
-                return _FakeInstrument(log, "updown", name)
-
-        bridge_obj._replay_metrics(OldMeter(), _snapshot().metrics)
-        assert any(entry[0] == "updown"
-                   and entry[1] == "sim.peak_temp_c" for entry in log)

@@ -92,6 +92,18 @@ class TestReadme:
         assert "calibration.md" in text
 
 
+class TestEngineDoc:
+    def test_env_table_lists_every_knob(self):
+        # One table in docs/engine.md lists every REPRO_* variable the
+        # source reads, and nothing else.
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` +\|",
+                                    read("docs/engine.md"), re.M))
+        in_source = {name for path in (REPO / "src").rglob("*.py")
+                     for name in re.findall(r"\bREPRO_[A-Z][A-Z_]*\b",
+                                            path.read_text())}
+        assert documented == in_source
+
+
 class TestRegistryDocAlignment:
     def test_design_ids_match_registry(self):
         # Every E-F*/E-T*/E-VA id in DESIGN.md's experiment index that
