@@ -36,8 +36,8 @@ from test_bench_fleet_scale import FLEET_TRACE_KWARGS
 
 #: A repeated fleet-scale run answered from the cache must be at least
 #: this many times faster than recomputing it (the ISSUE 8 acceptance
-#: floor; measured ~100x+ — the entry is a ~1 MB columnar npz while the
-#: recompute chews through ~111 M plane cells).
+#: floor; measured ~100x+ — the entry is a ~1 MB pickled result while
+#: the recompute chews through ~111 M plane cells).
 MIN_WARM_SPEEDUP = 20.0
 
 

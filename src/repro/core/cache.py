@@ -32,24 +32,26 @@ Durability contract (shared with :mod:`repro.core.checkpoint`)
 Bit-identity contract
 ---------------------
 A cache hit returns records **byte-equal** to recomputing the run.
-Columnar results round-trip their NumPy columns losslessly through an
-``.npz`` container (zero copies on either side beyond the file I/O);
-list-backed records round-trip through float64/int64 columns, which is
-exact for the Python floats/ints they hold.  Violations, engine
-metrics and telemetry snapshots ride along.  The key is conservative:
-anything that *could* shape the numbers (mode, shard plan, fault
-schedule) is part of the identity, so a hit can never alias two runs
-that would diverge.
+Each entry is one pickle of the versioned header (schema, format
+version, content key) and the whole :class:`~repro.core.results.
+SimulationResult` — the format checkpoints use for results and
+shards — so columnar NumPy steps, list records, violations, engine
+metrics and telemetry snapshots all round-trip exactly.  The key is
+conservative: anything that *could* shape the numbers (mode, shard
+plan, fault schedule) is part of the identity, so a hit can never
+alias two runs that would diverge.
 
 Warm starts
 -----------
-Beyond exact hits, the memoised cooling-decision state is persisted
-under its own two-level content key so *near-miss* jobs start hot:
+Beyond exact hits, the sharded decision pre-pass
+(:func:`repro.core.shard.primed_or_warm`) persists its primed
+cooling-decision state under its own two-level content key, so a
+*near-miss* sharded job skips the full-plane decide pass.  Nothing else
+writes or reads these snapshots:
 
 * **W1 (decision key)** covers everything that shapes the decisions
   themselves — trace plane, config minus its display name, hardware
-  models.  A W1 match restores the saved decisions directly (re-tagged
-  to the loading run's cache context).
+  models.  A W1 match restores the saved decisions directly.
 * **W2 (binding key)** covers only what shapes the *sequence of
   binding utilisations* — trace plane, scheduler, circulation size and
   the policy's memoisation bucketing.  A W2 match with a W1 mismatch
@@ -57,7 +59,7 @@ under its own two-level content key so *near-miss* jobs start hot:
   replays the saved binding per bucket through the *current* policy:
   each bucket's representative binding is fed through
   ``policy.decide([binding])``, which both primes the policy memo and
-  yields the decision a cold run would have produced for that bucket —
+  yields the decision a cold run would have produced for the bucket —
   single-element aggregation (max or mean) is exact in floating point,
   so the replayed decisions are bit-identical to a cold run's.
 
@@ -69,24 +71,19 @@ keep the hard bit-identity guarantee.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import pickle
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .. import _env, obs
 from .._durable import atomic_write, pid_alive
 from ..errors import CacheError
 from ..workloads.trace import WorkloadTrace
 from .checkpoint import RunKey, fingerprint, run_key, trace_digest
-from .results import (STEP_COLUMNS, STEP_FLOAT_COLUMNS, STEP_INT_COLUMNS,
-                      ColumnarSteps, SafetyViolation, SimulationResult,
-                      StepRecord)
+from .results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shard import ShardSpec
@@ -110,7 +107,7 @@ __all__ = [
 
 #: Identifies the on-disk layout; bump on incompatible changes.
 CACHE_SCHEMA = "repro.core/cache/v1"
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Environment variable enabling the result cache by default.
 CACHE_ENV_VAR = "REPRO_CACHE"
@@ -125,7 +122,7 @@ CACHE_MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
 #: Manifest file name inside a cache directory.
 MANIFEST_NAME = "cache.json"
 
-#: Subdirectory holding one ``.npz`` per cached result.
+#: Subdirectory holding one ``.pkl`` per cached result.
 RESULTS_DIR = "results"
 
 #: Subdirectory holding warm-start decision snapshots.
@@ -255,22 +252,18 @@ def _fs_slug(name: str, limit: int = 48) -> str:
 
 
 # ----------------------------------------------------------------------
-# Entry codec
+# Entries
 # ----------------------------------------------------------------------
-
-class _EntryMismatch(Exception):
-    """A structurally valid entry that belongs to a different key."""
-
 
 def _sweep_stale_temp_files(directory: Path) -> None:
     """Remove ``.tmp-*`` leftovers of *crashed* writers (best effort).
 
     Unlike the checkpoint store — whose directory belongs to exactly
-    one run — a cache directory is shared between live engines, worker
-    processes and threads, any of which may be mid-write while a new
-    one opens the store.  Temps are only swept when the pid embedded in
-    their name is no longer alive (our own pid included: if the name
-    says *us*, another of our threads owns it).
+    one run — a cache directory is shared between live engines and
+    direct callers in several processes and threads, any of which may
+    be mid-write while a new one opens the store.  Temps are only swept
+    when the pid embedded in their name is no longer alive (our own pid
+    included: if the name says *us*, another of our threads owns it).
     """
     for leftover in directory.glob("*.tmp-*"):
         pid_word = leftover.name.rsplit(".tmp-", 1)[1].split("-", 1)[0]
@@ -286,121 +279,28 @@ def _sweep_stale_temp_files(directory: Path) -> None:
             pass
 
 
-def _encode_result(key: RunKey, result: SimulationResult) -> bytes:
-    """Serialise one result to the versioned ``.npz`` payload."""
-    records = result.records
-    arrays: dict[str, np.ndarray] = {}
-    if isinstance(records, ColumnarSteps):
-        kind = "columnar"
-        for name in STEP_COLUMNS:
-            arrays[f"col_{name}"] = records.column(name)
-    else:
-        kind = "list"
-        for name in STEP_FLOAT_COLUMNS:
-            arrays[f"col_{name}"] = np.array(
-                [getattr(r, name) for r in records], dtype=np.float64)
-        for name in STEP_INT_COLUMNS:
-            arrays[f"col_{name}"] = np.array(
-                [getattr(r, name) for r in records], dtype=np.int64)
-    violations = result.violations or ()
-    arrays["viol_server_id"] = np.array(
-        [v.server_id for v in violations], dtype=np.int64)
-    arrays["viol_step_index"] = np.array(
-        [v.step_index for v in violations], dtype=np.int64)
-    arrays["viol_time_s"] = np.array(
-        [v.time_s for v in violations], dtype=np.float64)
-    arrays["viol_temperature_c"] = np.array(
-        [v.temperature_c for v in violations], dtype=np.float64)
-    if result.metrics is not None:
-        arrays["pickle_metrics"] = np.frombuffer(
-            pickle.dumps(result.metrics,
-                         protocol=pickle.HIGHEST_PROTOCOL),
-            dtype=np.uint8)
-    if result.telemetry is not None:
-        arrays["pickle_telemetry"] = np.frombuffer(
-            pickle.dumps(result.telemetry,
-                         protocol=pickle.HIGHEST_PROTOCOL),
-            dtype=np.uint8)
-    meta = {
-        "schema": CACHE_SCHEMA,
-        "version": CACHE_FORMAT_VERSION,
-        "key": key.to_dict(),
-        "scheme": result.scheme,
-        "trace_name": result.trace_name,
-        "n_servers": int(result.n_servers),
-        # repr round-trips the float exactly (same convention as the
-        # content hashes in checkpoint._canonical).
-        "interval_s": repr(float(result.interval_s)),
-        "records_kind": kind,
-        "n_steps": len(records),
-        "n_violations": len(violations),
-    }
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+def _decode_entry(raw: bytes, key: RunKey) -> SimulationResult | None:
+    """The result in one entry payload, or ``None`` for another key's.
 
-
-def _decode_result(raw: bytes, key: RunKey) -> SimulationResult:
-    """Rebuild a result from an entry payload.
-
-    Raises :class:`CacheError` for a valid entry in a newer format,
-    :class:`_EntryMismatch` for a valid entry under a different key,
-    and anything else (``ValueError``, ``KeyError``, zip errors ...)
-    for corruption — the caller maps those to discard-and-recompute.
+    Raises :class:`CacheError` for an entry in a newer format, and
+    anything else (``UnpicklingError``, ``ValueError``, ``KeyError``
+    ...) for corruption — the caller maps those to
+    discard-and-recompute.
     """
-    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        if meta.get("schema") != CACHE_SCHEMA:
-            raise ValueError(
-                f"unexpected cache entry schema {meta.get('schema')!r}")
-        version = int(meta["version"])
-        if version > CACHE_FORMAT_VERSION:
-            raise CacheError(
-                f"cache entry format v{version} is newer than this "
-                f"build understands (v{CACHE_FORMAT_VERSION})")
-        if meta["key"] != key.to_dict():
-            raise _EntryMismatch(key.short)
-
-        columns = {name: data[f"col_{name}"] for name in STEP_COLUMNS}
-        if meta["records_kind"] == "columnar":
-            records: Any = ColumnarSteps(columns)
-        else:
-            n_steps = int(meta["n_steps"])
-            records = [
-                StepRecord(
-                    **{name: float(columns[name][i])
-                       for name in STEP_FLOAT_COLUMNS},
-                    **{name: int(columns[name][i])
-                       for name in STEP_INT_COLUMNS})
-                for i in range(n_steps)
-            ]
-        n_violations = int(meta["n_violations"])
-        violations = [
-            SafetyViolation(
-                server_id=int(data["viol_server_id"][i]),
-                step_index=int(data["viol_step_index"][i]),
-                time_s=float(data["viol_time_s"][i]),
-                temperature_c=float(data["viol_temperature_c"][i]))
-            for i in range(n_violations)
-        ]
-        metrics = None
-        if "pickle_metrics" in data.files:
-            metrics = pickle.loads(data["pickle_metrics"].tobytes())
-        telemetry = None
-        if "pickle_telemetry" in data.files:
-            telemetry = pickle.loads(data["pickle_telemetry"].tobytes())
-    return SimulationResult(
-        scheme=meta["scheme"],
-        trace_name=meta["trace_name"],
-        n_servers=int(meta["n_servers"]),
-        interval_s=float(meta["interval_s"]),
-        records=records,
-        metrics=metrics,
-        violations=violations,
-        telemetry=telemetry,
-    )
+    entry = pickle.loads(raw)
+    if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
+        raise ValueError("not a result-cache entry")
+    version = int(entry["version"])
+    if version > CACHE_FORMAT_VERSION:
+        raise CacheError(
+            f"cache entry format v{version} is newer than this "
+            f"build understands (v{CACHE_FORMAT_VERSION})")
+    if entry["key"] != key.to_dict():
+        return None
+    result = entry["result"]
+    if not isinstance(result, SimulationResult):
+        raise ValueError("cache entry holds no SimulationResult")
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +325,7 @@ class ResultCache:
 
         <directory>/
             cache.json            # schema + format version
-            results/<scheme>--<trace>--<short12>.npz
+            results/<scheme>--<trace>--<short12>.pkl
             warm/<w2-digest>.pkl  # warm-start decision snapshots
 
     Safe to share between processes: entries are written atomically and
@@ -487,7 +387,7 @@ class ResultCache:
     def path_for(self, key: RunKey) -> Path:
         name = "--".join((_fs_slug(key.scheme),
                           _fs_slug(key.trace_name), key.short))
-        return self._results_dir / f"{name}.npz"
+        return self._results_dir / f"{name}.pkl"
 
     def load(self, key: RunKey) -> SimulationResult | None:
         """The cached result under ``key``, or ``None``.
@@ -504,15 +404,9 @@ class ResultCache:
             self._miss(key)
             return None
         try:
-            result = _decode_result(raw, key)
+            result = _decode_entry(raw, key)
         except CacheError:
             raise
-        except _EntryMismatch:
-            # A different run hashed to the same label; astronomically
-            # unlikely (96-bit digests) but must read as a miss, and
-            # the other run's entry must survive.
-            self._miss(key)
-            return None
         except Exception:
             path.unlink(missing_ok=True)
             self.stats.corrupt += 1
@@ -521,6 +415,12 @@ class ResultCache:
                             "trace": key.trace_name})
             obs.emit("engine.cache.corrupt", scheme=key.scheme,
                      trace=key.trace_name, path=path.name)
+            self._miss(key)
+            return None
+        if result is None:
+            # A different run hashed to the same label; astronomically
+            # unlikely (96-bit digests) but must read as a miss, and
+            # the other run's entry must survive.
             self._miss(key)
             return None
         self.stats.hits += 1
@@ -545,7 +445,10 @@ class ResultCache:
 
     def store(self, key: RunKey, result: SimulationResult) -> None:
         """Persist ``result`` under ``key`` (atomic), then evict LRU."""
-        data = _encode_result(key, result)
+        data = pickle.dumps({"schema": CACHE_SCHEMA,
+                             "version": CACHE_FORMAT_VERSION,
+                             "key": key.to_dict(), "result": result},
+                            protocol=pickle.HIGHEST_PROTOCOL)
         atomic_write(self.path_for(key), data)
         self.stats.stores += 1
         obs.add("engine.cache.store", 1,

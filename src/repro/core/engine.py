@@ -73,7 +73,6 @@ from .cache import (
     _fs_slug,
     resolve_result_cache,
     result_key,
-    warm_keys,
 )
 from .config import SimulationConfig
 from .kernel import KernelTimings, run_whole_trace
@@ -369,7 +368,8 @@ class BatchMetrics:
     jobs_resumed: int = 0
     #: Jobs served from the content-addressed result cache.
     result_cache_hits: int = 0
-    #: Jobs whose cache lookup missed (and were then computed).
+    #: Cache lookups that missed; each such job was then resumed from
+    #: its checkpoint or computed.
     result_cache_misses: int = 0
     #: Duplicate jobs answered by fanning out another job's result.
     jobs_deduped: int = 0
@@ -539,23 +539,18 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     directory, ``True``/``False``, or ``None`` to consult
     ``REPRO_CACHE``) memoises the whole run on disk: a content-key hit
     returns the persisted result — bit-identical records — without
-    simulating, a miss stores the computed result, and the run's
-    cooling-decision state is saved as a warm-start snapshot for
-    near-miss runs (see ``docs/cache.md``).
+    simulating, and a miss stores the computed result (see
+    ``docs/cache.md``).  Batch workers pass ``False``: the batch
+    coordinator answers and stores their jobs.
     """
     started = time.perf_counter()
     store = resolve_result_cache(result_cache)
-    key = trace_hash = None
+    key = None
     has_faults = faults is not None and len(faults) > 0
     if store is not None and type(trace) is WorkloadTrace:
-        from .checkpoint import trace_digest
-
-        # One digest keys the result and both warm-start snapshots.
-        trace_hash = trace_digest(trace)
-        effective_mode = "loop" if has_faults else resolve_mode(mode)
         key = result_key(trace, config, cpu_model, teg_module,
                          faults=faults if has_faults else None,
-                         mode=effective_mode, trace_hash=trace_hash)
+                         mode="loop" if has_faults else resolve_mode(mode))
         cached = store.load(key)
         if cached is not None:
             return cached
@@ -567,11 +562,6 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
                 simulator = _CachedVectorisedSimulator(
                     trace, config, cpu_model, teg_module, mode=mode,
                     faults=faults)
-                warmed = None
-                if key is not None and not has_faults:
-                    warmed = _warm_restore(store, simulator, trace,
-                                           config, cpu_model, teg_module,
-                                           trace_hash=trace_hash)
             setup_done = time.perf_counter()
             result = simulator.run()
             finished = time.perf_counter()
@@ -597,107 +587,24 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         result.telemetry = local.snapshot()
     if key is not None:
         store.store(key, result)
-        if not has_faults and warmed != "direct":
-            _warm_save(store, simulator, trace, config, cpu_model,
-                       teg_module, trace_hash=trace_hash)
     return result
 
 
-def _warm_restore(store: ResultCache, simulator, trace, config,
-                  cpu_model, teg_module, *,
-                  trace_hash: str | None = None) -> str | None:
-    """Prime a simulator's decision cache from a warm-start snapshot.
-
-    Returns ``"direct"`` when the snapshot's decision key (W1) matched
-    and the saved decisions were installed verbatim (re-tagged to this
-    run's cache context), ``"replay"`` when only the binding key (W2)
-    matched and each saved bucket's representative binding was replayed
-    through the *current* policy, or ``None`` when nothing usable was
-    found.  Either path installs exactly the decisions a cold run would
-    compute, so warmed runs stay bit-identical (see ``docs/cache.md``).
-    """
-    policy = simulator._policy
-    resolution = getattr(policy, "cache_resolution", None)
-    if not resolution:
-        return None
-    aggregation = getattr(policy, "aggregation", "max")
-    w1, w2 = warm_keys(trace, config, cpu_model, teg_module,
-                       aggregation=aggregation,
-                       policy_resolution=resolution,
-                       trace_hash=trace_hash)
-    payload = store.load_warm(w2)
-    if payload is None:
-        return None
-    context = simulator._context
-    cache_store = simulator._cache._store
-    if payload.get("w1") == w1:
-        for agg, size, binding_key, decision in payload["entries"]:
-            cache_store.setdefault((context, agg, size, binding_key),
-                                   decision)
-        return "direct"
-    for agg, size, binding_key, decision in payload["entries"]:
-        cache_key = (context, agg, size, binding_key)
-        if cache_key in cache_store:
-            continue
-        # Replay the bucket's representative binding through the
-        # current policy.  A single-element vector aggregates (max or
-        # mean) to exactly that binding, so this both primes the
-        # policy's own memo and yields the decision a cold run would
-        # compute for the bucket — the engine-cache key must carry the
-        # *saved* vector size, hence the manual insert.
-        replayed = policy.decide(
-            np.asarray([decision.binding_utilisation]))
-        cache_store[cache_key] = replayed
-    return "replay"
-
-
-def _warm_save(store: ResultCache, simulator, trace, config,
-               cpu_model, teg_module, *,
-               trace_hash: str | None = None) -> None:
-    """Persist a completed run's decision-cache state as a warm snapshot.
-
-    Entries are filtered to this run's cache context (one shared cache
-    may serve several configs) and stored context-free in
-    first-occurrence order, so a replay re-derives the policy memo in
-    the same order a cold run would fill it.
-    """
-    policy = simulator._policy
-    resolution = getattr(policy, "cache_resolution", None)
-    if not resolution:
-        return
-    context = simulator._context
-    entries = [(agg, size, binding_key, decision)
-               for (ctx, agg, size, binding_key), decision
-               in simulator._cache._store.items() if ctx == context]
-    if not entries:
-        return
-    aggregation = getattr(policy, "aggregation", "max")
-    w1, w2 = warm_keys(trace, config, cpu_model, teg_module,
-                       aggregation=aggregation,
-                       policy_resolution=resolution,
-                       trace_hash=trace_hash)
-    store.store_warm(w1, w2, entries)
-
-
 def _execute_job(job: SimulationJob, mode: str,
-                 telemetry: bool = False,
-                 cache_dir=None) -> SimulationResult:
+                 telemetry: bool = False) -> SimulationResult:
     """Worker entry point (module-level so process pools can pickle it).
 
-    ``telemetry`` and ``cache_dir`` are resolved once by the batch
-    layer and passed explicitly so all executors behave identically
-    regardless of how environment variables propagate to workers
-    (``cache_dir=None`` means caching stays off even if the worker's
-    environment would enable it).  In-process executors pass the
-    engine's shared :class:`~repro.core.cache.ResultCache` instance
-    rather than a directory string, so all threads write through one
-    store.
+    ``telemetry`` is resolved once by the batch layer and passed
+    explicitly so all executors behave identically regardless of how
+    environment variables propagate to workers.  Workers only compute:
+    caching stays off whatever the worker's environment says, because
+    the batch coordinator looks every job up and stores every result.
     """
     return simulate(job.trace, job.config, job.cpu_model, job.teg_module,
                     mode=mode,
                     faults=job.faults,
                     telemetry=telemetry,
-                    result_cache=cache_dir if cache_dir else False)
+                    result_cache=False)
 
 
 # ----------------------------------------------------------------------
@@ -1031,9 +938,6 @@ class _JobPayload:
     #: Resolved by the engine before dispatch so worker processes need
     #: no environment propagation to agree on whether to record.
     telemetry: bool = False
-    #: Result-cache directory, resolved by the engine before dispatch
-    #: (``None`` keeps caching off in the worker whatever its env says).
-    cache_dir: str | None = None
 
 
 def _execute_payload(payload: _JobPayload) -> SimulationResult:
@@ -1046,8 +950,7 @@ def _execute_payload(payload: _JobPayload) -> SimulationResult:
                     payload.teg_module, mode=payload.mode,
                     faults=payload.faults,
                     telemetry=payload.telemetry,
-                    result_cache=(payload.cache_dir if payload.cache_dir
-                                  else False))
+                    result_cache=False)
 
 
 # ----------------------------------------------------------------------
@@ -1415,11 +1318,9 @@ class BatchSimulationEngine:
                              if self.metrics_port is not None else None)
         if self._live_server is not None:
             self._live_server.bind(None, self._health)
-        # Same treatment for the result cache (explicit > REPRO_CACHE):
-        # workers receive the resolved directory, never the env.
+        # Same treatment for the result cache (explicit > REPRO_CACHE);
+        # only this coordinator reads or writes it.
         self.result_cache = resolve_result_cache(cache)
-        self._cache_dir = (str(self.result_cache.directory)
-                           if self.result_cache is not None else None)
         self._shared_traces = _SharedTraceRegistry()
         self._executor = None
         self._executor_kind: str | None = None
@@ -1539,14 +1440,13 @@ class BatchSimulationEngine:
             mode=self.mode,
             trace=trace,
             telemetry=self.telemetry,
-            cache_dir=self._cache_dir,
         )
 
     def _submit(self, executor, kind: str, job: SimulationJob) -> Future:
         if kind == "process":
             return executor.submit(_execute_payload, self._payload(job))
         return executor.submit(_execute_job, job, self.mode,
-                               self.telemetry, self.result_cache)
+                               self.telemetry)
 
     @staticmethod
     def _kill_executor(executor, kind: str) -> None:
@@ -1575,20 +1475,21 @@ class BatchSimulationEngine:
                 process.kill()
 
     def _land(self, state: _JobState, result: SimulationResult) -> None:
-        """Record a whole job's result: retries, checkpoint, ``/healthz``.
+        """Record a computed job's result: cache, checkpoint, ``/healthz``.
 
+        The one landing for every computed job, whole or sharded.
         Saving the moment a job completes means a coordinator crash one
         job into a 50-job batch still leaves the finished jobs' results
-        on disk, whatever executor ran them.  A result the worker served
-        from the result cache turns its job ``cached``.
+        on disk, whatever executor ran them.  A sharded job's
+        checkpoint holds its shards, not the merged result.
         """
         answer = state.answer
         if result.metrics is not None:
             result.metrics.retries = state.retries
-            if result.metrics.result_cache_hit:
-                answer.source = "cached"
         answer.result = result
-        if answer.store is not None:
+        if self._cacheable(answer.job):
+            self.result_cache.store(answer.key, result)
+        if answer.store is not None and answer.specs is None:
             answer.store.save_result(result)
         self._health.job_done()
 
@@ -1600,8 +1501,7 @@ class BatchSimulationEngine:
                 state.attempts += 1
                 try:
                     result = _execute_job(state.job, self.mode,
-                                          self.telemetry,
-                                          self.result_cache)
+                                          self.telemetry)
                 except Exception as exc:
                     if state.attempts < self._budget:
                         state.retries += 1
@@ -1852,15 +1752,21 @@ class BatchSimulationEngine:
             self._trace_digests[id(trace)] = entry
         return entry[1]
 
+    def _cacheable(self, job: SimulationJob) -> bool:
+        """Whether the result cache answers and stores ``job``: a trace
+        subclass keys on object identity, which is never persisted."""
+        return (self.result_cache is not None
+                and type(job.trace) is WorkloadTrace)
+
     def _content_key(self, job: SimulationJob, specs):
         """The result-cache / dedup identity of one job.
 
-        Matches the key a worker's :func:`simulate` derives for the
-        same job (same mode resolution), so a result stored by a worker
-        is found by the coordinator on the next run and vice versa.
-        Trace subclasses can carry behaviour the plane digest cannot
-        see, so they key on object identity — good enough for
-        within-batch dedup, never persisted.
+        A whole job's key matches the one :func:`simulate` derives for
+        a direct call in the same mode, so a result a direct call
+        stored answers the batch and vice versa.  Trace subclasses can
+        carry behaviour the plane digest cannot see, so they key on
+        object identity — good enough for within-batch dedup, never
+        persisted.
         """
         has_faults = job.faults is not None and len(job.faults) > 0
         if type(job.trace) is WorkloadTrace:
@@ -2165,13 +2071,12 @@ class BatchSimulationEngine:
         """Decide, once and before dispatch, how each job is answered.
 
         In order: a job whose content key an earlier job already has is
-        a duplicate and is never looked up anywhere; a sharded job is
-        looked up in the result cache; a whole job is looked up in its
-        checkpoint store, and a saved result resumes it; anything else
-        is computed.  Only a job that is neither a duplicate nor a cache
-        hit opens a checkpoint store.  Whole jobs still consult the
-        result cache inside their worker, where warm starts live (see
-        :meth:`_land`).
+        a duplicate and is never looked up anywhere; a job on a plain
+        trace is looked up in the result cache; a whole job that misses
+        is looked up in its checkpoint store, and a saved result resumes
+        it; anything else is computed, and :meth:`_land` stores its
+        result.  Only a job that is neither a duplicate nor a cache hit
+        opens a checkpoint store.  Workers never see the cache.
         """
         answers: list[_Answer] = []
         first: dict = {}
@@ -2182,7 +2087,7 @@ class BatchSimulationEngine:
             if rep is not answer:
                 answer.source, answer.rep = "duplicate", rep
                 continue
-            if specs is not None and self.result_cache is not None:
+            if self._cacheable(job):
                 answer.result = self.result_cache.load(answer.key)
                 if answer.result is not None:
                     answer.source = "cached"
@@ -2266,16 +2171,14 @@ class BatchSimulationEngine:
             state = _JobState(answer, attempts=1,
                               started_at=time.perf_counter())
             try:
-                answer.result = self._run_sharded_job(
+                result = self._run_sharded_job(
                     answer.job, answer.specs, executor, workers,
                     straggler_s, store=answer.store)
             except Exception as exc:
                 answer.failure = state.failed(exc)
                 self._emit_job_event("job.failed", state, exc)
             else:
-                self._health.job_done()
-                if self.result_cache is not None:
-                    self.result_cache.store(answer.key, answer.result)
+                self._land(state, result)
         for answer in duplicates:
             # A duplicate shares its representative's result object (or
             # its failure record) — the content key proved them the
@@ -2298,9 +2201,8 @@ class BatchSimulationEngine:
             metrics.executor = executor
             metrics.n_workers = workers
         total_steps = sum(metrics.n_steps for metrics in ran_metrics)
-        cacheable = ([answer for answer in having("cached", "computed")
-                      if type(answer.job.trace) is WorkloadTrace]
-                     if self.result_cache is not None else [])
+        n_looked_up = sum(self._cacheable(answer.job)
+                          for answer in answers if answer.rep is None)
         n_cached = len(having("cached"))
         results = [answer.result for answer in answers
                    if answer.result is not None]
@@ -2328,7 +2230,7 @@ class BatchSimulationEngine:
                 shards_resumed=sum(m.shards_resumed for m in ran_metrics),
                 jobs_resumed=n_resumed,
                 result_cache_hits=n_cached,
-                result_cache_misses=len(cacheable) - n_cached,
+                result_cache_misses=n_looked_up - n_cached,
                 jobs_deduped=len(duplicates),
             ),
         )
@@ -2344,23 +2246,6 @@ class BatchSimulationEngine:
             registry.counter("engine.jobs.timeouts").inc(timeouts)
             if n_resumed:
                 registry.counter("engine.jobs.resumed").inc(n_resumed)
-            # Serial workers and the sharded lookups in _resolve already
-            # counted themselves through the live session; pool workers
-            # could not.  Top the labelled counters up to the
-            # authoritative BatchMetrics totals, per (scheme, trace)
-            # series, so the manifest always agrees with them.
-            tally: dict[tuple[str, str], list[int]] = {}
-            for answer in cacheable:
-                hit_miss = tally.setdefault(
-                    (answer.job.config.name, answer.job.trace.name), [0, 0])
-                hit_miss[answer.source != "cached"] += 1
-            for (scheme, trace_name), hit_miss in tally.items():
-                labels = {"scheme": scheme, "trace": trace_name}
-                for name, target in zip(("engine.cache.hit",
-                                         "engine.cache.miss"), hit_miss):
-                    counter = registry.counter(name, labels)
-                    if target > counter.value:
-                        counter.inc(target - counter.value)
             obs.emit("batch.end", **batch.metrics.summary())
         return batch
 

@@ -87,7 +87,7 @@ from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
 from ..workloads.trace import WorkloadTrace
 from .config import SimulationConfig
-from .cache import ResultCache, resolve_result_cache, result_key
+from .cache import ResultCache, resolve_result_cache, result_key, warm_keys
 from .engine import (
     CacheStats,
     CoolingDecisionCache,
@@ -96,8 +96,6 @@ from .engine import (
     SimulationJob,
     _CachedVectorisedSimulator,
     _trace_from_ref,
-    _warm_restore,
-    _warm_save,
 )
 from .kernel import (
     KernelColumns,
@@ -355,34 +353,55 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
                    ) -> CoolingDecisionCache | None:
     """:func:`prime_decisions` with a cross-run warm start.
 
-    With a ``result_cache``, the decision pre-pass first tries the
-    cache's warm-start store (see ``docs/cache.md``): a snapshot saved
-    by an earlier run over the same trace and scheduling either
-    restores the decisions verbatim (matching decision key) or replays
-    each bucket's representative binding through the current policy —
-    both reproduce exactly the cache :func:`prime_decisions` would
-    build, at a fraction of the full-plane cost.  A cold prime saves
-    its snapshot for the next run.  Without a ``result_cache`` this is
-    exactly :func:`prime_decisions`.
+    With a ``result_cache``, the decision pre-pass first looks up the
+    snapshot an earlier run over the same trace and scheduling saved
+    under the binding key W2 (see :func:`~repro.core.cache.warm_keys`
+    and ``docs/cache.md``).  When the decision key W1 matches too, the
+    saved decisions are installed verbatim; otherwise each saved
+    bucket's representative binding is replayed through the current
+    policy.  Either way the cache equals the one
+    :func:`prime_decisions` builds, at a fraction of the full-plane
+    cost.  Without a ``result_cache`` this is exactly
+    :func:`prime_decisions`.
     """
     sim = _CachedVectorisedSimulator(trace, config, cpu_model, teg_module,
                                      mode="kernel")
-    if not getattr(sim._policy, "cache_resolution", None):
+    policy = sim._policy
+    resolution = getattr(policy, "cache_resolution", None)
+    if not resolution:
         return None
-    restored = None
+    cache = sim._cache
+    warm = None
     if result_cache is not None:
-        restored = _warm_restore(result_cache, sim, trace, config,
-                                 cpu_model, teg_module,
-                                 trace_hash=trace_hash)
-    if restored is None:
+        w1, w2 = warm_keys(trace, config, cpu_model, teg_module,
+                           aggregation=getattr(policy, "aggregation", "max"),
+                           policy_resolution=resolution,
+                           trace_hash=trace_hash)
+        warm = result_cache.load_warm(w2)
+    direct = False
+    if warm is None:
         _decide_cells(sim, _scheduled_plane(sim, trace.utilisation))
-    if result_cache is not None and restored != "direct":
+    else:
+        direct = warm.get("w1") == w1
+        for agg, size, binding_key, decision in warm["entries"]:
+            if not direct:
+                # A single-element vector aggregates (max or mean) to
+                # exactly the bucket's saved binding, so this both
+                # primes the policy's own memo and yields the decision a
+                # cold run computes for the bucket; the key keeps the
+                # *saved* vector size.
+                decision = policy.decide(
+                    np.asarray([decision.binding_utilisation]))
+            cache._store[(sim._context, agg, size, binding_key)] = decision
+    if result_cache is not None and not direct:
         # Cold primes publish their snapshot; replays refresh it under
         # the current decision key so the next same-config run restores
-        # directly.
-        _warm_save(result_cache, sim, trace, config, cpu_model,
-                   teg_module, trace_hash=trace_hash)
-    cache = sim._cache
+        # directly.  First-occurrence order is kept, so a replay fills
+        # the policy memo in the order a cold run does.
+        result_cache.store_warm(
+            w1, w2, [(agg, size, binding_key, decision)
+                     for (_, agg, size, binding_key), decision
+                     in cache._store.items()])
     cache.stats = CacheStats()
     return cache
 

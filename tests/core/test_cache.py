@@ -17,6 +17,7 @@ import pytest
 
 import repro.core.cache as cache_module
 import repro.core.checkpoint as checkpoint_module
+import repro.core.shard as shard_module
 from repro.core.cache import (
     CACHE_FORMAT_VERSION,
     CACHE_SCHEMA,
@@ -198,17 +199,9 @@ class TestCorruption:
         store = ResultCache(tmp_path)
         key = result_key(make_trace(), teg_original())
         store.store(key, synthetic_result())
-        raw = store.path_for(key).read_bytes()
-        import io
-        with np.load(io.BytesIO(raw)) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
-        meta["version"] = CACHE_FORMAT_VERSION + 1
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        store.path_for(key).write_bytes(buffer.getvalue())
+        entry = pickle.loads(store.path_for(key).read_bytes())
+        entry["version"] = CACHE_FORMAT_VERSION + 1
+        store.path_for(key).write_bytes(pickle.dumps(entry))
         with pytest.raises(CacheError, match="newer"):
             store.load(key)
 
@@ -391,28 +384,12 @@ class TestSimulateIntegration:
         again = simulate(trace, teg_original(), result_cache=tmp_path)
         assert not again.metrics.result_cache_hit
 
-    def test_warm_start_direct_same_decisions(self, tmp_path):
+    def test_whole_runs_write_no_warm_snapshot(self, tmp_path):
         trace = common_trace(n_servers=40, duration_s=30 * 300.0,
                              seed=6)
-        cold = simulate(trace, teg_original(), result_cache=tmp_path)
-        assert cold.metrics.cache_misses > 0
-        renamed = dataclasses.replace(teg_original(), name="Renamed")
-        warmed = simulate(trace, renamed, result_cache=tmp_path)
-        assert warmed.metrics.cache_misses == 0
-        assert warmed.records == cold.records
-
-    def test_warm_start_replay_across_teg_modules(self, tmp_path):
-        trace = common_trace(n_servers=40, duration_s=30 * 300.0,
-                             seed=7)
         simulate(trace, teg_original(), result_cache=tmp_path)
-        module = dataclasses.replace(default_server_module(),
-                                     group_count=3)
-        warmed = simulate(trace, teg_original(), teg_module=module,
-                          result_cache=tmp_path)
-        assert warmed.metrics.cache_misses == 0
-        golden = simulate(trace, teg_original(), teg_module=module)
-        assert warmed.records == golden.records
-        assert warmed.violations == golden.violations
+        assert len(list((tmp_path / "results").glob("*.pkl"))) == 1
+        assert not list((tmp_path / "warm").iterdir())
 
 
 class TestShardedIntegration:
@@ -437,6 +414,37 @@ class TestShardedIntegration:
                                  result_cache=tmp_path,
                                  shard_servers=40, shard_steps=8)
         assert not other.metrics.result_cache_hit
+
+    @pytest.mark.parametrize("change", ["renamed", "teg_module"])
+    def test_prime_pass_warm_starts(self, change, tmp_path, monkeypatch):
+        """W1 restores (renamed scheme) and W2 replays (another TEG
+        module) skip the full-plane decide pass, bit-identically."""
+        trace = make_trace(steps=32, servers=80, name="warm")
+        config, module = teg_original(), None
+        if change == "renamed":
+            config = dataclasses.replace(config, name="Renamed")
+        else:
+            module = dataclasses.replace(default_server_module(),
+                                         group_count=3)
+        decided = []
+        decide = shard_module._decide_cells
+
+        def spy(*args, **kwargs):
+            decided.append(args)
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "_decide_cells", spy)
+        simulate_sharded(trace, teg_original(), result_cache=tmp_path,
+                         **self.SHARD_KW)
+        assert len(decided) == 1
+        warmed = simulate_sharded(trace, config, teg_module=module,
+                                  result_cache=tmp_path, **self.SHARD_KW)
+        assert not warmed.metrics.result_cache_hit
+        assert len(decided) == 1
+        cold = simulate_sharded(trace, config, teg_module=module,
+                                result_cache=False, **self.SHARD_KW)
+        assert warmed.records == cold.records
+        assert warmed.violations == cold.violations
 
     def test_cache_composes_with_checkpoint_resume(self, tmp_path):
         """Partial checkpoint + cache miss -> resume, store, then hit."""
@@ -487,6 +495,23 @@ class TestOneDigestPerCall:
         result = simulate(trace, teg_original(), result_cache=tmp_path)
         assert not result.metrics.result_cache_hit
         assert len(digests) == 1
+
+    def test_batch_whole_jobs(self, tmp_path, digests):
+        """Workers neither hash the trace nor open the cache."""
+        trace = common_trace(n_servers=40, duration_s=30 * 300.0,
+                             seed=9)
+        jobs = [SimulationJob(trace, teg_original()),
+                SimulationJob(trace, teg_loadbalance())]
+        with BatchSimulationEngine(n_workers=2, prefer="thread",
+                                   cache=tmp_path) as engine:
+            cold = engine.run(jobs)
+        assert cold.metrics.result_cache_misses == 2
+        assert len(digests) == 1
+        with BatchSimulationEngine(n_workers=2, prefer="thread",
+                                   cache=tmp_path) as engine:
+            hot = engine.run(jobs)
+            assert engine.executor_launches == 0
+        assert hot.metrics.result_cache_hits == 2
 
     def test_sharded_miss_with_checkpoint(self, tmp_path, digests):
         result = simulate_sharded(make_trace(steps=32, servers=80),
@@ -639,7 +664,7 @@ class TestConcurrentEngines:
         # Both result entries go (warm-start snapshots count too, so
         # the tally can exceed two).
         assert b.result_cache.stats.evictions >= 2
-        assert not list(b.result_cache._results_dir.glob("*.npz"))
+        assert not list(b.result_cache._results_dir.glob("*.pkl"))
         b.result_cache.max_bytes = None
         again = a.run(self.jobs())
         assert again.metrics.result_cache_hits == 0
@@ -654,7 +679,7 @@ class TestConcurrentEngines:
         a, b = self.two_engines(tmp_path)
         a.run(self.jobs())
         store_a, store_b = a.result_cache, b.result_cache
-        entries = sorted(store_a._results_dir.glob("*.npz"))
+        entries = sorted(store_a._results_dir.glob("*.pkl"))
         assert len(entries) == 2
         for i, path in enumerate(entries):
             os.utime(path, (1000.0 + i, 1000.0 + i))
@@ -717,7 +742,11 @@ class TestConcurrentEngines:
         for job in self.jobs():
             result = simulate(job.trace, job.config)
             reference[job.config.name] = result
-        cap = 12 * 1024  # roughly one ~10 KiB result entry
+        probe = ResultCache(tmp_path / "probe")
+        key = result_key(job.trace, job.config)
+        probe.store(key, result)
+        # One stored entry fits under the cap, two do not.
+        cap = probe.path_for(key).stat().st_size * 3 // 2
         a = BatchSimulationEngine(
             n_workers=1, cache=ResultCache(tmp_path, max_bytes=cap))
         b = BatchSimulationEngine(

@@ -500,23 +500,26 @@ class TestOneAnswerPerJob:
         serial = DatacenterSimulator(trace, teg_original()).run()
         assert batch.results[0].records == serial.records
 
-    def test_cache_hit_leaves_checkpoint_alone(self, tmp_path):
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_cache_hit_leaves_checkpoint_alone(self, layout, tmp_path):
         jobs = [SimulationJob(golden_trace(), teg_original())]
-        kwargs = dict(n_workers=1, mode="kernel", shard=True,
-                      shard_servers=20, shard_steps=13,
-                      cache=tmp_path / "cache")
+        kwargs = dict(n_workers=1, mode="kernel", cache=tmp_path / "cache",
+                      **self.LAYOUTS[layout])
         checkpoint = tmp_path / "ckpt"
 
         def files(root):
-            return sorted(path.relative_to(root)
-                          for path in root.rglob("*") if path.is_file())
+            return {path.relative_to(root): path.read_bytes()
+                    for path in root.rglob("*") if path.is_file()}
 
         cold = run_batch(jobs, checkpoint=checkpoint, **kwargs)
         saved = files(checkpoint)
         assert cold.metrics.result_cache_misses == 1
-        assert len(list(checkpoint.rglob("shard-*.pkl"))) \
-            == cold.metrics.shards == 8
-        # Without resume a store that opened would wipe its shards.
+        if layout == "whole":
+            assert len(list(checkpoint.rglob("result.pkl"))) == 1
+        else:
+            assert len(list(checkpoint.rglob("shard-*.pkl"))) \
+                == cold.metrics.shards == self.SHARDS_PER_JOB
+        # Without resume a store that opened would wipe its saved work.
         hot = run_batch(jobs, checkpoint=checkpoint, resume=False,
                         **kwargs)
         assert hot.metrics.result_cache_hits == 1

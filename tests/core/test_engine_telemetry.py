@@ -30,24 +30,33 @@ def _jobs():
             for trace in traces for config in configs]
 
 
-def _run(prefer: str):
+def _run(prefer: str, cache=None):
     return run_batch(_jobs(), 2, mode="kernel", prefer=prefer,
-                     telemetry=True)
+                     telemetry=True, cache=cache)
 
 
 class TestExecutorIndependence:
     @pytest.fixture(scope="class")
-    def batches(self):
-        return {prefer: _run(prefer)
+    def batches(self, tmp_path_factory):
+        """One batch per (cache on, executor); each cached batch gets a
+        fresh directory."""
+        def cache(cached, prefer):
+            return tmp_path_factory.mktemp(f"cache-{prefer}") if cached \
+                else None
+
+        return {(cached, prefer): _run(prefer, cache(cached, prefer))
+                for cached in (False, True)
                 for prefer in ("serial", "thread", "process")}
 
     def test_counter_totals_identical_across_executors(self, batches):
         counters = {
-            prefer: batch.telemetry.registry.snapshot().counters
-            for prefer, batch in batches.items()
+            key: batch.telemetry.registry.snapshot().counters
+            for key, batch in batches.items()
         }
-        assert counters["serial"] == counters["thread"]
-        assert counters["serial"] == counters["process"]
+        for cached in (False, True):
+            assert counters[cached, "serial"] == counters[cached, "thread"]
+            assert counters[cached, "serial"] \
+                == counters[cached, "process"]
 
     def test_totals_match_batch_metrics(self, batches):
         for batch in batches.values():
@@ -58,6 +67,8 @@ class TestExecutorIndependence:
             assert counters["engine.cache.hits"] == metrics.cache_hits
             assert counters["engine.cache.misses"] \
                 == metrics.cache_misses
+            assert sum(counters.family("engine.cache.miss").values()) \
+                == metrics.result_cache_misses
             assert counters["engine.jobs.submitted"] == metrics.n_jobs
             assert counters["engine.jobs.completed"] == metrics.n_jobs
             assert counters["engine.jobs.retries"] == metrics.retries
