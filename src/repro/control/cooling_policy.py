@@ -431,12 +431,11 @@ class AnalyticPolicy:
 
         Element ``i`` equals ``decide([bindings[i]])`` bit for bit: the
         flow candidates are scanned in the same order with the same
-        first-strict-maximum update, and every per-flow quantity is the
-        elementwise-identical array form of the scalar arithmetic.  The
-        only scalar expression that does not broadcast — the inlet
-        clamp and the ``max(inlet_factor, 0.0)`` inside the outlet
-        model — is mirrored with ``np.minimum``/``np.maximum``, which
-        agree with Python ``min``/``max`` on every finite input.
+        first-strict-maximum update, and each flow's predictions come
+        from :meth:`CpuThermalModel.response` with per-binding inlet
+        terms, whose elements equal the scalar calls.  The inlet clamp
+        uses ``np.minimum``/``np.maximum``, which agree with Python
+        ``min``/``max`` on every finite input.
         """
         utils = _check_bindings(bindings)
         n = utils.size
@@ -449,33 +448,13 @@ class AnalyticPolicy:
         best_outlet = np.empty(n)
         best_generation = np.empty(n)
         found = np.zeros(n, dtype=bool)
-        outlet_model = self.model.outlet_model
-        # Loop-invariant: the scalar path recomputes this per flow but
-        # the value is identical each time.
-        power = self.model.cpu_power_w(utils)
         for flow in self.flow_candidates:
             inlet = self.model.inlet_for_cpu_temp(utils, flow,
                                                   self.safe_temp_c)
             inlet = np.minimum(np.maximum(inlet, self.inlet_min_c),
                                self.inlet_max_c)
-            # cpu_temp_c / outlet_temp_c with a per-binding inlet array
-            # (CoolingSetting holds one scalar inlet, so the model calls
-            # are inlined with the same expressions).
-            cpu_temp = (self.model.slope(flow) * inlet
-                        + self.model.thermal_resistance_k_per_w(flow)
-                        * power)
-            if outlet_model.mode == "physical":
-                delta = outlet_model.delta_c(utils, flow, 0.0)
-            else:
-                base = (outlet_model.base_delta_c
-                        + outlet_model.load_delta_c * utils)
-                flow_factor = (
-                    flow / outlet_model.reference_flow_l_per_h
-                ) ** outlet_model.flow_exponent
-                inlet_factor = 1.0 + outlet_model.inlet_sensitivity_per_c * (
-                    inlet - outlet_model.reference_inlet_c)
-                delta = base * flow_factor * np.maximum(inlet_factor, 0.0)
-            outlet = inlet + delta
+            _, cpu_temp, outlet = self.model.response(
+                utils, self.model.terms_at(flow, inlet))
             generation = self.teg_module.generation_w(
                 outlet, self.cold_source_temp_c, flow)
             objective = generation
@@ -508,9 +487,8 @@ class AnalyticPolicy:
             flow = max(self.flow_candidates)
             setting = CoolingSetting(flow_l_per_h=flow,
                                      inlet_temp_c=self.inlet_min_c)
-            subset = utils[missing]
-            outlets = self.model.outlet_temp_c(subset, setting)
-            cpu_temps = self.model.cpu_temp_c(subset, setting)
+            _, cpu_temps, outlets = self.model.response(
+                utils[missing], self.model.setting_terms(setting))
             generations = self.teg_module.generation_w(
                 outlets, self.cold_source_temp_c, flow)
             for pos, i in enumerate(missing):

@@ -11,7 +11,9 @@ space usable at any operating point.
 (by default sampled from the calibrated :class:`CpuThermalModel`, playing
 the role of the testbed), then interpolates trilinearly, and can extract
 the near-``T_safe`` slice the paper calls the space ``X`` intersected with
-the utilisation plane ``U`` (Fig. 13).
+the utilisation plane ``U`` (Fig. 13).  Such a plane lies on the grid's
+``(flow, inlet)`` nodes, so it is a lerp along utilisation between the
+two measured planes around ``U``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,22 @@ from scipy.interpolate import RegularGridInterpolator
 
 from ..constants import CPU_SAFE_TEMP_C
 from ..errors import ConfigurationError, PhysicalRangeError
-from ..thermal.cpu_model import CoolingSetting, CpuThermalModel
+from ..thermal.cpu_model import CoolingSetting, CpuThermalModel, SettingTerms
+
+
+def _check_on_grid(axis_name: str, grid: np.ndarray, values) -> None:
+    """Raise unless every value lies within the grid's bounds.
+
+    The utilisation grid lies within ``[0, 1]`` (the model rejects any
+    other utilisation while measuring it), so this check also enforces
+    the physical range.
+    """
+    values = np.atleast_1d(values)
+    outside = ~((values >= grid[0]) & (values <= grid[-1]))
+    if outside.any():
+        raise PhysicalRangeError(
+            f"{axis_name} {values[outside][0]} is outside the lookup "
+            f"grid [{grid[0]}, {grid[-1]}]")
 
 
 @dataclass(frozen=True)
@@ -77,6 +94,9 @@ class LookupSpace:
             if axis.ndim != 1 or len(axis) < 2:
                 raise ConfigurationError(
                     f"{axis_name} grid must be 1-D with >= 2 points")
+            if not np.all(np.isfinite(axis)):
+                raise ConfigurationError(
+                    f"{axis_name} grid must be finite, got {axis}")
             if np.any(np.diff(axis) <= 0):
                 raise ConfigurationError(
                     f"{axis_name} grid must be strictly increasing")
@@ -89,18 +109,24 @@ class LookupSpace:
             self._outlet_temp, bounds_error=True)
 
     def _measure(self) -> tuple[np.ndarray, np.ndarray]:
-        """Run the simulated measurement campaign over the grid."""
-        shape = (len(self.utilisation_grid), len(self.flow_grid),
-                 len(self.inlet_grid))
-        cpu = np.empty(shape)
-        outlet = np.empty(shape)
-        for j, flow in enumerate(self.flow_grid):
-            for k, inlet in enumerate(self.inlet_grid):
-                terms = self.model.setting_terms(CoolingSetting(
-                    flow_l_per_h=float(flow), inlet_temp_c=float(inlet)))
-                for i, util in enumerate(self.utilisation_grid):
-                    _, cpu[i, j, k], outlet[i, j, k] = self.model.response(
-                        float(util), terms)
+        """Run the simulated measurement campaign over the grid.
+
+        One :meth:`CpuThermalModel.response` call covers the whole
+        ``(u, flow, inlet)`` cube: the utilisation axis as a ``(U, 1,
+        1)`` column against every node's setting terms stacked to ``(1,
+        F, I)``.  The terms come from one checked :class:`CoolingSetting`
+        per node, and each element keeps the operation order of a
+        scalar call, so the cube equals the per-point campaign bit for
+        bit.
+        """
+        per_node = [self.model.setting_terms(CoolingSetting(
+                        flow_l_per_h=float(flow), inlet_temp_c=float(inlet)))
+                    for flow in self.flow_grid for inlet in self.inlet_grid]
+        shape = (1, len(self.flow_grid), len(self.inlet_grid))
+        terms = SettingTerms(*(np.reshape(field, shape)
+                               for field in zip(*per_node)))
+        _, cpu, outlet = self.model.response(
+            self.utilisation_grid[:, None, None], terms)
         return cpu, outlet
 
     # ------------------------------------------------------------------
@@ -109,20 +135,26 @@ class LookupSpace:
 
     def _point(self, utilisation: float, flow_l_per_h: float,
                inlet_temp_c: float) -> np.ndarray:
-        if not 0.0 <= utilisation <= 1.0:
-            raise PhysicalRangeError(
-                f"utilisation must be in [0, 1], got {utilisation}")
+        _check_on_grid("utilisation", self.utilisation_grid, utilisation)
+        _check_on_grid("flow", self.flow_grid, flow_l_per_h)
+        _check_on_grid("inlet", self.inlet_grid, inlet_temp_c)
         return np.array([[utilisation, flow_l_per_h, inlet_temp_c]])
 
     def cpu_temp_c(self, utilisation: float, flow_l_per_h: float,
                    inlet_temp_c: float) -> float:
-        """Interpolated CPU temperature at an arbitrary operating point."""
+        """Interpolated CPU temperature at an arbitrary operating point.
+
+        Raises :class:`PhysicalRangeError` for a point off the grid.
+        """
         return float(self._cpu_interp(
             self._point(utilisation, flow_l_per_h, inlet_temp_c))[0])
 
     def outlet_temp_c(self, utilisation: float, flow_l_per_h: float,
                       inlet_temp_c: float) -> float:
-        """Interpolated CPU-outlet water temperature (``T_warm_out``)."""
+        """Interpolated CPU-outlet water temperature (``T_warm_out``).
+
+        Raises :class:`PhysicalRangeError` for a point off the grid.
+        """
         return float(self._outlet_interp(
             self._point(utilisation, flow_l_per_h, inlet_temp_c))[0])
 
@@ -132,54 +164,40 @@ class LookupSpace:
 
     def plane_temperatures(self, utilisation: float
                            ) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated ``(T_CPU, T_out)`` over the whole ``u`` plane.
+        """``(T_CPU, T_out)`` over the whole ``u`` plane.
 
-        One batched interpolator call over every ``(flow, inlet)`` grid
-        point — bit-identical to (but far faster than) the per-point
-        :meth:`cpu_temp_c` / :meth:`outlet_temp_c` loop.  Both returned
-        arrays have shape ``(len(flow_grid), len(inlet_grid))``.
+        :meth:`plane_temperatures_batch` for one utilisation.  Both
+        returned arrays have shape ``(len(flow_grid), len(inlet_grid))``.
         """
-        if not 0.0 <= utilisation <= 1.0:
-            raise PhysicalRangeError(
-                f"utilisation must be in [0, 1], got {utilisation}")
-        flows = np.repeat(self.flow_grid, len(self.inlet_grid))
-        inlets = np.tile(self.inlet_grid, len(self.flow_grid))
-        points = np.column_stack(
-            [np.full(flows.shape, utilisation), flows, inlets])
-        shape = (len(self.flow_grid), len(self.inlet_grid))
-        return (self._cpu_interp(points).reshape(shape),
-                self._outlet_interp(points).reshape(shape))
+        cpu, outlet = self.plane_temperatures_batch([utilisation])
+        return cpu[0], outlet[0]
 
     def plane_temperatures_batch(self, utilisations
                                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated ``(T_CPU, T_out)`` planes for many utilisations.
+        """``(T_CPU, T_out)`` planes for many utilisations.
 
-        One interpolator call covering every ``(u, flow, inlet)``
-        combination.  Row ``i`` of each returned array is bit-identical
-        to ``plane_temperatures(utilisations[i])`` — the interpolator
-        evaluates each query point independently, so batching changes
-        neither the arithmetic nor its order.  Both returned arrays have
-        shape ``(len(utilisations), len(flow_grid), len(inlet_grid))``.
+        A plane query sits on the grid's ``(flow, inlet)`` nodes, where
+        the trilinear interpolant's flow and inlet weights are exactly 0
+        and 1.  What is left is a lerp along utilisation between the two
+        measured planes that bracket ``u``, ``cube[i] * (1 - t) +
+        cube[i + 1] * t``, with the interpolator's arithmetic for ``t``.
+        The six zero-weight corners add exact zeros, so element ``[n,
+        j, k]`` equals ``cpu_temp_c(u[n], flow_j, inlet_k)`` (and
+        likewise the outlet) bit for bit.  At a utilisation node ``t``
+        is 0 or 1, so either bracket gives the measured plane.  Both
+        returned arrays have shape ``(len(utilisations),
+        len(flow_grid), len(inlet_grid))``.
         """
         utils = np.asarray(utilisations, dtype=float)
         if utils.ndim != 1:
             raise ConfigurationError(
                 f"utilisations must be 1-D, got shape {utils.shape}")
-        in_range = (utils >= 0.0) & (utils <= 1.0)
-        if not np.all(in_range):
-            offending = utils[~in_range][0]
-            raise PhysicalRangeError(
-                f"utilisation must be in [0, 1], got {offending}")
-        flows = np.repeat(self.flow_grid, len(self.inlet_grid))
-        inlets = np.tile(self.inlet_grid, len(self.flow_grid))
-        points = np.column_stack([
-            np.repeat(utils, flows.size),
-            np.tile(flows, utils.size),
-            np.tile(inlets, utils.size),
-        ])
-        shape = (utils.size, len(self.flow_grid), len(self.inlet_grid))
-        return (self._cpu_interp(points).reshape(shape),
-                self._outlet_interp(points).reshape(shape))
+        grid = self.utilisation_grid
+        _check_on_grid("utilisation", grid, utils)
+        i = np.clip(np.searchsorted(grid, utils) - 1, 0, len(grid) - 2)
+        t = ((utils - grid[i]) / (grid[i + 1] - grid[i]))[:, None, None]
+        return tuple(cube[i] * (1 - t) + cube[i + 1] * t
+                     for cube in (self._cpu_temp, self._outlet_temp))
 
     def safe_region(self, utilisation: float,
                     safe_temp_c: float = CPU_SAFE_TEMP_C,

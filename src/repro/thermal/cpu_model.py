@@ -49,6 +49,13 @@ def _check_utilisation(utilisation) -> np.ndarray:
     return utils
 
 
+def _check_flow(flow_l_per_h) -> None:
+    """Reject a flow rate that is not a finite positive number."""
+    if not (math.isfinite(flow_l_per_h) and flow_l_per_h > 0):
+        raise PhysicalRangeError(
+            f"flow rate must be finite and > 0, got {flow_l_per_h}")
+
+
 def cpu_power_w(utilisation):
     """CPU electrical power at a given utilisation (paper Eq. 20).
 
@@ -92,9 +99,7 @@ class CoolingSetting:
     inlet_temp_c: float
 
     def __post_init__(self) -> None:
-        if self.flow_l_per_h <= 0:
-            raise PhysicalRangeError(
-                f"flow rate must be > 0, got {self.flow_l_per_h}")
+        _check_flow(self.flow_l_per_h)
         if not -10.0 <= self.inlet_temp_c <= 90.0:
             raise PhysicalRangeError(
                 f"inlet temperature {self.inlet_temp_c} C is outside the "
@@ -177,17 +182,16 @@ class OutletDeltaModel:
             utils = float(utils)
         return self.delta_from(utils, power, *factors)
 
-    def factors(self, flow_l_per_h: float,
-                inlet_temp_c: float) -> tuple[float, float]:
-        """The two per-setting scalars :meth:`delta_from` needs.
+    def factors(self, flow_l_per_h: float, inlet_temp_c):
+        """The two per-setting terms :meth:`delta_from` needs.
 
         Empirical mode: the flow factor and the inlet factor (floored at
         zero).  Physical mode: the flow's heat capacity ``m_dot * cp``
-        and an unused ``1.0``.
+        and an unused ``1.0``.  ``inlet_temp_c`` may be an array (one
+        entry per element); the inlet factor then matches it, each entry
+        equal to a scalar call.  A scalar inlet gives Python floats.
         """
-        if flow_l_per_h <= 0:
-            raise PhysicalRangeError(
-                f"flow rate must be > 0, got {flow_l_per_h}")
+        _check_flow(flow_l_per_h)
         if self.mode == "physical":
             mass_flow = litres_per_hour_to_kg_per_s(flow_l_per_h)
             return mass_flow * WATER_HEAT_CAPACITY_J_PER_KG_C, 1.0
@@ -195,6 +199,8 @@ class OutletDeltaModel:
                        / self.reference_flow_l_per_h) ** self.flow_exponent
         inlet_factor = 1.0 + self.inlet_sensitivity_per_c * (
             inlet_temp_c - self.reference_inlet_c)
+        if np.ndim(inlet_factor):
+            return flow_factor, np.maximum(inlet_factor, 0.0)
         return flow_factor, max(inlet_factor, 0.0)
 
     def delta_from(self, utilisation, eq20_power_w, first, second):
@@ -255,16 +261,12 @@ class CpuThermalModel:
 
     def slope(self, flow_l_per_h: float) -> float:
         """The coefficient ``k(f)`` of the linear law (paper: k in [1, 1.3])."""
-        if flow_l_per_h <= 0:
-            raise PhysicalRangeError(
-                f"flow rate must be > 0, got {flow_l_per_h}")
+        _check_flow(flow_l_per_h)
         return 1.0 + self.k_amp * math.exp(-flow_l_per_h / self.k_flow_l_per_h)
 
     def thermal_resistance_k_per_w(self, flow_l_per_h: float) -> float:
         """Junction-to-coolant thermal resistance at ``flow_l_per_h``."""
-        if flow_l_per_h <= 0:
-            raise PhysicalRangeError(
-                f"flow rate must be > 0, got {flow_l_per_h}")
+        _check_flow(flow_l_per_h)
         r_plate = (self.r_min_k_per_w
                    + self.r_amp_k_per_w
                    * math.exp(-flow_l_per_h / self.r_flow_l_per_h))
@@ -276,10 +278,19 @@ class CpuThermalModel:
 
     def setting_terms(self, setting: CoolingSetting) -> SettingTerms:
         """The per-setting scalars of :meth:`response` for ``setting``."""
-        flow, inlet = setting.flow_l_per_h, setting.inlet_temp_c
-        return SettingTerms(inlet, self.slope(flow) * inlet,
-                            self.thermal_resistance_k_per_w(flow),
-                            *self.outlet_model.factors(flow, inlet))
+        return self.terms_at(setting.flow_l_per_h, setting.inlet_temp_c)
+
+    def terms_at(self, flow_l_per_h: float, inlet_temp_c) -> SettingTerms:
+        """:meth:`setting_terms` for one flow and a scalar or array inlet.
+
+        An array inlet (one entry per element) gives array inlet terms,
+        each entry equal to the scalar terms of that inlet.  Unlike a
+        :class:`CoolingSetting`, the inlet is not range-checked here.
+        """
+        return SettingTerms(
+            inlet_temp_c, self.slope(flow_l_per_h) * inlet_temp_c,
+            self.thermal_resistance_k_per_w(flow_l_per_h),
+            *self.outlet_model.factors(flow_l_per_h, inlet_temp_c))
 
     def response(self, utilisation, terms: SettingTerms):
         """CPU power, CPU temperature and outlet temperature, elementwise.

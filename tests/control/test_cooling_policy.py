@@ -9,8 +9,13 @@ from repro.control.cooling_policy import (
     LookupSpacePolicy,
     StaticPolicy,
 )
+from repro.control.lookup_space import LookupSpace
 from repro.errors import ConfigurationError, PhysicalRangeError
-from repro.thermal.cpu_model import CoolingSetting
+from repro.thermal.cpu_model import (
+    CoolingSetting,
+    CpuThermalModel,
+    OutletDeltaModel,
+)
 
 
 @pytest.fixture
@@ -172,6 +177,19 @@ binding_lists = st.lists(
     min_size=0, max_size=12)
 
 
+#: Models whose arithmetic takes other branches than the default's:
+#: Eq. 8 as an energy balance, and a scaled CPU behind extra thermal
+#: resistance, so hot that full load overheats at every setting.
+VARIANT_MODELS = [
+    pytest.param(CpuThermalModel(
+        outlet_model=OutletDeltaModel(mode="physical")),
+        id="physical-outlet"),
+    pytest.param(CpuThermalModel(power_scale=1.3,
+                                 extra_resistance_k_per_w=0.5),
+                 id="scaled-power"),
+]
+
+
 class TestBatchScalarEquivalence:
     """``decide_batch`` must reproduce the scalar ``decide`` bit for bit.
 
@@ -212,6 +230,21 @@ class TestBatchScalarEquivalence:
     def test_analytic_policy_net_of_pump(self, bindings):
         self.assert_equivalent(lambda: AnalyticPolicy(net_of_pump=True),
                                bindings)
+
+    @pytest.mark.parametrize("model", VARIANT_MODELS)
+    @settings(max_examples=15, deadline=None)
+    @given(bindings=binding_lists)
+    def test_analytic_policy_model_variants(self, model, bindings):
+        self.assert_equivalent(lambda: AnalyticPolicy(model=model),
+                               bindings + [0.0, 1.0])
+
+    @pytest.mark.parametrize("model", VARIANT_MODELS)
+    @settings(max_examples=10, deadline=None)
+    @given(bindings=binding_lists)
+    def test_lookup_policy_model_variants(self, model, bindings):
+        space = LookupSpace(model=model)
+        self.assert_equivalent(lambda: LookupSpacePolicy(space=space),
+                               bindings + [0.0, 1.0])
 
     @settings(max_examples=15, deadline=None)
     @given(bindings=binding_lists)

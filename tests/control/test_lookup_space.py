@@ -2,10 +2,58 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.control.lookup_space import LookupSpace
+from repro.core.config import SimulationConfig
 from repro.errors import ConfigurationError, PhysicalRangeError
-from repro.thermal.cpu_model import CoolingSetting, CpuThermalModel
+from repro.thermal.cpu_model import (
+    CoolingSetting,
+    CpuThermalModel,
+    OutletDeltaModel,
+)
+
+#: The spaces the plane-query and campaign properties run over.
+SPACE_BUILDERS = {
+    "default": LookupSpace,
+    "config-4x36": lambda: SimulationConfig().build_policy(
+        CpuThermalModel()).space,
+    "physical-outlet": lambda: LookupSpace(model=CpuThermalModel(
+        outlet_model=OutletDeltaModel(mode="physical"))),
+    "scaled-power": lambda: LookupSpace(model=CpuThermalModel(
+        power_scale=1.3, extra_resistance_k_per_w=0.5)),
+    "non-uniform-u": lambda: LookupSpace(utilisation_grid=np.array(
+        [0.0, 0.03, 0.2, 0.37, 0.5, 0.81, 0.97, 1.0])),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPACE_BUILDERS))
+def space(request):
+    return SPACE_BUILDERS[request.param]()
+
+
+def scalar_campaign(space):
+    """The per-point measurement loop, one scalar model call per point."""
+    shape = (len(space.utilisation_grid), len(space.flow_grid),
+             len(space.inlet_grid))
+    cpu = np.empty(shape)
+    outlet = np.empty(shape)
+    for j, flow in enumerate(space.flow_grid):
+        for k, inlet in enumerate(space.inlet_grid):
+            terms = space.model.setting_terms(CoolingSetting(
+                flow_l_per_h=float(flow), inlet_temp_c=float(inlet)))
+            for i, util in enumerate(space.utilisation_grid):
+                _, cpu[i, j, k], outlet[i, j, k] = space.model.response(
+                    float(util), terms)
+    return cpu, outlet
+
+
+def node_utilisations(space):
+    """0, 1, every utilisation node and its two float neighbours."""
+    grid = space.utilisation_grid
+    near = np.concatenate([[0.0, 1.0], grid, np.nextafter(grid, -1.0),
+                           np.nextafter(grid, 2.0)])
+    return sorted(set(near[(near >= 0.0) & (near <= 1.0)].tolist()))
 
 
 class TestConstruction:
@@ -17,6 +65,34 @@ class TestConstruction:
             LookupSpace(utilisation_grid=np.array([0.5]))
         with pytest.raises(ConfigurationError):
             LookupSpace(flow_grid=np.array([100.0, 50.0]))
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("flow_grid", [20.0, np.inf]),
+        ("flow_grid", [20.0, np.nan]),
+        ("utilisation_grid", [0.0, np.nan, 1.0]),
+        ("inlet_grid", [-np.inf, 40.0]),
+    ])
+    def test_non_finite_grids_rejected(self, axis, grid):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LookupSpace(**{axis: np.array(grid)})
+
+    def test_built_with_one_model_call(self, monkeypatch):
+        calls = []
+        response = CpuThermalModel.response
+
+        def counting(model, utilisation, terms):
+            calls.append(np.shape(utilisation))
+            return response(model, utilisation, terms)
+
+        monkeypatch.setattr(CpuThermalModel, "response", counting)
+        LookupSpace()
+        assert calls == [(11, 1, 1)]
+
+    def test_campaign_equals_scalar_loop(self, space):
+        cpu, outlet = space._measure()
+        ref_cpu, ref_outlet = scalar_campaign(space)
+        assert cpu.tobytes() == ref_cpu.tobytes()
+        assert outlet.tobytes() == ref_outlet.tobytes()
 
     def test_iter_points_count(self):
         space = LookupSpace(
@@ -48,6 +124,29 @@ class TestInterpolation:
     def test_out_of_bounds_rejected(self, lookup_space):
         with pytest.raises(ValueError):
             lookup_space.cpu_temp_c(0.5, 100.0, 90.0)
+
+    @pytest.mark.parametrize("flow, inlet, message", [
+        (100.0, 90.0, r"inlet 90.0 is outside the lookup grid "
+                      r"\[20.0, 60.0\]"),
+        (10.0, 40.0, r"flow 10.0 is outside the lookup grid "
+                     r"\[20.0, 300.0\]"),
+        (np.nan, 40.0, r"flow nan is outside"),
+    ])
+    def test_off_grid_raises_typed_error(self, lookup_space, flow, inlet,
+                                         message):
+        with pytest.raises(PhysicalRangeError, match=message):
+            lookup_space.cpu_temp_c(0.5, flow, inlet)
+        with pytest.raises(PhysicalRangeError, match=message):
+            lookup_space.outlet_temp_c(0.5, flow, inlet)
+
+    def test_utilisation_off_a_partial_grid_rejected(self):
+        space = LookupSpace(utilisation_grid=np.array([0.2, 0.6]))
+        for query in (lambda: space.cpu_temp_c(0.1, 100.0, 40.0),
+                      lambda: space.plane_temperatures(0.7),
+                      lambda: space.plane_temperatures_batch([0.3, 0.1])):
+            with pytest.raises(PhysicalRangeError,
+                               match=r"utilisation .* \[0.2, 0.6\]"):
+                query()
 
     def test_invalid_utilisation_rejected(self, lookup_space):
         with pytest.raises(PhysicalRangeError):
@@ -113,9 +212,49 @@ class TestCustomModel:
 class TestPlaneBatch:
     """plane_temperatures_batch row i == plane_temperatures(u_i), bitwise."""
 
-    def test_rows_match_scalar_planes(self, lookup_space):
-        from hypothesis import given, settings, strategies as st
+    def test_lerp_equals_interpolator(self, space):
+        # Every plane element equals the scipy interpolator's value at
+        # that (u, flow, inlet) node, bit for bit.
+        utilisations = st.one_of(
+            st.sampled_from(node_utilisations(space)),
+            st.floats(min_value=0.0, max_value=1.0))
 
+        @settings(max_examples=12, deadline=None)
+        @given(utils=st.lists(utilisations, min_size=1, max_size=3))
+        def check(utils):
+            cpu, outlet = space.plane_temperatures_batch(utils)
+            for n, u in enumerate(utils):
+                for j, flow in enumerate(space.flow_grid):
+                    for k, inlet in enumerate(space.inlet_grid):
+                        assert cpu[n, j, k] == space.cpu_temp_c(
+                            u, flow, inlet)
+                        assert outlet[n, j, k] == space.outlet_temp_c(
+                            u, flow, inlet)
+
+        check()
+
+    def test_every_node_neighbour_equals_interpolator(self, space):
+        # The same equality at every utilisation the property samples
+        # from, against one batched interpolator call per utilisation.
+        utils = node_utilisations(space)
+        cpu, outlet = space.plane_temperatures_batch(utils)
+        flows, inlets = np.meshgrid(space.flow_grid, space.inlet_grid,
+                                    indexing="ij")
+        for n, u in enumerate(utils):
+            points = np.column_stack(
+                [np.full(flows.size, u), flows.ravel(), inlets.ravel()])
+            assert (cpu[n].tobytes()
+                    == space._cpu_interp(points).tobytes())
+            assert (outlet[n].tobytes()
+                    == space._outlet_interp(points).tobytes())
+
+    def test_nodes_return_measured_planes(self, space):
+        grid = space.utilisation_grid
+        cpu, outlet = space.plane_temperatures_batch(grid)
+        assert cpu.tobytes() == space._cpu_temp.tobytes()
+        assert outlet.tobytes() == space._outlet_temp.tobytes()
+
+    def test_rows_match_scalar_planes(self, lookup_space):
         @settings(max_examples=20, deadline=None)
         @given(utils=st.lists(
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

@@ -59,10 +59,20 @@ class TestCpuPower:
             assert p == pytest.approx(cpu_power_w(float(u)))
 
 
+#: Flow rates every flow check must reject.
+bad_flows = pytest.mark.parametrize(
+    "flow", [0.0, -5.0, np.nan, np.inf, -np.inf])
+
+
 class TestCoolingSetting:
     def test_invalid_flow_rejected(self):
         with pytest.raises(PhysicalRangeError):
             CoolingSetting(flow_l_per_h=0.0, inlet_temp_c=40.0)
+
+    @pytest.mark.parametrize("flow", [np.nan, np.inf, -np.inf])
+    def test_non_finite_flow_rejected(self, flow):
+        with pytest.raises(PhysicalRangeError, match="finite and > 0"):
+            CoolingSetting(flow_l_per_h=flow, inlet_temp_c=40.0)
 
     def test_implausible_inlet_rejected(self):
         with pytest.raises(PhysicalRangeError):
@@ -151,6 +161,28 @@ class TestOutletDelta:
     def test_always_positive(self, u, flow):
         assert OutletDeltaModel().delta_c(u, flow, 40.0) > 0.0
 
+    @bad_flows
+    @pytest.mark.parametrize("mode", ["empirical", "physical"])
+    def test_factors_reject_bad_flow(self, flow, mode):
+        with pytest.raises(PhysicalRangeError, match="finite and > 0"):
+            OutletDeltaModel(mode=mode).factors(flow, 40.0)
+
+    @pytest.mark.parametrize("mode", ["empirical", "physical"])
+    def test_factors_take_an_inlet_array(self, mode):
+        # Far below the reference inlet the empirical inlet factor is
+        # floored at zero, in the array form as in the scalar one.
+        model = OutletDeltaModel(mode=mode, inlet_sensitivity_per_c=0.05)
+        inlets = np.array([-10.0, 10.0, 35.0, 47.5, 90.0])
+        first, second = model.factors(100.0, inlets)
+        for n, inlet in enumerate(inlets.tolist()):
+            scalar_first, scalar_second = model.factors(100.0, inlet)
+            assert type(scalar_first) is float
+            assert type(scalar_second) is float
+            assert first == scalar_first
+            assert np.broadcast_to(second, inlets.shape)[n] == scalar_second
+        if mode == "empirical":
+            assert second[0] == 0.0
+
 
 class TestCpuThermalModel:
     """Figs. 10-11 anchors from Sec. II-B and Sec. IV."""
@@ -229,6 +261,22 @@ class TestCpuThermalModel:
         setting = CoolingSetting(flow_l_per_h=20.0, inlet_temp_c=28.0)
         assert (sandwiched.cpu_temp_c(0.2, setting)
                 - base.cpu_temp_c(0.2, setting)) > 30.0
+
+    @bad_flows
+    def test_flow_laws_reject_bad_flow(self, cpu_model, flow):
+        for law in (cpu_model.slope, cpu_model.thermal_resistance_k_per_w):
+            with pytest.raises(PhysicalRangeError, match="finite and > 0"):
+                law(flow)
+
+    def test_terms_at_inlet_array_match_settings(self, cpu_model):
+        inlets = np.array([20.0, 33.3, 54.5])
+        _, temps, outlets = cpu_model.response(
+            np.array([0.1, 0.6, 0.95]), cpu_model.terms_at(150.0, inlets))
+        for n, (u, inlet) in enumerate(zip([0.1, 0.6, 0.95], inlets)):
+            setting = CoolingSetting(flow_l_per_h=150.0,
+                                     inlet_temp_c=float(inlet))
+            assert temps[n] == cpu_model.cpu_temp_c(u, setting)
+            assert outlets[n] == cpu_model.outlet_temp_c(u, setting)
 
     def test_vectorised_utilisation(self, cpu_model, warm_setting):
         utils = np.linspace(0.0, 1.0, 5)
