@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -590,23 +590,6 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     return result
 
 
-def _execute_job(job: SimulationJob, mode: str,
-                 telemetry: bool = False) -> SimulationResult:
-    """Worker entry point (module-level so process pools can pickle it).
-
-    ``telemetry`` is resolved once by the batch layer and passed
-    explicitly so all executors behave identically regardless of how
-    environment variables propagate to workers.  Workers only compute:
-    caching stays off whatever the worker's environment says, because
-    the batch coordinator looks every job up and stores every result.
-    """
-    return simulate(job.trace, job.config, job.cpu_model, job.teg_module,
-                    mode=mode,
-                    faults=job.faults,
-                    telemetry=telemetry,
-                    result_cache=False)
-
-
 # ----------------------------------------------------------------------
 # Zero-copy trace dispatch (process pools)
 # ----------------------------------------------------------------------
@@ -957,6 +940,65 @@ def _execute_payload(payload: _JobPayload) -> SimulationResult:
 # Batch layer
 # ----------------------------------------------------------------------
 
+@dataclass(eq=False)
+class _Unit:
+    """One piece of pool work: a whole job or one kernel tile.
+
+    ``local()`` runs it on a thread or in this process; a process worker
+    runs the ``remote`` ``(fn, payload)`` pair instead.  ``land(unit,
+    result)`` takes the result.  ``retry(unit, exc)`` records a failed
+    attempt, sleeps the backoff and says whether to rerun; a tile raises
+    instead of saying no, since its job is lost.  An attempt running for
+    ``deadline_s`` fires ``time_out(unit)`` (whole jobs, terminal) or
+    ``speculate(unit, running_s)`` (tiles, one twin).  Callbacks get the
+    unit rather than close over it: a unit that referenced itself would
+    keep its job's trace alive until the cycle collector ran.
+    """
+
+    local: Callable[[], object]
+    land: Callable[["_Unit", object], None]
+    retry: Callable[["_Unit", BaseException], bool]
+    remote: tuple | None = None
+    deadline_s: float | None = None
+    time_out: Callable[["_Unit"], None] | None = None
+    speculate: Callable[["_Unit", float], None] | None = None
+    #: Attempts made and failed attempts retried.
+    attempts: int = 0
+    retries: int = 0
+    started_at: float = field(default_factory=time.perf_counter)
+    done: bool = False
+    speculated: bool = False
+
+
+def _run_local(units: Iterable[_Unit]) -> None:
+    """The in-process loop: run each unit in turn, retrying it as allowed.
+
+    It serves the serial executor, ``simulate_sharded`` and the fault
+    windows.  No deadline fires (one thread cannot pre-empt itself);
+    whatever ``land`` or ``retry`` raises propagates.
+    """
+    for unit in units:
+        unit.started_at = time.perf_counter()
+        while not unit.done:
+            unit.attempts += 1
+            try:
+                result = unit.local()
+            except Exception as exc:
+                unit.done = not unit.retry(unit, exc)
+            else:
+                unit.done = True
+                unit.land(unit, result)
+
+
+def _new_pool(kind: str, workers: int):
+    """A fresh process or thread pool of ``workers`` workers."""
+    if kind == "process":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 @dataclass(frozen=True)
 class FailedJob:
     """Structured record of one job the batch could not complete.
@@ -1127,53 +1169,6 @@ class _Answer:
     rep: _Answer | None = None
     result: SimulationResult | None = None
     failure: FailedJob | None = None
-
-
-@dataclass
-class _JobState:
-    """Book-keeping for one whole job while an executor runs it."""
-
-    answer: _Answer
-    attempts: int = 0
-    retries: int = 0
-    started_at: float | None = None
-    #: When the current attempt's future was first observed running
-    #: (``None`` while queued); the timeout clock starts here so time
-    #: spent waiting for a worker is never billed against the job.
-    running_since: float | None = None
-
-    @property
-    def job(self) -> SimulationJob:
-        """The job being run."""
-        return self.answer.job
-
-    def failed(self, exc: BaseException) -> FailedJob:
-        """Package the terminal exception as a :class:`FailedJob`."""
-        elapsed = (0.0 if self.started_at is None
-                   else time.perf_counter() - self.started_at)
-        return FailedJob(
-            scheme=self.job.config.name,
-            trace_name=self.job.trace.name,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            attempts=self.attempts,
-            elapsed_s=elapsed,
-        )
-
-    def timed_out(self, timeout_s: float) -> FailedJob:
-        """Package a wall-clock timeout as a :class:`FailedJob`."""
-        elapsed = (0.0 if self.started_at is None
-                   else time.perf_counter() - self.started_at)
-        return FailedJob(
-            scheme=self.job.config.name,
-            trace_name=self.job.trace.name,
-            error_type="TimeoutError",
-            message=(f"job exceeded the {timeout_s:g}s wall-clock budget "
-                     f"({JOB_TIMEOUT_ENV_VAR})"),
-            attempts=self.attempts,
-            elapsed_s=elapsed,
-            timed_out=True,
-        )
 
 
 class BatchSimulationEngine:
@@ -1363,17 +1358,22 @@ class BatchSimulationEngine:
     # -- executors -----------------------------------------------------
 
     def _ensure_executor(self, kind: str, workers: int):
-        """The persistent shared pool, recreated only when unsuitable."""
+        """The persistent shared pool, recreated only when unsuitable.
+
+        A new pool first makes one no-op round trip: under fork, the
+        first ``submit`` forks the workers, so a pool that cannot fork
+        fails here, before any unit relies on it.
+        """
         if (self._executor is not None and self._executor_kind == kind
                 and self._executor_workers >= workers):
             return self._executor
         self._drop_executor(wait=True)
-        if kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            executor = ProcessPoolExecutor(max_workers=workers)
-        else:
-            executor = ThreadPoolExecutor(max_workers=workers)
+        executor = _new_pool(kind, workers)
+        try:
+            executor.submit(int).result()
+        except BaseException:
+            self._kill_executor(executor, kind)
+            raise
         self._executor = executor
         self._executor_kind = kind
         self._executor_workers = workers
@@ -1393,17 +1393,7 @@ class BatchSimulationEngine:
         else:
             self._kill_executor(executor, kind)
 
-    @property
-    def _budget(self) -> int:
-        """Total attempts allowed per job (first try + retries)."""
-        return 1 + self.max_retries
-
-    def _backoff(self, attempts: int) -> None:
-        """Sleep before the retry following failed attempt ``attempts``."""
-        if self.retry_backoff_s > 0:
-            time.sleep(self.retry_backoff_s * 2 ** (attempts - 1))
-
-    def _emit_job_event(self, kind: str, state: _JobState,
+    def _emit_job_event(self, kind: str, answer: _Answer, unit: _Unit,
                         exc: BaseException | None = None) -> None:
         """Record one job lifecycle event into the batch session.
 
@@ -1411,9 +1401,9 @@ class BatchSimulationEngine:
         session (if any) is installed; a no-op with telemetry off.
         Terminal failure kinds also advance the ``/healthz`` progress.
         """
-        data = {"scheme": state.job.config.name,
-                "trace": state.job.trace.name,
-                "attempt": state.attempts}
+        data = {"scheme": answer.job.config.name,
+                "trace": answer.job.trace.name,
+                "attempt": unit.attempts}
         if exc is not None:
             data["error_type"] = type(exc).__name__
             data["error"] = str(exc)
@@ -1442,12 +1432,6 @@ class BatchSimulationEngine:
             telemetry=self.telemetry,
         )
 
-    def _submit(self, executor, kind: str, job: SimulationJob) -> Future:
-        if kind == "process":
-            return executor.submit(_execute_payload, self._payload(job))
-        return executor.submit(_execute_job, job, self.mode,
-                               self.telemetry)
-
     @staticmethod
     def _kill_executor(executor, kind: str) -> None:
         """Tear a pool down without waiting on hung workers.
@@ -1474,206 +1458,214 @@ class BatchSimulationEngine:
             if process.is_alive():
                 process.kill()
 
-    def _land(self, state: _JobState, result: SimulationResult) -> None:
+    # -- units ---------------------------------------------------------
+
+    def _job_unit(self, answer: _Answer, kind: str,
+                  timeout_s: float | None) -> _Unit:
+        """The unit of one whole job on a ``kind`` executor.
+
+        Workers only compute: caching stays off whatever their
+        environment says, because the coordinator looks every job up
+        and stores every result.  ``telemetry`` was resolved once by the
+        engine, so every executor agrees on whether jobs record.
+        """
+        job = answer.job
+        return _Unit(
+            local=partial(simulate, job.trace, job.config, job.cpu_model,
+                          job.teg_module, mode=self.mode, faults=job.faults,
+                          telemetry=self.telemetry, result_cache=False),
+            remote=((_execute_payload, self._payload(job))
+                    if kind == "process" else None),
+            land=partial(self._land, answer),
+            retry=partial(self._retry, answer),
+            deadline_s=timeout_s,
+            time_out=partial(self._fail, answer))
+
+    def _land(self, answer: _Answer, unit: _Unit,
+              result: SimulationResult) -> None:
         """Record a computed job's result: cache, checkpoint, ``/healthz``.
 
         The one landing for every computed job, whole or sharded.
         Saving the moment a job completes means a coordinator crash one
         job into a 50-job batch still leaves the finished jobs' results
         on disk, whatever executor ran them.  A sharded job's
-        checkpoint holds its shards, not the merged result.
+        checkpoint holds its shards, not the merged result.  A store
+        that raises (a full disk, say) fails this job alone: the pool
+        is not to blame.
         """
-        answer = state.answer
         if result.metrics is not None:
-            result.metrics.retries = state.retries
+            result.metrics.retries = unit.retries
+        try:
+            if self._cacheable(answer.job):
+                self.result_cache.store(answer.key, result)
+            if answer.store is not None and answer.specs is None:
+                answer.store.save_result(result)
+        except Exception as exc:
+            return self._fail(answer, unit, exc)
         answer.result = result
-        if self._cacheable(answer.job):
-            self.result_cache.store(answer.key, result)
-        if answer.store is not None and answer.specs is None:
-            answer.store.save_result(result)
         self._health.job_done()
 
-    def _run_serial(self, states: Sequence[_JobState]) -> None:
-        """In-process execution with retry; no timeout enforcement."""
-        for state in states:
-            state.started_at = time.perf_counter()
-            while True:
-                state.attempts += 1
-                try:
-                    result = _execute_job(state.job, self.mode,
-                                          self.telemetry)
-                except Exception as exc:
-                    if state.attempts < self._budget:
-                        state.retries += 1
-                        self._emit_job_event("job.retry", state, exc)
-                        self._backoff(state.attempts)
-                        continue
-                    state.answer.failure = state.failed(exc)
-                    self._emit_job_event("job.failed", state, exc)
-                    break
-                self._land(state, result)
-                break
+    def _retry(self, answer: _Answer, unit: _Unit,
+               exc: BaseException) -> bool:
+        """A whole job's retry hook: rerun within ``max_retries``."""
+        if unit.attempts > self.max_retries:
+            self._fail(answer, unit, exc)
+            return False
+        unit.retries += 1
+        self._emit_job_event("job.retry", answer, unit, exc)
+        if self.retry_backoff_s > 0:
+            time.sleep(self.retry_backoff_s * 2 ** (unit.attempts - 1))
+        return True
 
-    def _run_pool(self, states: Sequence[_JobState], workers: int,
-                  kind: str, timeout_s: float | None) -> None:
-        """Pooled execution: shared pool fast path, isolated recovery.
+    def _fail(self, answer: _Answer, unit: _Unit,
+              exc: BaseException | None = None) -> None:
+        """Fail ``answer``'s job with ``exc``, or by timeout without one.
 
-        All jobs start on one shared pool.  When that pool can no
-        longer attribute failures to a single job — a worker crash
-        breaks a process pool as a whole, and a wall-clock timeout
-        forces a teardown — every unfinished job is re-run in its own
-        single-worker pool, so crashes and timeouts land on exactly the
-        job that caused them.
+        Also the retry hook of a sharded job, which never reruns whole:
+        its tiles retry instead.
         """
-        if kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
+        job, timed_out = answer.job, exc is None
+        answer.failure = FailedJob(
+            scheme=job.config.name, trace_name=job.trace.name,
+            error_type="TimeoutError" if timed_out else type(exc).__name__,
+            message=(f"job exceeded the {unit.deadline_s:g}s wall-clock "
+                     f"budget ({JOB_TIMEOUT_ENV_VAR})" if timed_out
+                     else str(exc)),
+            attempts=unit.attempts,
+            elapsed_s=time.perf_counter() - unit.started_at,
+            timed_out=timed_out)
+        self._emit_job_event("job.timeout" if timed_out else "job.failed",
+                             answer, unit, exc)
 
-            executor_cls = ProcessPoolExecutor
-            # Pre-flight the pickling so unpicklable jobs degrade to the
-            # thread pool instead of surfacing as per-job failures.
-            # Process jobs ship a _JobPayload — config plus shared-memory
-            # trace handle — never the trace array itself.
-            pickle.dumps([self._payload(state.job) for state in states])
-        else:
-            executor_cls = ThreadPoolExecutor
+    # -- pools ---------------------------------------------------------
 
-        executor = self._ensure_executor(kind, workers)
-        clean = False
+    def _start_pool(self, pooled: list[_Answer], workers: int) -> str:
+        """Choose this run's executor: process, else thread, else serial.
+
+        A pool has started once it is built, has made its first round
+        trip (:meth:`_ensure_executor`) and, for processes, every
+        payload of ``pooled`` pickles.
+        """
+        kinds = (("process", "thread") if self.prefer == "process"
+                 else ("thread",))
+        for kind in kinds:
+            try:
+                if kind == "process":
+                    pickle.dumps([self._payload(answer.job)
+                                  for answer in pooled])
+                self._ensure_executor(kind, workers)
+            except Exception:  # this kind cannot start here: degrade
+                continue
+            return kind
+        return "serial"
+
+    def _run_units(self, units: Sequence[_Unit], kind: str,
+                   workers: int) -> None:
+        """Run units on this run's executor, ``kind``.
+
+        A dead worker or a timeout tears the shared pool down, since the
+        stdlib cannot tell which unit broke it.  Every unit it left
+        unfinished then runs alone in a fresh single-worker pool of the
+        same kind, where a crash is charged to exactly that unit.
+        """
+        if kind == "serial":
+            return _run_local(units)
+        leftovers = self._pool_loop(self._ensure_executor(kind, workers),
+                                    kind, units)
+        if leftovers is not None:
+            self._drop_executor()
+        for unit in leftovers or ():
+            pending = [unit]
+            while pending:
+                solo = _new_pool(kind, 1)
+                try:
+                    pending = self._pool_loop(solo, kind, pending,
+                                              isolated=True)
+                finally:
+                    self._kill_executor(solo, kind)
+
+    def _pool_loop(self, executor, kind: str, units: Sequence[_Unit],
+                   isolated: bool = False) -> list[_Unit] | None:
+        """The pool loop: run ``units`` on ``executor``, landing each.
+
+        A raised attempt reruns while ``retry`` allows.  An attempt
+        running past ``deadline_s`` (timed from when it is first seen
+        running) fires the unit's timeout or speculation hook; the
+        first copy to finish wins.  Returns ``None`` while the pool is
+        healthy, else — after a dead worker or a timeout — the units
+        left unfinished, with no attempt charged for the dead worker;
+        the pool must then go.  In an ``isolated`` pool a dead worker is
+        its one unit's failed attempt instead.  What a callback raises
+        propagates, with this loop's futures cancelled.
+        """
+        futures: dict[Future, _Unit] = {}
+        running_since: dict[Future, float] = {}
+
+        def submit(unit: _Unit) -> bool:
+            call = unit.remote if kind == "process" else (unit.local,)
+            try:
+                futures[executor.submit(*call)] = unit
+            except BrokenExecutor:  # the pool is dead
+                return False
+            return True
+
+        def unfinished(*units: _Unit) -> list[_Unit]:
+            return [unit for unit in dict.fromkeys((*units,
+                                                    *futures.values()))
+                    if not unit.done]
+
+        deadlines = any(unit.deadline_s is not None for unit in units)
+        poll = _POLL_INTERVAL_S if deadlines else None
         try:
-            leftovers = self._drain_shared(executor, kind, states,
-                                           timeout_s)
-            clean = not leftovers
+            if not all(submit(unit) for unit in units):
+                return unfinished(*units)
+            while futures:
+                completed, _ = wait(futures, timeout=poll,
+                                    return_when=FIRST_COMPLETED)
+                for future in completed:
+                    unit = futures.pop(future)
+                    if unit.done or future.cancelled():
+                        continue  # a speculative twin lost the race
+                    try:
+                        result = future.result()
+                    except Exception as exc:
+                        if isinstance(exc, BrokenExecutor) and not isolated:
+                            return unfinished(unit)
+                        unit.attempts += 1
+                        if not unit.retry(unit, exc):
+                            unit.done = True
+                        elif not submit(unit):
+                            return unfinished(unit)
+                        continue
+                    unit.attempts += 1
+                    unit.done = True
+                    unit.land(unit, result)
+                now = time.perf_counter()
+                for future, unit in list(futures.items()):
+                    if (unit.deadline_s is None or unit.done
+                            or not future.running()):
+                        continue
+                    running_s = now - running_since.setdefault(future, now)
+                    if running_s < unit.deadline_s:
+                        continue
+                    if unit.time_out is not None:
+                        # Terminal: the hung worker spoils the pool.
+                        del futures[future]
+                        unit.attempts += 1
+                        unit.done = True
+                        unit.time_out(unit)
+                        return unfinished()
+                    if not unit.speculated:
+                        # One twin per unit: a systematically slow tile
+                        # must not fork-bomb the pool.
+                        unit.speculated = True
+                        unit.speculate(unit, running_s)
+                        if not submit(unit):
+                            return unfinished()
         finally:
-            if not clean:
-                # Broken/timed-out pools are killed and forgotten; a
-                # clean pool stays alive for the next run() call.
-                self._drop_executor()
-        for state in leftovers:
-            self._run_isolated(executor_cls, kind, state, timeout_s)
-
-    def _drain_shared(self, executor, kind: str,
-                      states: Sequence[_JobState],
-                      timeout_s: float | None) -> list[_JobState]:
-        """Run every job on the shared pool; return the unfinished ones.
-
-        A non-empty return means the pool is no longer trustworthy
-        (broken, or torn down after a timeout) and the listed jobs must
-        be re-run in isolation.  Attempts consumed by pool-wide
-        breakage are not charged to innocent jobs.
-        """
-        futures: dict[Future, _JobState] = {}
-        now = time.perf_counter()
-        for state in states:
-            state.started_at = now
-            futures[self._submit(executor, kind, state.job)] = state
-
-        while futures:
-            done, _ = wait(futures, timeout=_POLL_INTERVAL_S,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                state = futures.pop(future)
-                state.attempts += 1
-                state.running_since = None
-                try:
-                    result = future.result()
-                except BrokenExecutor:
-                    # Pool-wide breakage: blame cannot be pinned on this
-                    # future specifically.  Un-charge the attempt and
-                    # redo everything unfinished in isolation.
-                    state.attempts -= 1
-                    return [state, *futures.values()]
-                except Exception as exc:
-                    if state.attempts < self._budget:
-                        state.retries += 1
-                        self._emit_job_event("job.retry", state, exc)
-                        self._backoff(state.attempts)
-                        try:
-                            futures[self._submit(executor, kind,
-                                                 state.job)] = state
-                        except BrokenExecutor:
-                            return [state, *futures.values()]
-                    else:
-                        state.answer.failure = state.failed(exc)
-                        self._emit_job_event("job.failed", state, exc)
-                else:
-                    self._land(state, result)
-            if timeout_s is None:
-                continue
-            now = time.perf_counter()
-            for future, state in list(futures.items()):
-                if state.running_since is None and future.running():
-                    state.running_since = now
-                if (state.running_since is not None
-                        and now - state.running_since >= timeout_s):
-                    # Terminal: the hung worker makes the shared pool
-                    # unusable, so fail this job and move the rest to
-                    # isolated execution.
-                    state.attempts += 1
-                    state.answer.failure = state.timed_out(timeout_s)
-                    self._emit_job_event("job.timeout", state)
-                    futures.pop(future)
-                    return list(futures.values())
-        return []
-
-    def _run_isolated(self, executor_cls, kind: str, state: _JobState,
-                      timeout_s: float | None) -> None:
-        """Run one job in its own single-worker pool, with retry.
-
-        Isolation makes failure attribution exact: a crash or hang can
-        only come from this job, and terminating the pool's worker
-        cannot take other jobs down with it.
-        """
-        if state.started_at is None:
-            state.started_at = time.perf_counter()
-        while True:
-            state.attempts += 1
-            verdict, payload = self._attempt_isolated(
-                executor_cls, kind, state.job, timeout_s)
-            if verdict == "ok":
-                self._land(state, payload)
-                return
-            if verdict == "timeout":
-                state.answer.failure = state.timed_out(timeout_s)
-                self._emit_job_event("job.timeout", state)
-                return
-            if state.attempts < self._budget:
-                state.retries += 1
-                self._emit_job_event("job.retry", state, payload)
-                self._backoff(state.attempts)
-                continue
-            state.answer.failure = state.failed(payload)
-            self._emit_job_event("job.failed", state, payload)
-            return
-
-    def _attempt_isolated(self, executor_cls, kind: str,
-                          job: SimulationJob, timeout_s: float | None):
-        """One attempt on a fresh single-worker pool.
-
-        Returns ``("ok", result)``, ``("error", exception)`` — a worker
-        crash surfaces here as its ``BrokenExecutor`` subclass and is
-        retryable — or ``("timeout", None)`` after killing the worker.
-        """
-        executor = executor_cls(max_workers=1)
-        future = self._submit(executor, kind, job)
-        deadline = None
-        while True:
-            done, _ = wait([future], timeout=_POLL_INTERVAL_S)
-            if done:
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    self._kill_executor(executor, kind)
-                    return ("error", exc)
-                executor.shutdown(wait=False)
-                return ("ok", result)
-            if timeout_s is None:
-                continue
-            now = time.perf_counter()
-            if deadline is None and future.running():
-                deadline = now + timeout_s
-            if deadline is not None and now >= deadline:
-                self._kill_executor(executor, kind)
-                return ("timeout", None)
+            for future in futures:
+                future.cancel()
+        return None
 
     # -- sharded jobs --------------------------------------------------
 
@@ -1823,9 +1815,10 @@ class BatchSimulationEngine:
         plane tiles straight into one shared column block that backs
         the merge, so results come back zero-copy (saved shards must
         carry their own columns).  Kernel tiles go to
-        :meth:`_dispatch_shards` on a pool; on the serial executor, and
-        for fault windows, ``_drive_shards`` runs them in-process.  The
-        per-job wall-clock budget is **not** enforced on sharded jobs
+        :meth:`_dispatch_shards` and run as units, like whole jobs: a
+        dead worker sends the unfinished ones to isolated pools, never
+        to this process.  Fault windows run in-process.  The per-job
+        wall-clock budget is **not** enforced on sharded jobs
         (documented in ``docs/engine.md``); shards that run past the
         ``straggler_s`` deadline are speculatively re-dispatched
         instead.
@@ -1854,9 +1847,8 @@ class BatchSimulationEngine:
                 column_ref = ShardColumnRef(shm_name=block.name,
                                             n_steps=shape[1],
                                             n_circs=n_circs)
-        dispatch = (None if kind == "serial"
-                    else partial(self._dispatch_shards, job, kind,
-                                 workers, column_ref, straggler_s))
+        dispatch = partial(self._dispatch_shards, job, kind, workers,
+                           column_ref, straggler_s)
         try:
             result = _drive_shards(
                 job, specs, telemetry=self.telemetry, health=self._health,
@@ -1886,125 +1878,47 @@ class BatchSimulationEngine:
 
     def _dispatch_shards(self, job: SimulationJob, kind: str, workers: int,
                          column_ref, straggler_s: float | None, pending,
-                         primed, run_local, land) -> None:
-        """Run kernel tiles on the shared pool, landing each as it ends.
+                         primed, tile) -> None:
+        """Run kernel tiles on this run's executor: land all or raise.
 
-        Process pools ship :class:`~repro.core.shard._ShardPayload`
-        objects — a windowed :class:`SharedTraceRef` plus the spec and
-        the ``primed`` decision cache — so payload size is independent
-        of trace length and shard count; thread pools run
-        ``run_local``.  A failed tile is resubmitted while
-        ``max_retries`` allows; a tile still running after the
-        ``straggler_s`` deadline gets one speculative twin, and the
-        first copy to finish wins.  A pool that breaks mid-flight (or cannot
-        start) is dropped and the call returns early: ``_drive_shards``
-        runs every tile not yet landed in-process, since the merge
-        needs them all.
+        ``tile(spec)`` builds one tile's unit (see ``_drive_shards``); on
+        a process pool it ships a :class:`~repro.core.shard._ShardPayload`
+        — a windowed :class:`SharedTraceRef`, the spec and the ``primed``
+        decision cache — so payload size is independent of trace length
+        and shard count.  A tile running past ``straggler_s`` gets one
+        speculative twin.
         """
-        from .shard import _ShardPayload, _execute_shard_payload, _retry_shard
+        from .shard import _ShardPayload, _execute_shard_payload
 
-        try:
-            executor = self._ensure_executor(kind, workers)
-            if kind == "process":
-                base_ref = self._shared_traces.ref_for(job.trace)
-                payloads = {
-                    spec.index: _ShardPayload(
-                        trace_ref=replace(
-                            base_ref,
-                            row_start=spec.step_start,
-                            row_stop=spec.step_stop,
-                            col_start=spec.server_start,
-                            col_stop=spec.server_stop),
-                        spec=spec, config=job.config,
-                        cpu_model=job.cpu_model,
-                        teg_module=job.teg_module, faults=None,
-                        decisions=primed,
-                        telemetry=self.telemetry,
-                        column_ref=column_ref)
-                    for spec in pending}
+        base_ref = (self._shared_traces.ref_for(job.trace)
+                    if kind == "process" else None)
+        units = []
+        for spec in pending:
+            unit = tile(spec)
+            if base_ref is not None:
+                unit.remote = (_execute_shard_payload, _ShardPayload(
+                    trace_ref=replace(base_ref, row_start=spec.step_start,
+                                      row_stop=spec.step_stop,
+                                      col_start=spec.server_start,
+                                      col_stop=spec.server_stop),
+                    spec=spec, config=job.config, cpu_model=job.cpu_model,
+                    teg_module=job.teg_module, faults=None,
+                    decisions=primed, telemetry=self.telemetry,
+                    column_ref=column_ref))
+            if straggler_s is not None:
+                unit.deadline_s = straggler_s
+                unit.speculate = partial(self._speculate, job, spec)
+            units.append(unit)
+        self._run_units(units, kind, workers)
 
-                def submit(spec):
-                    return executor.submit(_execute_shard_payload,
-                                           payloads[spec.index])
-            else:
-                def submit(spec):
-                    return executor.submit(run_local, spec)
-
-            futures: dict[Future, object] = {}
-            attempts = {spec.index: 0 for spec in pending}
-            running_since: dict[Future, float] = {}
-            speculated: set[int] = set()
-            done: set[int] = set()
-            for spec in pending:
-                futures[submit(spec)] = spec
-            try:
-                while futures:
-                    completed, _ = wait(
-                        futures,
-                        timeout=(_POLL_INTERVAL_S
-                                 if straggler_s is not None else None),
-                        return_when=FIRST_COMPLETED)
-                    for future in completed:
-                        spec = futures.pop(future)
-                        running_since.pop(future, None)
-                        if future.cancelled() or spec.index in done:
-                            # A speculative duplicate lost the race; its
-                            # twin's result already landed.
-                            continue
-                        try:
-                            outcome = future.result()
-                        except BrokenExecutor:
-                            raise
-                        except Exception as exc:
-                            attempts[spec.index] += 1
-                            if not _retry_shard(job, spec,
-                                                attempts[spec.index], exc,
-                                                self.max_retries,
-                                                self.retry_backoff_s):
-                                raise
-                            futures[submit(spec)] = spec
-                        else:
-                            done.add(spec.index)
-                            land(outcome)
-                            for twin, other in list(futures.items()):
-                                if other.index == spec.index:
-                                    twin.cancel()
-                    if straggler_s is None:
-                        continue
-                    now = time.perf_counter()
-                    for future, spec in list(futures.items()):
-                        if future not in running_since:
-                            if future.running():
-                                running_since[future] = now
-                            continue
-                        if (spec.index in speculated
-                                or spec.index in done
-                                or now - running_since[future]
-                                < straggler_s):
-                            continue
-                        # One speculative copy per shard: slow is
-                        # retried, but a systematically slow shard must
-                        # not fork-bomb the pool.
-                        speculated.add(spec.index)
-                        obs.add("engine.shards.speculated", 1,
-                                labels={"scheme": job.config.name,
-                                        "trace": job.trace.name})
-                        self._health.straggler()
-                        obs.emit("shard.straggler",
-                                 scheme=job.config.name,
-                                 trace=job.trace.name, shard=spec.index,
-                                 deadline_s=straggler_s,
-                                 running_s=round(
-                                     now - running_since[future], 3))
-                        futures[submit(spec)] = spec
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        except (BrokenExecutor, OSError):
-            # The pool died mid-flight (or could not start): it is
-            # untrustworthy, so leave the rest to the in-process path.
-            self._drop_executor()
+    def _speculate(self, job: SimulationJob, spec, unit: _Unit,
+                   running_s: float) -> None:
+        """A tile's speculation hook: report the straggler it twins."""
+        labels = {"scheme": job.config.name, "trace": job.trace.name}
+        obs.add("engine.shards.speculated", 1, labels=labels)
+        self._health.straggler()
+        obs.emit("shard.straggler", **labels, shard=spec.index,
+                 deadline_s=unit.deadline_s, running_s=round(running_s, 3))
 
     def run(self, jobs: Iterable[SimulationJob]) -> BatchResult:
         """Execute every job; return partial results plus failures.
@@ -2111,10 +2025,11 @@ class BatchSimulationEngine:
         The keyword arguments are the run's knobs, resolved by
         :meth:`run`.  Every job is first resolved to one
         :class:`_Answer` (see :meth:`_resolve`).  The whole jobs left to
-        compute run through the usual serial/pool machinery, with the
-        worker count capped at the total unit count (whole jobs +
-        shards); each sharded job is then fanned out over the same
-        persistent executor and merged back into a single result.
+        compute run as units of the in-process loop or the pool loop,
+        with the worker count capped at the total unit count (whole
+        jobs + shards); each sharded job then fans its tiles out as
+        units on the same persistent executor and merges them back into
+        a single result.
         """
         reaped = reap_orphaned_segments()
         if reaped:
@@ -2149,36 +2064,26 @@ class BatchSimulationEngine:
                  shards=total_shards, resumed=n_resumed,
                  deduped=len(duplicates), cache_hits=len(having("cached")))
         started = time.perf_counter()
-        executor = self.prefer
-        states: list[_JobState] = []
-        if workers <= 1 or self.prefer == "serial" or n_units == 1:
-            executor = "serial"
-        elif whole:
-            executor = "serial"
-            for kind in (("process", "thread") if self.prefer == "process"
-                         else ("thread",)):
-                states = [_JobState(answer) for answer in whole]
-                try:
-                    self._run_pool(states, workers, kind, timeout_s)
-                except Exception:  # pool unavailable: degrade gracefully
-                    continue
-                executor = kind
-                break
-        if executor == "serial":
-            states = [_JobState(answer) for answer in whole]
-            self._run_serial(states)
-        for answer in sharded:
-            state = _JobState(answer, attempts=1,
-                              started_at=time.perf_counter())
-            try:
-                result = self._run_sharded_job(
-                    answer.job, answer.specs, executor, workers,
-                    straggler_s, store=answer.store)
-            except Exception as exc:
-                answer.failure = state.failed(exc)
-                self._emit_job_event("job.failed", state, exc)
-            else:
-                self._land(state, result)
+        # The executor is chosen once, before anything runs, and only
+        # if some work would use it: whole jobs, and kernel tiles that
+        # a checkpoint does not hold already (fault windows never do).
+        pooled = whole + [
+            answer for answer in sharded if not answer.job.faults and (
+                answer.store is None
+                or len(answer.store.completed()) < len(answer.specs))]
+        executor = "serial"
+        if (workers > 1 and self.prefer != "serial" and n_units > 1
+                and pooled):
+            executor = self._start_pool(pooled, workers)
+        units = [self._job_unit(answer, executor, timeout_s)
+                 for answer in whole]
+        self._run_units(units, executor, workers)
+        _run_local(_Unit(local=partial(self._run_sharded_job, answer.job,
+                                       answer.specs, executor, workers,
+                                       straggler_s, store=answer.store),
+                         land=partial(self._land, answer),
+                         retry=partial(self._fail, answer))
+                   for answer in sharded)
         for answer in duplicates:
             # A duplicate shares its representative's result object (or
             # its failure record) — the content key proved them the
@@ -2208,7 +2113,7 @@ class BatchSimulationEngine:
                    if answer.result is not None]
         failures = [answer.failure for answer in answers
                     if answer.failure is not None]
-        retries = sum(state.retries for state in states)
+        retries = sum(unit.retries for unit in units)
         timeouts = sum(answer.failure is not None and answer.failure.timed_out
                        for answer in whole)
         batch = BatchResult(

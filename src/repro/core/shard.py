@@ -69,6 +69,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing import shared_memory
 from typing import Sequence
 
@@ -95,7 +96,9 @@ from .engine import (
     SharedTraceRef,
     SimulationJob,
     _CachedVectorisedSimulator,
+    _run_local,
     _trace_from_ref,
+    _Unit,
 )
 from .kernel import (
     KernelColumns,
@@ -734,9 +737,9 @@ class StreamingMerge:
     workers can write their tiles into it directly
     (:func:`_publish_columns`) and :meth:`add` folds only the small
     non-plane remainder.  Outcomes that do carry ``columns`` (serial
-    runs, thread pools, resumed checkpoints, broken-pool fallbacks)
-    are stitched coordinator-side exactly as before; the two kinds mix
-    freely within one merge.
+    runs, thread pools, resumed checkpoints, process tiles saved to a
+    checkpoint) are stitched coordinator-side exactly as before; the
+    two kinds mix freely within one merge.
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig, *,
@@ -995,38 +998,6 @@ def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
     return merge.result()
 
 
-def _retry_shard(job: SimulationJob, spec: ShardSpec, attempt: int,
-                 exc: BaseException, max_retries: int,
-                 backoff_s: float) -> bool:
-    """Record one failed attempt at a shard; True when it should rerun.
-
-    The emitted ``shard.retry`` / ``shard.failed`` event always carries
-    the shard's coordinates, attempt number and (when the worker
-    wrapped it as a :class:`~repro.errors.ShardExecutionError`) the
-    worker pid.  A retry first sleeps ``backoff_s * 2**(attempt - 1)``
-    seconds, the engine's job-level schedule.
-    """
-    if isinstance(exc, ShardExecutionError):
-        exc.attempt = attempt
-        context = dict(exc.context())
-    else:
-        context = {"shard_index": spec.index,
-                   "step_start": spec.step_start,
-                   "step_stop": spec.step_stop,
-                   "server_start": spec.server_start,
-                   "server_stop": spec.server_stop,
-                   "attempt": attempt, "worker_pid": None}
-    retrying = attempt <= max_retries
-    obs.emit("shard.retry" if retrying else "shard.failed",
-             scheme=job.config.name, trace=job.trace.name,
-             error_type=type(exc).__name__, error=str(exc), **context)
-    if retrying:
-        obs.add("engine.shards.retried", 1)
-        if backoff_s > 0:
-            time.sleep(backoff_s * 2 ** (attempt - 1))
-    return retrying
-
-
 def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                   telemetry: bool,
                   health: "obs.RunHealth", store=None,
@@ -1044,22 +1015,23 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
 
     * Shards already saved in the checkpoint ``store`` are folded from
       disk and never run again.
-    * A fault plan runs its time windows in order, in-process, sharing
-      one decision cache and one policy instance (see the module note).
-      Each saved window carries the cache store its successor needs, so
-      a resume replays the identical sequence from the first missing
-      window onward.
+    * A fault plan runs its time windows in order, through the
+      engine's in-process loop, sharing one decision cache and one
+      policy instance (see the module note).  Each saved window carries
+      the cache store its successor needs, so a resume replays the
+      identical sequence from the first missing window onward.
     * A kernel plan primes one decision cache with
       :func:`primed_or_warm` (warm-started from ``result_cache``, keyed
-      by ``trace_hash``) and hands the missing tiles to
-      ``dispatch(pending, primed, run_local, land)``, which calls
-      ``land`` with each outcome it completes and may return before
-      landing them all.  Every tile it did not land runs in-process
-      through ``run_local``; without a dispatcher all of them do.  The
-      pre-pass is deterministic, so recomputing it on resume hands the
-      remaining tiles the cache an uninterrupted run would have.
-    * An in-process shard that raises is retried up to ``max_retries``
-      times (see :func:`_retry_shard`).
+      by ``trace_hash``) and makes each missing tile a unit of work
+      (:class:`~repro.core.engine._Unit`: its local run, landing and
+      retry).  ``dispatch(pending, primed, tile)`` runs them, calling
+      ``tile(spec)`` for each tile's unit; it lands every tile or
+      raises.  Without a dispatcher the in-process loop runs them.
+      The pre-pass is deterministic, so recomputing it on resume hands
+      the remaining tiles the cache an uninterrupted run would have.
+    * A shard that raises is retried up to ``max_retries`` times, with
+      the engine's backoff; one that may not be retried again fails the
+      job with its error.
     * Every completed shard is saved to ``store``, folded into a
       :class:`StreamingMerge` (over ``plane_block`` when given, with
       shard telemetry going to ``telemetry_sink`` when given) and
@@ -1083,23 +1055,44 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
             health.shard_done()
         return saved
 
-    def land(outcome: ShardOutcome, cache_store: dict | None = None) -> None:
+    def land(unit: _Unit, outcome: ShardOutcome,
+             cache_store: dict | None = None) -> None:
         if store is not None:
             store.save_shard(outcome.spec.index, outcome,
                              cache_store=cache_store)
         merge.add(outcome)
         health.shard_done()
 
-    def attempt(spec: ShardSpec, run) -> ShardOutcome:
-        failures = 0
-        while True:
-            try:
-                return run(spec)
-            except Exception as exc:
-                failures += 1
-                if not _retry_shard(job, spec, failures, exc, max_retries,
-                                    retry_backoff_s):
-                    raise
+    def retry(spec: ShardSpec, unit: _Unit, exc: BaseException) -> bool:
+        """Record a failed attempt at a tile; rerun it or raise ``exc``.
+
+        The emitted ``shard.retry`` / ``shard.failed`` event always
+        carries the shard's coordinates, attempt number and (when the
+        worker wrapped it as a :class:`~repro.errors.ShardExecutionError`)
+        the worker pid.  A retry first sleeps
+        ``retry_backoff_s * 2**(attempt - 1)`` seconds, the engine's
+        job-level schedule.
+        """
+        if isinstance(exc, ShardExecutionError):
+            exc.attempt = unit.attempts
+            context = dict(exc.context())
+        else:
+            context = {"shard_index": spec.index,
+                       "step_start": spec.step_start,
+                       "step_stop": spec.step_stop,
+                       "server_start": spec.server_start,
+                       "server_stop": spec.server_stop,
+                       "attempt": unit.attempts, "worker_pid": None}
+        retrying = unit.attempts <= max_retries
+        obs.emit("shard.retry" if retrying else "shard.failed",
+                 scheme=config.name, trace=trace.name,
+                 error_type=type(exc).__name__, error=str(exc), **context)
+        if not retrying:
+            raise exc
+        obs.add("engine.shards.retried", 1)
+        if retry_backoff_s > 0:
+            time.sleep(retry_backoff_s * 2 ** (unit.attempts - 1))
+        return True
 
     try:
         if has_faults:
@@ -1114,6 +1107,11 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                  cache=shared, policy=policy,
                                  telemetry=telemetry)
 
+            def land_window(unit: _Unit, outcome: ShardOutcome) -> None:
+                nonlocal policy
+                policy = outcome.policy
+                land(unit, outcome, cache_store=dict(shared._store))
+
             for spec in specs:
                 saved = resume(spec)
                 if saved is not None:
@@ -1122,9 +1120,9 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                     if saved["outcome"].policy is not None:
                         policy = saved["outcome"].policy
                     continue
-                outcome = attempt(spec, run_window)
-                policy = outcome.policy
-                land(outcome, cache_store=dict(shared._store))
+                _run_local([_Unit(local=partial(run_window, spec),
+                                  land=land_window,
+                                  retry=partial(retry, spec))])
         else:
             pending = [spec for spec in specs if resume(spec) is None]
             if pending:
@@ -1141,17 +1139,14 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                      cache=clone_cache(primed),
                                      telemetry=telemetry)
 
-                landed: set[int] = set()
+                def tile(spec: ShardSpec) -> _Unit:
+                    return _Unit(local=partial(run_local, spec), land=land,
+                                 retry=partial(retry, spec))
 
-                def land_tile(outcome: ShardOutcome) -> None:
-                    land(outcome)
-                    landed.add(outcome.spec.index)
-
-                if dispatch is not None:
-                    dispatch(pending, primed, run_local, land_tile)
-                for spec in pending:
-                    if spec.index not in landed:
-                        land_tile(attempt(spec, run_local))
+                if dispatch is None:
+                    _run_local([tile(spec) for spec in pending])
+                else:
+                    dispatch(pending, primed, tile)
         result = merge.result()
     finally:
         # Drop every view of the caller's plane block, so the caller can

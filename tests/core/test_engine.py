@@ -222,14 +222,14 @@ class TestDeterminism:
     def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
         jobs = self.jobs()[:2]
         reference = run_batch(jobs, n_workers=1)
-        run_pool = inspect.signature(BatchSimulationEngine._run_pool)
+        ensure = inspect.signature(BatchSimulationEngine._ensure_executor)
         tried = []
 
         def broken_pool(*args, **kwargs):
-            tried.append(run_pool.bind(*args, **kwargs).arguments["kind"])
+            tried.append(ensure.bind(*args, **kwargs).arguments["kind"])
             raise OSError("no pools in this sandbox")
 
-        monkeypatch.setattr(BatchSimulationEngine, "_run_pool",
+        monkeypatch.setattr(BatchSimulationEngine, "_ensure_executor",
                             broken_pool)
         batch = run_batch(jobs, n_workers=4, prefer="process")
         assert tried == ["process", "thread"]
@@ -386,6 +386,34 @@ class TestZeroCopyDispatch:
         del trace
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["whole", "sharded"])
+    @pytest.mark.parametrize("prefer", ["serial", "thread", "process"])
+    def test_batch_frees_its_trace_without_the_cycle_collector(
+            self, prefer, sharded):
+        # A reference cycle through the batch's bookkeeping would keep
+        # the trace alive until the collector ran; refcounting alone
+        # must free it.
+        trace = golden_trace()
+        ref = weakref.ref(trace)
+        shard = (dict(shard=True, shard_servers=20, shard_steps=12)
+                 if sharded else dict(shard=False))
+        jobs = [SimulationJob(trace=trace, config=config)
+                for config in (teg_original(), teg_loadbalance())]
+        gc.collect()
+        gc.disable()
+        try:
+            engine = BatchSimulationEngine(n_workers=2, prefer=prefer,
+                                           cache=False, **shard)
+            batch = engine.run(jobs)
+            assert batch.ok
+            assert batch.metrics.shards == (2 * 8 if sharded else 0)
+            engine.close()
+            del trace, jobs, engine, batch
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_worker_side_trace_reconstruction_is_exact(self):
         from repro.core.engine import _execute_payload

@@ -6,13 +6,19 @@ workers can unpickle them; ``CrashingTrace`` kills its worker with
 like to the pool) and ``HangingTrace`` sleeps past any test timeout.
 """
 
+import errno
 import itertools
 import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.core.shard as shard_mod
+from repro.core.cache import ResultCache
+from repro.core.checkpoint import CheckpointStore
 from repro.core.config import teg_loadbalance, teg_original
 from repro.core.engine import (
     BatchSimulationEngine,
@@ -23,6 +29,7 @@ from repro.core.engine import (
     resolve_job_timeout,
     resolve_workers,
     run_batch,
+    simulate,
 )
 from repro.errors import ConfigurationError, JobExecutionError
 from repro.workloads.trace import WorkloadTrace
@@ -75,6 +82,19 @@ def subclass_trace(cls, name):
     base = flat_trace(name=name)
     return cls(name=base.name, interval_s=base.interval_s,
                utilisation=base.utilisation)
+
+
+def random_trace(name="fleet", steps=48, seed=7):
+    rng = np.random.default_rng(seed)
+    return WorkloadTrace(rng.random((steps, 40)), 300.0, name=name)
+
+
+#: An eight-tile plan for a 48 x 40 trace.
+SHARD_KW = dict(shard=True, shard_servers=20, shard_steps=12)
+
+
+def full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestResolveWorkers:
@@ -260,6 +280,128 @@ class TestProcessPoolFailureHandling:
         assert batch.failures[0].attempts == 2
         assert batch.metrics.retries == 1
         assert [r.trace_name for r in batch.results] == ["ok"]
+
+
+class TestLandingErrors:
+    """An error while landing a result fails its job; the pool stays up."""
+
+    @pytest.mark.parametrize("prefer", ["serial", "thread", "process"])
+    def test_cache_store_error_fails_each_whole_job_once(
+            self, monkeypatch, tmp_path, prefer):
+        stores = []
+
+        def store(self, key, result):
+            stores.append(key)
+            full_disk()
+
+        monkeypatch.setattr(ResultCache, "store", store)
+        jobs = [SimulationJob(trace=flat_trace("a"), config=teg_original()),
+                SimulationJob(trace=flat_trace("b"),
+                              config=teg_loadbalance())]
+        with BatchSimulationEngine(n_workers=2, prefer=prefer,
+                                   cache=tmp_path, max_retries=1,
+                                   retry_backoff_s=0.0) as engine:
+            batch = engine.run(jobs)
+            assert engine.executor_launches == (prefer != "serial")
+        assert batch.metrics.executor == prefer
+        assert not batch.results
+        assert [(f.trace_name, f.error_type, f.attempts)
+                for f in batch.failures] == [("a", "OSError", 1),
+                                             ("b", "OSError", 1)]
+        assert len(stores) == 2  # each job computed and landed once
+        assert batch.metrics.retries == 0
+
+    @pytest.mark.parametrize("prefer", ["thread", "process"])
+    def test_checkpoint_save_error_fails_the_sharded_job(
+            self, monkeypatch, tmp_path, prefer):
+        trace = random_trace()
+        job = SimulationJob(trace, teg_original())
+        reference = simulate(trace, teg_original(), result_cache=False)
+        with BatchSimulationEngine(n_workers=2, prefer=prefer, cache=False,
+                                   checkpoint=tmp_path,
+                                   **SHARD_KW) as engine:
+            with monkeypatch.context() as patch:
+                patch.setattr(CheckpointStore, "save_shard", full_disk)
+                failed = engine.run([job])
+            healed = engine.run([job])
+            assert engine.executor_launches == 1
+        assert failed.metrics.executor == prefer
+        assert [(f.error_type, f.attempts)
+                for f in failed.failures] == [("OSError", 1)]
+        assert healed.ok
+        assert healed.metrics.executor == prefer
+        assert healed.results[0].records == reference.records
+
+
+class TestPoolStartup:
+    """The executor is chosen once, before anything runs, and reported.
+
+    A process pool that cannot start — its constructor, its first
+    round trip or its payload pickling fails — leaves the whole run on
+    threads, whole jobs and kernel tiles alike.
+    """
+
+    def jobs(self, sharded):
+        if sharded:
+            return [SimulationJob(random_trace(), teg_original())]
+        trace = random_trace(steps=12)
+        return [SimulationJob(trace, config)
+                for config in (teg_original(), teg_loadbalance())]
+
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["whole", "sharded"])
+    @pytest.mark.parametrize("failure", ["start", "fork"])
+    def test_process_pool_that_cannot_start_runs_on_threads(
+            self, monkeypatch, sharded, failure):
+        jobs = self.jobs(sharded)
+        references = [simulate(job.trace, job.config, result_cache=False)
+                      for job in jobs]
+        if failure == "start":
+            ensure = BatchSimulationEngine._ensure_executor
+
+            def no_processes(self, kind, workers):
+                if kind == "process":
+                    raise OSError("no process pools in this sandbox")
+                return ensure(self, kind, workers)
+
+            monkeypatch.setattr(BatchSimulationEngine, "_ensure_executor",
+                                no_processes)
+        else:
+            def fork_refused(self, *args, **kwargs):
+                raise PermissionError("fork refused")
+
+            monkeypatch.setattr(ProcessPoolExecutor, "submit", fork_refused)
+        on_main = []
+        run_shard = shard_mod.run_shard
+
+        def logged(*args, **kwargs):
+            on_main.append(threading.current_thread()
+                           is threading.main_thread())
+            return run_shard(*args, **kwargs)
+
+        monkeypatch.setattr(shard_mod, "run_shard", logged)
+        batch = run_batch(jobs, n_workers=2, prefer="process",
+                          cache=False, **(SHARD_KW if sharded else {}))
+        assert batch.ok
+        assert batch.metrics.executor == "thread"
+        assert batch.metrics.n_workers == 2
+        assert len(on_main) == (8 if sharded else 0)
+        assert not any(on_main)  # every tile ran on a pool thread
+        for result, reference in zip(batch.results, references):
+            assert result.records == reference.records
+
+    def test_fully_resumed_sharded_job_starts_no_pool(self, tmp_path):
+        job = SimulationJob(random_trace(), teg_original())
+        kwargs = dict(n_workers=2, prefer="process", cache=False,
+                      checkpoint=tmp_path, **SHARD_KW)
+        with BatchSimulationEngine(**kwargs) as engine:
+            first = engine.run([job])
+        with BatchSimulationEngine(**kwargs) as engine:
+            resumed = engine.run([job])
+            assert engine.executor_launches == 0
+        assert resumed.metrics.shards_resumed == 8
+        assert resumed.metrics.executor == "serial"
+        assert resumed.results[0].records == first.results[0].records
 
 
 class TestFailedJobRecord:

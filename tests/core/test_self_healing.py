@@ -36,6 +36,7 @@ from repro.core.engine import (
     reap_orphaned_segments,
     resolve_shard_straggler,
     run_batch,
+    simulate,
 )
 from repro.core.shard import (
     audit_merged_result,
@@ -207,6 +208,86 @@ class TestStragglerSpeculation:
         assert_identical(batch.results[0], golden.results[0])
         kinds = {e.kind for e in batch.telemetry.events}
         assert "shard.straggler" in kinds
+
+
+class WorkerKillingRunShard:
+    """Delegate to run_shard, killing any worker process it runs in.
+
+    Every call appends its pid to a log file, so a test can tell where
+    each tile ran.  The coordinator is never killed, only logged.  With
+    ``once`` only the first worker call dies; with ``trace`` only tiles
+    of that trace do.
+    """
+
+    def __init__(self, directory, once=False, trace=None):
+        self.log = directory / "pids"
+        self.marker = directory / "crashed"
+        self.coordinator = os.getpid()
+        self.once = once
+        self.trace = trace
+
+    def __call__(self, tile, spec, *args, **kwargs):
+        with open(self.log, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        if (os.getpid() != self.coordinator
+                and self.trace in (None, tile.name)):
+            try:
+                if self.once:
+                    os.close(os.open(self.marker,
+                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(17)
+        return run_shard(tile, spec, *args, **kwargs)
+
+    def pids(self):
+        return [int(line) for line in self.log.read_text().split()]
+
+
+@pytest.mark.slow
+class TestDeadWorkerTiles:
+    """A dead worker isolates a job's unfinished tiles, never in-process."""
+
+    SHARD_KW = dict(n_workers=2, prefer="process", shard=True,
+                    shard_steps=12, shard_servers=20)
+
+    def test_crash_once_reruns_tiles_isolated(self, monkeypatch,
+                                              tmp_path):
+        trace = make_trace()
+        reference = simulate(trace, teg_original(), result_cache=False)
+        killer = WorkerKillingRunShard(tmp_path, once=True)
+        monkeypatch.setattr(shard_mod, "run_shard", killer)
+        batch = run_batch([SimulationJob(trace, teg_original())],
+                          max_retries=0, **self.SHARD_KW)
+        # The shared pool's crash is charged to no one: with no retries
+        # allowed the job still completes, bit for bit.
+        assert batch.ok
+        assert batch.metrics.executor == "process"
+        assert_identical(batch.results[0], reference)
+        assert os.getpid() not in killer.pids()
+        assert len(killer.pids()) > 8  # the killed attempt, plus 8 tiles
+
+    def test_tile_that_kills_every_worker_fails_only_its_job(
+            self, monkeypatch, tmp_path):
+        doomed = make_trace(name="doomed")
+        healthy = make_trace(seed=8, name="healthy")
+        reference = simulate(healthy, teg_original(), result_cache=False)
+        killer = WorkerKillingRunShard(tmp_path, trace="doomed")
+        monkeypatch.setattr(shard_mod, "run_shard", killer)
+        batch = run_batch([SimulationJob(doomed, teg_original()),
+                           SimulationJob(healthy, teg_original())],
+                          max_retries=1, retry_backoff_s=0.0,
+                          telemetry=True, **self.SHARD_KW)
+        assert [f.trace_name for f in batch.failures] == ["doomed"]
+        assert batch.failures[0].error_type == "BrokenProcessPool"
+        assert_identical(batch.get("TEG_Original", "healthy"), reference)
+        assert os.getpid() not in killer.pids()
+        # 1 + max_retries isolated attempts at the doomed tile.
+        attempts = [(event.kind, event.data["attempt"])
+                    for event in batch.telemetry.events
+                    if event.kind in ("shard.retry", "shard.failed")]
+        assert attempts == [("shard.retry", 1), ("shard.failed", 2)]
 
 
 class TestSegmentReaper:
