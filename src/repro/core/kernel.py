@@ -34,12 +34,14 @@ subtotals would not be).
 Bit-identity
 ------------
 Every array expression mirrors the serial arithmetic exactly: the model
-entry points keep the scalar operation order; a sum or max over the last
-axis of a ``(rows, circulations, size)`` view is bit-identical to the
-serial 1-D reduction (same pairwise blocking); the cluster fold adds
-circulation columns sequentially; and capacity / strict-safety errors
-are replayed at the earliest offending cell in serial evaluation order.
-``tests/core/test_kernel.py`` and the golden fixtures enforce this.
+entry points keep the scalar operation order; a sum or mean over the
+last axis of a ``(rows, circulations, size)`` view is bit-identical to
+the serial 1-D reduction (same pairwise blocking); a maximum is exact
+and order-free, so it is taken slot by slot; the cluster fold is
+``np.add.accumulate`` along the circulations, a sequential sum; and
+capacity / strict-safety errors are replayed at the earliest offending
+cell in serial evaluation order.  ``tests/core/test_kernel.py`` and the
+golden fixtures enforce this.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ __all__ = [
     "run_whole_trace",
 ]
 
-#: Cells per row block of the evaluate pass (``max(1, ROW_BLOCK_CELLS //
-#: n_servers)`` rows): the block's float64 temporaries stay resident in
-#: a few-MB L2 cache.
+#: Cells per row block of the evaluate pass and the circulation maxima
+#: (``max(1, ROW_BLOCK_CELLS // n_servers)`` rows) and of the fold (``//
+#: n_circs`` rows): the block's float64 temporaries stay resident in a
+#: few-MB L2 cache.
 ROW_BLOCK_CELLS = 32_768
 
 
@@ -169,6 +172,31 @@ def _per_circulation(sim, plane: np.ndarray, reduce) -> np.ndarray:
     return out
 
 
+def _slot_max(view: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``view.max(axis=2)`` written into ``out``, one server slot at a time.
+
+    A maximum is exact, so the slot order changes no value (NaN
+    propagates either way), and ``size`` elementwise passes are cheaper
+    than a reduction whose inner loop is one short circulation.
+    """
+    np.copyto(out, view[:, :, 0])
+    for slot in range(1, view.shape[2]):
+        np.maximum(out, view[:, :, slot], out=out)
+    return out
+
+
+def _circulation_max(sim, plane: np.ndarray) -> np.ndarray:
+    """Every circulation's maximum of ``plane``, over cache-sized blocks."""
+    n_steps, n_servers = plane.shape
+    out = np.empty((n_steps, len(sim._groups)))
+    rows = max(1, ROW_BLOCK_CELLS // n_servers)
+    for first in range(0, n_steps, rows):
+        block = slice(first, first + rows)
+        for circs, _, view in _circulations(sim, plane[block]):
+            _slot_max(view, out[block, circs])
+    return out
+
+
 def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
     """The whole-trace scheduled utilisation plane ``U[step, server]``.
 
@@ -218,7 +246,11 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
         return None
     if plane.size == 0:
         return None
-    lo, hi = plane.min(), plane.max()
+    lo = plane.min()
+    # The circulations partition the servers, so the largest maximum
+    # binding is the plane's maximum, NaN and inf included.
+    hi = (plane.max() if getattr(policy, "aggregation", "max") == "avg"
+          else bindings.max())
     if not (lo >= 0.0 and hi <= 1.0):  # NaN compares false: falls back
         return None
     cell = first_cell[order]
@@ -227,6 +259,15 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
                                  sizes[cell % n_circs])
     obs.add("engine.kernel.batched_decisions", len(decisions))
     return decisions
+
+
+def _buckets(bindings: np.ndarray, resolution: float) -> np.ndarray:
+    """``bindings`` quantised as the policy memo and the decision cache do.
+
+    ``np.rint`` and ``round()`` both round half to even.
+    """
+    keys = bindings / resolution
+    return np.rint(keys, out=keys)
 
 
 def _decide_cells(sim, plane: np.ndarray):
@@ -247,48 +288,54 @@ def _decide_cells(sim, plane: np.ndarray):
     policy = sim._policy
     aggregation = getattr(policy, "aggregation", "max")
 
-    bindings = _per_circulation(
-        sim, plane, np.mean if aggregation == "avg" else np.max)
+    if aggregation == "avg":
+        bindings = _per_circulation(sim, plane, np.mean)
+    else:
+        bindings = _circulation_max(sim, plane)
 
     resolution = getattr(policy, "cache_resolution", None)
-    if resolution:
-        # Same bucketing as the policy memo and the decision cache:
-        # np.rint and round() both round half to even.
-        keys = np.rint(bindings / resolution)
-    else:
-        keys = bindings
     sizes = np.array([group.size for group in groups], dtype=float)
-    first_cell = None
-    if resolution and keys.size:
-        # Quantised buckets are small integers: encode (bucket, size)
-        # into one int64 and deduplicate in 1-D, which is an order of
-        # magnitude faster than the row-wise unique below and — because
-        # the encoding is monotone in (bucket, size) — yields the same
-        # unique order, the same inverse and the same first cells.
-        # NaN/inf/overflowing buckets compare false and fall through.
-        if float(np.abs(keys).max()) < 2.0**31:
-            usizes, size_code = np.unique(sizes.astype(np.int64),
-                                          return_inverse=True)
-            codes = (keys.astype(np.int64) * len(usizes)
-                     + size_code.ravel()).ravel()
-            # 1-D unique promises first-occurrence indices.
-            _, first_cell, inverse = np.unique(
-                codes, return_index=True, return_inverse=True)
-            inverse = inverse.ravel()
-            first_cell = first_cell.astype(np.int64)
-            n_uniq = len(first_cell)
-    if first_cell is None:
+    # Label every cell with its (bucket, size) key and find each label's
+    # first cell (priming must follow the serial cell order); a label no
+    # cell carries keeps ``cells`` and is dropped.  Labels ascend with
+    # the key, so the labels present, in ascending order, number the
+    # unique keys (the uids) as a sorted unique would.
+    top = np.nan
+    if resolution and bindings.size:
+        top = np.rint(bindings.max() / resolution)
+    if top < 2**20 and np.rint(bindings.min() / resolution) >= 0.0:
+        # Quantised buckets are small non-negative integers (bucketing
+        # is monotone, so the extreme bindings' buckets bound them): the
+        # label is a code monotone in (bucket, size) that indexes a
+        # table directly, so nothing is sorted.  Row blocks keep every
+        # temporary block-sized.  NaN, inf and overflowing buckets
+        # compare false and take the row-wise unique below.
+        usizes, size_code = np.unique(sizes, return_inverse=True)
+        n_labels = (int(top) + 1) * len(usizes)
+        first = np.full(n_labels, cells, dtype=np.int64)
+        labels = np.empty((n_steps, n_circs), dtype=np.intp)
+        rows = max(1, ROW_BLOCK_CELLS // n_circs)
+        for start in range(0, n_steps, rows):
+            block = labels[start:start + rows]
+            block[...] = _buckets(bindings[start:start + rows], resolution)
+            block *= len(usizes)
+            block += size_code
+            np.minimum.at(first, block.ravel(),
+                          np.arange(start * n_circs,
+                                    start * n_circs + block.size))
+    else:
+        keys = _buckets(bindings, resolution) if resolution else bindings
         pairs = np.column_stack((keys.ravel(),
                                  np.broadcast_to(sizes, (n_steps,
                                                          n_circs)).ravel()))
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        n_uniq = len(uniq)
-        # First occurrence per unique key, guaranteed (np.unique's
-        # return_index does not promise first occurrences for axis-based
-        # calls); priming must follow the serial cell order.
-        first_cell = np.full(n_uniq, cells, dtype=np.int64)
-        np.minimum.at(first_cell, inverse, np.arange(cells))
+        uniq, labels = np.unique(pairs, axis=0, return_inverse=True)
+        n_labels = len(uniq)
+        first = np.full(n_labels, cells, dtype=np.int64)
+        np.minimum.at(first, labels.ravel(), np.arange(cells))
+    labels = labels.ravel()
+    present = np.flatnonzero(first < cells)
+    first_cell = first[present]
+    n_uniq = len(first_cell)
 
     decisions = [None] * n_uniq
     order = np.argsort(first_cell, kind="stable")
@@ -301,6 +348,9 @@ def _decide_cells(sim, plane: np.ndarray):
         for uid in order:
             step, circ = divmod(int(first_cell[uid]), n_circs)
             decisions[uid] = sim._decide(plane[step, groups[circ]])
+    # Free the bindings before the plane-sized gather below, so the
+    # heap never holds three plane-sized arrays at once.
+    del bindings
     cache = getattr(sim, "_cache", None)
     if cache is not None:
         # The serial loop would have looked every cell up; duplicates
@@ -313,11 +363,12 @@ def _decide_cells(sim, plane: np.ndarray):
     # first-seen order.
     setting_index: dict = {}
     cdu = sim._circulations[0].cdu
-    uid_to_sid = np.array([
+    label_to_sid = np.empty(n_labels, dtype=np.intp)
+    label_to_sid[present] = [
         setting_index.setdefault(cdu.clamp(decision.setting),
                                  len(setting_index))
-        for decision in decisions], dtype=np.intp)
-    setting_id = uid_to_sid[inverse].reshape(n_steps, n_circs)
+        for decision in decisions]
+    setting_id = label_to_sid[labels].reshape(n_steps, n_circs)
     return setting_id, list(setting_index)
 
 
@@ -351,7 +402,7 @@ def _evaluate_blocks(sim, plane: np.ndarray, setting_id: np.ndarray,
             generation_c[block, circs] = sim.teg_module.coupled_generation_w(
                 outlet, sim.config.cold_source_temp_c,
                 coupling_by_sid[sid]).sum(axis=2)
-            hottest = max_temp_c[block, circs] = temp.max(axis=2)
+            hottest = _slot_max(temp, max_temp_c[block, circs])
             if (hottest > limit).any():
                 hot = temp > limit
                 counts[block] += hot.sum(axis=(1, 2))
@@ -520,36 +571,41 @@ def fold_columns(columns: KernelColumns, n_servers: int) -> dict:
     summing per-shard subtotals, because float addition is not
     associative and only this order reproduces the unsharded fold bit
     for bit.
+
+    Each row block is summed by ``np.add.accumulate`` along its
+    circulations, which adds them one after another like the serial
+    loop; its last column is the row's total.  ``+ 0.0`` makes an all
+    ``-0.0`` row the ``+0.0`` a fold from zero gives.
     """
     n_steps, n_circs = columns.heat_c.shape
-    total_generation = np.zeros(n_steps)
-    total_cpu_power = np.zeros(n_steps)
-    total_chiller = np.zeros(n_steps)
-    total_tower = np.zeros(n_steps)
-    total_pump = np.zeros(n_steps)
-    inlet_sum = np.zeros(n_steps)
-    flow_sum = np.zeros(n_steps)
-    max_cpu_temp = np.full(n_steps, -np.inf)
-    for index in range(n_circs):
-        size = int(columns.sizes[index])
-        total_generation += columns.generation_c[:, index]
-        total_cpu_power += columns.heat_c[:, index]
-        total_chiller += columns.chiller_power_c[:, index]
-        total_tower += columns.tower_power_c[:, index]
-        total_pump += columns.pump_power_c[:, index]
-        np.maximum(max_cpu_temp, columns.max_temp_c[:, index],
-                   out=max_cpu_temp)
-        inlet_sum += columns.inlet_cell[:, index] * size
-        flow_sum += columns.flow_cell[:, index] * size
+    rows = max(1, ROW_BLOCK_CELLS // n_circs)
+    buffer = np.empty((min(rows, n_steps), n_circs))
+    sums = {name: np.empty(n_steps) for name in (
+        "generation_c", "heat_c", "chiller_power_c", "tower_power_c",
+        "pump_power_c", "inlet_cell", "flow_cell")}
+    max_cpu_temp = np.empty(n_steps)
+    for first in range(0, n_steps, rows):
+        last = min(first + rows, n_steps)
+        block = slice(first, last)
+        out = buffer[:last - first]
+        for name, total in sums.items():
+            cells = getattr(columns, name)[block]
+            if name in ("inlet_cell", "flow_cell"):
+                # One term per server, so the total / n_servers is a mean.
+                cells = np.multiply(cells, columns.sizes, out=out)
+            np.add.accumulate(cells, axis=1, out=out)
+            np.add(out[:, -1], 0.0, out=total[block])
+        max_cpu_temp[block] = columns.max_temp_c[block].max(
+            axis=1, initial=-np.inf)
     return {
-        "generation_per_cpu_w": total_generation / n_servers,
-        "cpu_power_per_cpu_w": total_cpu_power / n_servers,
-        "mean_inlet_temp_c": inlet_sum / n_servers,
-        "mean_flow_l_per_h": flow_sum / n_servers,
+        "generation_per_cpu_w": sums["generation_c"] / n_servers,
+        "cpu_power_per_cpu_w": sums["heat_c"] / n_servers,
+        "mean_inlet_temp_c": sums["inlet_cell"] / n_servers,
+        "mean_flow_l_per_h": sums["flow_cell"] / n_servers,
         "max_cpu_temp_c": max_cpu_temp,
-        "chiller_power_w": total_chiller,
-        "tower_power_w": total_tower,
-        "pump_power_w": total_pump,
+        "chiller_power_w": sums["chiller_power_c"],
+        "tower_power_w": sums["tower_power_c"],
+        "pump_power_w": sums["pump_power_c"],
     }
 
 

@@ -10,10 +10,12 @@ policy kind, and on the error paths.
 
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import repro.core.kernel as kernel_module
 from repro.core.config import (
@@ -29,6 +31,7 @@ from repro.core.engine import (
     simulate,
 )
 from repro.core.results import ColumnarSteps, StepRecord
+from repro.core.shard import simulate_sharded
 from repro.core.simulator import DatacenterSimulator, compare_schemes
 from repro.cooling.cdu import CoolingSetting
 from repro.cooling.loop import WaterCirculation
@@ -407,3 +410,275 @@ class TestKernelBatchEscapeHatch:
         monkeypatch.delattr(LookupSpacePolicy, "decide_batch")
         simulate(trace, teg_original(), mode="kernel")
         assert calls == []  # scalar loop never touches it
+
+
+# ----------------------------------------------------------------------
+# The bulk reductions against the code they replaced
+# ----------------------------------------------------------------------
+
+def oracle_fold_columns(columns, n_servers):
+    """The per-circulation fold loop ``fold_columns`` replaced."""
+    n_steps, n_circs = columns.heat_c.shape
+    total_generation = np.zeros(n_steps)
+    total_cpu_power = np.zeros(n_steps)
+    total_chiller = np.zeros(n_steps)
+    total_tower = np.zeros(n_steps)
+    total_pump = np.zeros(n_steps)
+    inlet_sum = np.zeros(n_steps)
+    flow_sum = np.zeros(n_steps)
+    max_cpu_temp = np.full(n_steps, -np.inf)
+    for index in range(n_circs):
+        size = int(columns.sizes[index])
+        total_generation += columns.generation_c[:, index]
+        total_cpu_power += columns.heat_c[:, index]
+        total_chiller += columns.chiller_power_c[:, index]
+        total_tower += columns.tower_power_c[:, index]
+        total_pump += columns.pump_power_c[:, index]
+        np.maximum(max_cpu_temp, columns.max_temp_c[:, index],
+                   out=max_cpu_temp)
+        inlet_sum += columns.inlet_cell[:, index] * size
+        flow_sum += columns.flow_cell[:, index] * size
+    return {
+        "generation_per_cpu_w": total_generation / n_servers,
+        "cpu_power_per_cpu_w": total_cpu_power / n_servers,
+        "mean_inlet_temp_c": inlet_sum / n_servers,
+        "mean_flow_l_per_h": flow_sum / n_servers,
+        "max_cpu_temp_c": max_cpu_temp,
+        "chiller_power_w": total_chiller,
+        "tower_power_w": total_tower,
+        "pump_power_w": total_pump,
+    }
+
+
+def oracle_per_circulation(groups, plane, reduce):
+    """``reduce(..., axis=2)`` over each run of same-size circulations."""
+    n_steps, n_servers = plane.shape
+    size = len(groups[0])
+    full = n_servers // size
+    out = np.empty((n_steps, len(groups)))
+    out[:, :full] = reduce(plane[:, :full * size].reshape(
+        n_steps, full, size), axis=2)
+    if full * size < n_servers:
+        out[:, full:] = reduce(plane[:, None, full * size:], axis=2)
+    return out
+
+
+def oracle_decide_cells(sim, plane):
+    """``_decide_cells`` as it deduplicated with a 1-D ``np.unique``."""
+    groups = sim._groups
+    n_steps = plane.shape[0]
+    n_circs = len(groups)
+    cells = n_steps * n_circs
+    policy = sim._policy
+    aggregation = getattr(policy, "aggregation", "max")
+    bindings = oracle_per_circulation(
+        groups, plane, np.mean if aggregation == "avg" else np.max)
+    resolution = getattr(policy, "cache_resolution", None)
+    keys = np.rint(bindings / resolution) if resolution else bindings
+    sizes = np.array([group.size for group in groups], dtype=float)
+    first_cell = None
+    if resolution and float(np.abs(keys).max()) < 2.0**31:
+        usizes, size_code = np.unique(sizes.astype(np.int64),
+                                      return_inverse=True)
+        codes = (keys.astype(np.int64) * len(usizes)
+                 + size_code.ravel()).ravel()
+        _, first_cell, inverse = np.unique(
+            codes, return_index=True, return_inverse=True)
+        inverse = inverse.ravel()
+        n_uniq = len(first_cell)
+    if first_cell is None:
+        pairs = np.column_stack((keys.ravel(),
+                                 np.broadcast_to(sizes, (n_steps,
+                                                         n_circs)).ravel()))
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        n_uniq = len(uniq)
+        first_cell = np.full(n_uniq, cells, dtype=np.int64)
+        np.minimum.at(first_cell, inverse, np.arange(cells))
+    order = np.argsort(first_cell, kind="stable")
+    decisions = [None] * n_uniq
+    if 0.0 <= plane.min() and plane.max() <= 1.0:
+        cell = first_cell[order]
+        batched = sim._decide_batch(bindings.ravel()[cell],
+                                    sizes[cell % n_circs])
+        for uid, decision in zip(order, batched):
+            decisions[int(uid)] = decision
+    else:
+        for uid in order:
+            step, circ = divmod(int(first_cell[uid]), n_circs)
+            decisions[uid] = sim._decide(plane[step, groups[circ]])
+    sim._cache.stats.hits += cells - n_uniq
+    setting_index: dict = {}
+    cdu = sim._circulations[0].cdu
+    uid_to_sid = np.array([
+        setting_index.setdefault(cdu.clamp(decision.setting),
+                                 len(setting_index))
+        for decision in decisions], dtype=np.intp)
+    setting_id = uid_to_sid[inverse].reshape(n_steps, n_circs)
+    return setting_id, list(setting_index)
+
+
+#: One fold cell: a double within ±1e6, a signed zero, NaN or an infinity.
+FOLD_CELLS = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+
+
+class TestReductionOracles:
+    """Each rewritten reduction equals the code it replaced, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_circs=st.integers(min_value=1, max_value=30),
+        size=st.integers(min_value=1, max_value=25),
+        tail=st.integers(min_value=1, max_value=25),
+        n_steps=st.integers(min_value=1, max_value=12),
+        block_rows=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    def test_fold_equals_per_circulation_loop(self, n_circs, size, tail,
+                                              n_steps, block_rows, data):
+        sizes = np.array([size] * (n_circs - 1) + [min(tail, size)])
+        planes = [data.draw(arrays(float, (n_steps, n_circs),
+                                   elements=FOLD_CELLS))
+                  for _ in range(8)]
+        # The sign of a zero maximum over mixed +0.0 and -0.0 is
+        # unspecified in both the elementwise loop and a reduction, and
+        # no CPU runs at 0 °C: the hottest-CPU plane keeps one zero sign.
+        planes[5][planes[5] == 0.0] = 0.0
+        negative_zero_row = data.draw(st.integers(0, n_steps - 1))
+        for plane in planes:
+            plane[negative_zero_row] = -0.0
+        columns = kernel_module.KernelColumns(
+            *planes, sizes=sizes,
+            violation_counts=np.zeros(n_steps, dtype=np.int64))
+        n_servers = int(sizes.sum())
+        with pytest.MonkeyPatch.context() as patch, \
+                np.errstate(invalid="ignore", over="ignore"):
+            want = oracle_fold_columns(columns, n_servers)
+            # Several row blocks, the last one usually ragged.
+            patch.setattr(kernel_module, "ROW_BLOCK_CELLS",
+                          block_rows * n_circs)
+            got = kernel_module.fold_columns(columns, n_servers)
+        assert list(got) == list(want)
+        for name in want:
+            # Where two different NaNs meet (a NaN cell and inf - inf),
+            # IEEE 754 leaves the result's payload to the implementation,
+            # and NumPy's elementwise add and its accumulate loop keep
+            # different operands'.  Every other cell, signed zeros
+            # included, is compared bit for bit.
+            nan = np.isnan(want[name])
+            assert np.array_equal(np.isnan(got[name]), nan), name
+            assert np.array_equal(got[name][~nan].view(np.int64),
+                                  want[name][~nan].view(np.int64)), name
+        assert got["generation_per_cpu_w"][negative_zero_row] == 0.0
+        assert not np.signbit(got["chiller_power_w"][negative_zero_row])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=25),
+        full=st.integers(min_value=1, max_value=6),
+        tail=st.integers(min_value=0, max_value=24),
+        n_steps=st.integers(min_value=1, max_value=12),
+        block_cells=st.integers(min_value=1, max_value=200),
+        data=st.data(),
+    )
+    def test_circulation_max_equals_axis_max(self, size, full, tail,
+                                             n_steps, block_cells, data):
+        tail %= size  # 0: no ragged circulation; 1: a 1-wide tail
+        n_servers = full * size + tail
+        plane = data.draw(arrays(float, (n_steps, n_servers),
+                                 elements=FOLD_CELLS))
+        groups = [np.arange(start, min(start + size, n_servers))
+                  for start in range(0, n_servers, size)]
+        sim = SimpleNamespace(_groups=groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
+            got = kernel_module._circulation_max(sim, plane)
+        assert np.array_equal(
+            got, oracle_per_circulation(groups, plane, np.max),
+            equal_nan=True)
+
+    @pytest.mark.parametrize("config,resolution", [
+        (teg_original(), None),
+        (teg_loadbalance(), None),
+        (SimulationConfig(name="analytic", policy="analytic"), None),
+        (teg_original(), 1e-7),
+        (teg_loadbalance(), 1e-7),
+    ], ids=["original", "loadbalance", "analytic", "original-fine",
+            "loadbalance-fine"])
+    def test_decide_cells_equals_unique_oracle(self, config, resolution):
+        # 47 servers: two circulations of 20 and a ragged one of 7, so
+        # the (bucket, size) keys carry two group sizes.
+        trace = drastic_trace(n_servers=47, duration_s=24 * 3600.0,
+                              interval_s=300.0, seed=11)
+        runs = []
+        for decide in (oracle_decide_cells, kernel_module._decide_cells):
+            sim = _CachedVectorisedSimulator(trace, config, mode="kernel")
+            if resolution is not None:
+                sim._policy = replace(sim._policy,
+                                      cache_resolution=resolution,
+                                      _cache={})
+            plane = kernel_module._scheduled_plane(sim, trace.utilisation)
+            with pytest.MonkeyPatch.context() as patch:
+                # 288 steps in blocks of 7 rows: a ragged last block.
+                patch.setattr(kernel_module, "ROW_BLOCK_CELLS", 22)
+                setting_id, applied = decide(sim, plane)
+            runs.append((setting_id, applied,
+                         list(sim._cache._store.items()),
+                         (sim._cache.stats.hits, sim._cache.stats.misses),
+                         list(getattr(sim._policy, "_cache", {}).items())))
+        want, got = runs
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        assert len(got[2]) > 1
+        if resolution is None and config.policy == "lookup":
+            assert got[3][0] > 0  # the code table deduplicated cells
+        if resolution is not None:
+            # Buckets this fine overflow the code table: the row-wise
+            # unique answers, and it must agree too.
+            bindings = oracle_per_circulation(sim._groups, plane, np.max)
+            assert np.rint(bindings / resolution).max() >= 2**20
+
+    def test_out_of_range_plane_primes_like_the_oracle(self):
+        # One cell above 1 sends decide to the scalar loop, which primes
+        # every key met before that cell and then raises the policy's
+        # own error: the upper bound, read from the bindings, must see it.
+        trace = drastic_trace(n_servers=47, duration_s=24 * 3600.0,
+                              interval_s=300.0, seed=11)
+        plane = trace.utilisation.copy()
+        plane[200, 30] = 1.2
+        primed = []
+        for decide in (oracle_decide_cells, kernel_module._decide_cells):
+            sim = _CachedVectorisedSimulator(trace, teg_original(),
+                                             mode="kernel")
+            with pytest.raises(PhysicalRangeError):
+                decide(sim, plane)
+            primed.append((list(sim._cache._store),
+                           list(sim._policy._cache)))
+        assert primed[1] == primed[0]
+        assert primed[0][0]
+
+
+class TestTinyRowBlocks:
+    """Every block loop over many blocks and a ragged last one."""
+
+    @pytest.mark.parametrize("config", [teg_original(), teg_loadbalance()],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("trace", [
+        drastic_trace(n_servers=47, duration_s=4 * 3600.0,
+                      interval_s=300.0, seed=7),
+        common_trace(n_servers=40, duration_s=4 * 3600.0,
+                     interval_s=300.0, seed=5),
+    ], ids=["drastic47", "common40"])
+    def test_kernel_and_shards_equal_serial(self, config, trace):
+        serial = DatacenterSimulator(trace, config).run()
+        for block_cells in (1, 7, 40):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
+                kernel = simulate(trace, config, mode="kernel")
+                sharded = simulate_sharded(trace, config, shard_servers=20,
+                                           shard_steps=7)
+            for fast in (kernel, sharded):
+                assert fast.records == serial.records, block_cells
+                assert fast.violations == serial.violations, block_cells
