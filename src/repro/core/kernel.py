@@ -10,11 +10,14 @@ run the simulation is a pure function of the trace, so the kernel:
    through the cooling-decision cache's own quantisation, and calls the
    policy once per unique key (primed in first-occurrence order, so a
    shared memoising policy sees exactly the serial call sequence);
-2. **evaluates** — one pass over cache-sized row blocks: the model entry
-   points compute CPU power once, then CPU/outlet temperatures and TEG
-   output, from each cell's setting terms; each block is reduced at once
-   to per-circulation sums and maxima and over-limit cells, so no
-   ``(steps x servers)`` result plane is built;
+2. **evaluates** — one pass over cache-sized row blocks, after the
+   models' range checks have run once for the whole run: the models'
+   unchecked laws compute CPU power once, the outlet temperature and
+   the TEG output into reused block buffers, from each cell's setting
+   terms; each block is reduced at once to per-circulation sums, the
+   hottest CPU (the temperature law applied to each circulation's peak
+   power) and over-limit cells, so no ``(steps x servers)`` result
+   plane is built;
 3. **reduces** — the facility split (chiller fraction, tower, pump) as
    per-cell array arithmetic with the serial expression order, the
    earliest capacity / strict-safety error and the violation log;
@@ -34,10 +37,14 @@ subtotals would not be).
 Bit-identity
 ------------
 Every array expression mirrors the serial arithmetic exactly: the model
-entry points keep the scalar operation order; a sum or mean over the
-last axis of a ``(rows, circulations, size)`` view is bit-identical to
-the serial 1-D reduction (same pairwise blocking); a maximum is exact
-and order-free, so it is taken slot by slot; the cluster fold is
+laws keep the scalar operation order; a sum or mean over the last axis
+of a ``(rows, circulations, size)`` view is bit-identical to the serial
+1-D reduction (same pairwise blocking); a maximum is exact and
+order-free, so it is taken slot by slot; with ``R_th >= 0`` the CPU
+temperature is non-decreasing in the power under round-to-nearest, so
+the law applied to the peak power is the hottest CPU's temperature
+(a setting with ``R_th < 0`` takes the per-cell maximum); the cluster
+fold is
 ``np.add.accumulate`` along the circulations, a sequential sum; and
 capacity / strict-safety errors are replayed at the earliest offending
 cell in serial evaluation order.  ``tests/core/test_kernel.py`` and the
@@ -54,8 +61,8 @@ import numpy as np
 from .. import obs
 from ..control.scheduling import IdealBalancer, NoScheduler
 from ..errors import CoolingFailureError, PhysicalRangeError
-from ..teg.module import flow_coupling
-from ..thermal.cpu_model import SettingTerms
+from ..teg.module import _check_coupling, flow_coupling
+from ..thermal.cpu_model import SettingTerms, _check_utilisation
 from ..thermal.hydraulics import loop_pump_power_w
 from .results import ColumnarSteps, SafetyViolation, SimulationResult
 
@@ -281,6 +288,16 @@ def _decide_cells(sim, plane: np.ndarray):
     (and in exactly the order) the serial loop would have used, and
     duplicate cells are accounted as cache hits.
     """
+    return _decide_plane(sim, plane)[:2]
+
+
+def _decide_plane(sim, plane: np.ndarray):
+    """:func:`_decide_cells` plus whether it proved the plane's range.
+
+    The third element is ``True`` when the batch path ran, which it
+    does only on a plane in ``[0, 1]`` without NaN, so evaluate need
+    not check the utilisations again.
+    """
     groups = sim._groups
     n_steps = plane.shape[0]
     n_circs = len(groups)
@@ -369,47 +386,71 @@ def _decide_cells(sim, plane: np.ndarray):
                                  len(setting_index))
         for decision in decisions]
     setting_id = label_to_sid[labels].reshape(n_steps, n_circs)
-    return setting_id, list(setting_index)
+    return setting_id, list(setting_index), batched is not None
 
 
 def _evaluate_blocks(sim, plane: np.ndarray, setting_id: np.ndarray,
-                     applied_settings: list):
+                     applied_settings: list, in_range: bool):
     """Phase 2: the models over row blocks, each reduced at once.
 
     Returns the per-circulation CPU power sums, generation sums and
     hottest CPU, the per-step violation counts and the over-limit cells
     as ``(steps, servers, temps)`` arrays in serial (row-major) order.
+
+    The models' range checks run once per run, not per block: the
+    utilisation check only when decide has not proved the plane
+    (``in_range``), the TEG check on each setting's coupling factor.
+    The laws write into three reused block buffers.  A block whose
+    settings all have ``R_th >= 0`` takes its hottest CPUs from each
+    circulation's peak power (exact, see
+    :meth:`CpuThermalModel.response`); per-cell temperatures are built
+    only in a block with a setting of ``R_th < 0`` or a CPU over the
+    limit.
     """
     n_steps, n_servers = plane.shape
     cpu_model = sim.cpu_model
+    teg_module = sim.teg_module
     limit = cpu_model.max_operating_temp_c
+    cold = sim.config.cold_source_temp_c
+    if not in_range:
+        _check_utilisation(plane)
     terms_by_sid = np.array([cpu_model.setting_terms(applied)
                              for applied in applied_settings]).T
     coupling_by_sid = np.array([flow_coupling(applied.flow_l_per_h)
                                 for applied in applied_settings])
+    _check_coupling(coupling_by_sid)
     heat_c, generation_c, max_temp_c = (
         np.empty(setting_id.shape) for _ in range(3))
     counts = np.zeros(n_steps, dtype=np.int64)
     over = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
     rows = max(1, ROW_BLOCK_CELLS // n_servers)
+    buffers = np.empty((3, min(rows, n_steps) * n_servers))
     for first in range(0, n_steps, rows):
         block = slice(first, first + rows)
         for circs, first_server, utils in _circulations(sim, plane[block]):
+            power, outlet, cells = (buffer[:utils.size].reshape(utils.shape)
+                                    for buffer in buffers)
             sid = setting_id[block, circs, None]
-            power, temp, outlet = cpu_model.response(
-                utils, SettingTerms(*terms_by_sid[:, sid]))
+            terms = SettingTerms(*terms_by_sid[:, sid])
+            cpu_model._power_outlet(utils, terms, power, outlet)
             heat_c[block, circs] = power.sum(axis=2)
-            generation_c[block, circs] = sim.teg_module.coupled_generation_w(
-                outlet, sim.config.cold_source_temp_c,
-                coupling_by_sid[sid]).sum(axis=2)
-            hottest = _slot_max(temp, max_temp_c[block, circs])
-            if (hottest > limit).any():
-                hot = temp > limit
-                counts[block] += hot.sum(axis=(1, 2))
-                step, circ, slot = np.nonzero(hot)
-                over.append((first + step,
-                             first_server + circ * utils.shape[2] + slot,
-                             temp[step, circ, slot]))
+            hottest = max_temp_c[block, circs]
+            monotone = (terms.r_th >= 0.0).all()
+            if monotone:
+                peak = _slot_max(power, hottest)[:, :, None]
+                cpu_model._cpu_temp(peak, terms.k_inlet, terms.r_th, out=peak)
+            if not monotone or (hottest > limit).any():
+                temp = cpu_model._cpu_temp(power, terms.k_inlet, terms.r_th,
+                                           out=cells)
+                if (_slot_max(temp, hottest) > limit).any():
+                    hot = temp > limit
+                    counts[block] += hot.sum(axis=(1, 2))
+                    step, circ, slot = np.nonzero(hot)
+                    over.append((first + step,
+                                 first_server + circ * utils.shape[2] + slot,
+                                 temp[step, circ, slot]))
+            generation_c[block, circs] = teg_module._coupled_generation(
+                outlet, cold, coupling_by_sid[sid], cells, power).sum(axis=2)
     steps, servers, temps = map(np.concatenate, zip(*over))
     order = np.lexsort((servers, steps))
     return (heat_c, generation_c, max_temp_c, counts,
@@ -492,14 +533,14 @@ def run_kernel_columns(sim) -> KernelColumns:
     clock = time.perf_counter()
     with obs.span("kernel.decide"):
         plane = _scheduled_plane(sim, trace.utilisation)
-        setting_id, applied_settings = _decide_cells(sim, plane)
+        setting_id, applied_settings, in_range = _decide_plane(sim, plane)
     timings.decide_s = time.perf_counter() - clock
 
     # Phase 2 — evaluate the models and reduce each row block at once.
     clock = time.perf_counter()
     with obs.span("kernel.evaluate"):
         heat_c, generation_c, max_temp_c, counts, over = _evaluate_blocks(
-            sim, plane, setting_id, applied_settings)
+            sim, plane, setting_id, applied_settings, in_range)
     timings.evaluate_s = time.perf_counter() - clock
 
     # Phase 3 — facility accounting, earliest error, violation log.

@@ -79,13 +79,25 @@ class EmpiricalTegFit:
         The fit's small positive constant term is zeroed at exactly
         ``dT = 0`` (a TEG cannot generate without a difference).
         """
-        delta = _check_delta(delta_t_c)
-        power = (self.pmax_quad_w_per_c2 * delta ** 2
-                 + self.pmax_lin_w_per_c * delta
-                 + self.pmax_const_w)
-        power = np.where(delta == 0.0, 0.0, np.maximum(0.0, power))
+        power = self._max_power(_check_delta(delta_t_c))
         if power.ndim == 0:
             return float(power)
+        return power
+
+    def _max_power(self, delta: np.ndarray, out=None, work=None):
+        """The law of :meth:`max_power_w` over checked differences.
+
+        ``delta`` is an array and is left unchanged.  ``out`` receives
+        the result and ``work`` the linear term, when given: arrays
+        shaped like ``delta``, neither of them ``delta`` itself.
+        """
+        power = np.square(delta, out=np.empty_like(delta) if out is None
+                          else out)
+        np.multiply(self.pmax_quad_w_per_c2, power, out=power)
+        power += np.multiply(self.pmax_lin_w_per_c, delta, out=work)
+        power += self.pmax_const_w
+        np.maximum(0.0, power, out=power)
+        np.copyto(power, 0.0, where=delta == 0.0)
         return power
 
 
@@ -185,10 +197,24 @@ class TegDevice:
         Empirical mode uses the paper's quadratic fit (Eq. 6); physical
         mode evaluates ``Voc^2 / (4 R)`` (Eq. 5 with a matched load).
         """
+        power = self._max_power(_check_delta(delta_t_c))
+        if np.ndim(power) == 0:
+            return float(power)
+        return power
+
+    def _max_power(self, delta: np.ndarray, out=None, work=None):
+        """The law of :meth:`max_power_w` over checked differences.
+
+        Takes ``out`` and ``work`` as
+        :meth:`EmpiricalTegFit._max_power` does.
+        """
         if self.mode == "empirical":
-            return self.fit.max_power_w(delta_t_c)
-        voc = self.open_circuit_voltage_v(delta_t_c)
-        return voc ** 2 / (4.0 * self.resistance_ohm)
+            return self.fit._max_power(delta, out, work)
+        voc = np.multiply(self.seebeck_slope_v_per_c(), delta, out=out)
+        # ``** 2`` squares an array but calls libm ``pow`` on a scalar,
+        # and the two differ in the last bit for some values.
+        voc = voc ** 2 if out is None else np.square(voc, out=out)
+        return np.divide(voc, 4.0 * self.resistance_ohm, out=out)
 
     # ------------------------------------------------------------------
     # Thermal characteristics

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..constants import TEGS_PER_SERVER
 from ..errors import PhysicalRangeError
-from .device import TegDevice, PAPER_TEG, matched_load_power_w
+from .device import TegDevice, PAPER_TEG, _check_delta, matched_load_power_w
 
 #: Flow rate at which the paper's Eq. 3/Eq. 6 fits were measured (Sec. IV-B).
 REFERENCE_FLOW_L_PER_H = 200.0
@@ -50,6 +50,13 @@ def flow_coupling(flow_l_per_h: float,
     def saturation(f: float) -> float:
         return f / (f + _COUPLING_HALF_FLOW_L_PER_H)
     return saturation(flow_l_per_h) / saturation(reference_flow_l_per_h)
+
+
+def _check_coupling(coupling) -> None:
+    """Reject a negative coupling factor (``None`` and NaN pass)."""
+    if coupling is not None and np.any(np.asarray(coupling) < 0.0):
+        raise PhysicalRangeError(
+            f"coupling factor must be >= 0, got {coupling}")
 
 
 def _coupling(flow_l_per_h: float | None) -> float | None:
@@ -119,8 +126,27 @@ class TegString:
         ``coupling`` is a :func:`flow_coupling` value, an array of them
         aligned with ``delta_t_c`` (one flow per element), or ``None``.
         """
-        effective = self._effective_delta(delta_t_c, coupling)
-        return self.count * self.device.max_power_w(effective)
+        delta = _check_delta(delta_t_c).copy()
+        _check_coupling(coupling)
+        power = self._coupled_max_power(delta, coupling)
+        if np.ndim(power) == 0:
+            return float(power)
+        return power
+
+    def _coupled_max_power(self, delta: np.ndarray, coupling, out=None,
+                           work=None):
+        """The law of :meth:`coupled_max_power_w`, unchecked.
+
+        ``delta`` (an array of differences ``>= 0`` or NaN) is scaled in
+        place by ``coupling`` (``>= 0`` or ``None``), so each cell stays
+        ``>= 0`` or NaN; ``out`` and ``work`` are as for
+        :meth:`TegDevice._max_power`.
+        """
+        if coupling is not None:
+            np.multiply(delta, coupling, out=delta)
+        power = self.device._max_power(delta, out, work)
+        power *= self.count
+        return power
 
     def operating_point(self, delta_t_c: float, load_ohm: float,
                         flow_l_per_h: float | None = None) -> OperatingPoint:
@@ -216,11 +242,25 @@ class TegModule:
         The elementwise entry point: ``coupling`` may be an array aligned
         with ``warm_out_temp_c`` (see :meth:`TegString.coupled_max_power_w`).
         """
-        delta = np.maximum(0.0, np.asarray(warm_out_temp_c, dtype=float)
-                           - cold_temp_c)
-        if delta.ndim == 0:
-            delta = float(delta)
-        return self.as_string.coupled_max_power_w(delta, coupling)
+        _check_coupling(coupling)
+        power = self._coupled_generation(
+            np.array(warm_out_temp_c, dtype=float), cold_temp_c, coupling)
+        if np.ndim(power) == 0:
+            return float(power)
+        return power
+
+    def _coupled_generation(self, warm_out: np.ndarray, cold_temp_c: float,
+                            coupling, out=None, work=None):
+        """The law of :meth:`coupled_generation_w`, unchecked.
+
+        ``warm_out`` (an array) is overwritten: ``max(0, warm - cold)``
+        leaves every cell ``>= 0`` or NaN, so with a ``coupling >= 0``
+        (checked once by the caller) no cell needs a range check.
+        ``out`` and ``work`` are as for :meth:`TegDevice._max_power`.
+        """
+        delta = np.subtract(warm_out, cold_temp_c, out=warm_out)
+        np.maximum(0.0, delta, out=delta)
+        return self.as_string._coupled_max_power(delta, coupling, out, work)
 
     def heat_harvested_w(self, warm_out_temp_c: float,
                          cold_temp_c: float) -> float:

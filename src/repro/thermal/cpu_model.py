@@ -73,14 +73,33 @@ def cpu_power_w(utilisation):
     return _eq20(_check_utilisation(utilisation))
 
 
-def _eq20(utils: np.ndarray):
-    """Eq. 20 over already-checked utilisations (a float for 0-d input)."""
-    power = (CPU_POWER_LOG_COEFF_W
-             * np.log(utils + CPU_POWER_LOG_OFFSET)
-             + CPU_POWER_CONST_W)
+def _eq20(utils: np.ndarray, out=None):
+    """Eq. 20 over already-checked utilisations (a float for 0-d input).
+
+    ``out`` (an array shaped like ``utils``, which may be ``utils``
+    itself) receives the result, every operation then running in place.
+    """
+    power = np.add(utils, CPU_POWER_LOG_OFFSET, out=out)
+    power = np.log(power, out=out)
+    power = np.multiply(CPU_POWER_LOG_COEFF_W, power, out=out)
+    power = np.add(power, CPU_POWER_CONST_W, out=out)
     if power.ndim == 0:
         return float(power)
     return power
+
+
+# One arithmetic step of a law: the plain operator (Python floats stay
+# floats) or, given ``out``, the ufunc writing into it.
+def _add(a, b, out=None):
+    return a + b if out is None else np.add(a, b, out=out)
+
+
+def _mul(a, b, out=None):
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _div(a, b, out=None):
+    return a / b if out is None else np.divide(a, b, out=out)
 
 
 @dataclass(frozen=True)
@@ -209,10 +228,19 @@ class OutletDeltaModel:
         ``eq20_power_w`` is the unscaled Eq. 20 power (read in physical
         mode only); ``first``/``second`` may be per-element arrays.
         """
+        return self._delta(utilisation, eq20_power_w, first, second)
+
+    def _delta(self, utils, eq20, first, second, out=None):
+        """The law of :meth:`delta_from`, written into ``out`` if given.
+
+        ``out`` is an array of the broadcast shape; it may be ``eq20``
+        (physical mode) but not ``utils`` (empirical mode reads it).
+        """
         if self.mode == "physical":
-            return self.capture_efficiency * eq20_power_w / first
-        base = self.base_delta_c + self.load_delta_c * utilisation
-        return base * first * second
+            return _div(_mul(self.capture_efficiency, eq20, out), first, out)
+        base = _add(self.base_delta_c, _mul(self.load_delta_c, utils, out),
+                    out)
+        return _mul(_mul(base, first, out), second, out)
 
 
 class SettingTerms(NamedTuple):
@@ -295,26 +323,51 @@ class CpuThermalModel:
     def response(self, utilisation, terms: SettingTerms):
         """CPU power, CPU temperature and outlet temperature, elementwise.
 
-        The one home of the elementwise laws: Eq. 20 is evaluated once
-        and feeds both the linear temperature law and Eq. 8.  ``terms``
-        come from :meth:`setting_terms`; their fields may be arrays
-        broadcasting against ``utilisation`` (the whole-trace kernel
-        passes one setting per circulation cell).  Every expression
-        keeps the operation order of a scalar call, so each element is
-        bit-identical to evaluating it alone.
+        Checks the utilisations, then applies the elementwise laws:
+        Eq. 20 is evaluated once and feeds both the linear temperature
+        law and Eq. 8.  ``terms`` come from :meth:`setting_terms`; their
+        fields may be arrays broadcasting against ``utilisation``.
+        Every expression keeps the operation order of a scalar call, so
+        each element is bit-identical to evaluating it alone.
+
+        The whole-trace kernel checks a plane once and calls the same
+        laws (:meth:`_power_outlet`, :meth:`_cpu_temp`) on row blocks.
+        Where ``R_th >= 0`` the temperature law is non-decreasing in the
+        power, so it applies the law to each circulation's peak power:
+        rounding is monotone, so ``k + R_th * max(P)`` is the hottest
+        CPU's temperature bit for bit.
 
         Returns ``(cpu_power_w, cpu_temp_c, outlet_temp_c)``, floats for
         a scalar utilisation and scalar terms.
         """
         utils = _check_utilisation(utilisation)
-        eq20 = _eq20(utils)
         if utils.ndim == 0:
             utils = float(utils)
-        power = self.power_scale * eq20
-        cpu_temp = terms.k_inlet + terms.r_th * power
-        outlet = terms.inlet_temp_c + self.outlet_model.delta_from(
-            utils, eq20, terms.outlet_first, terms.outlet_second)
-        return power, cpu_temp, outlet
+        power, outlet = self._power_outlet(utils, terms)
+        return (power, self._cpu_temp(power, terms.k_inlet, terms.r_th),
+                outlet)
+
+    def _power_outlet(self, utils, terms: SettingTerms, power_out=None,
+                      outlet_out=None):
+        """CPU power (Eq. 20 scaled) and outlet temperature (Eq. 8).
+
+        ``utils`` are checked utilisations.  Given arrays of the
+        broadcast shape, ``power_out`` and ``outlet_out`` receive the
+        results and every operation runs in place.
+        """
+        eq20 = _eq20(utils, out=power_out)
+        delta = self.outlet_model._delta(utils, eq20, terms.outlet_first,
+                                         terms.outlet_second, out=outlet_out)
+        return (_mul(self.power_scale, eq20, power_out),
+                _add(terms.inlet_temp_c, delta, outlet_out))
+
+    @staticmethod
+    def _cpu_temp(power, k_inlet, r_th, out=None):
+        """The linear law ``k(f) * T_inlet + R_th(f) * P``.
+
+        ``out`` (which may be ``power``) receives the result if given.
+        """
+        return _add(k_inlet, _mul(r_th, power, out), out)
 
     def cpu_temp_c(self, utilisation, setting: CoolingSetting):
         """Steady-state CPU temperature for a load and cooling setting."""

@@ -45,12 +45,15 @@ def _diurnal(n_steps: int, interval_s: float, amplitude: float,
 
 def _ar1(rng: np.random.Generator, n_steps: int, n_servers: int,
          rho: float, sigma: float) -> np.ndarray:
-    """Per-server AR(1) noise with persistence ``rho``."""
-    noise = rng.normal(0.0, sigma, size=(n_steps, n_servers))
-    series = np.empty_like(noise)
-    series[0] = noise[0]
+    """Per-server AR(1) noise with persistence ``rho``.
+
+    The recursion ``x[t] = rho * x[t - 1] + noise[t]`` runs inside the
+    drawn noise array, so the plane is allocated once.
+    """
+    series = rng.normal(0.0, sigma, size=(n_steps, n_servers))
+    carried = np.empty(n_servers)
     for t in range(1, n_steps):
-        series[t] = rho * series[t - 1] + noise[t]
+        series[t] += np.multiply(rho, series[t - 1], out=carried)
     return series
 
 
@@ -77,7 +80,7 @@ def drastic_trace(n_servers: int = 1313, duration_s: float = 12 * 3600.0,
     rng = _rng(seed)
     n_steps = _steps(duration_s, interval_s)
     base = 0.22 + _diurnal(n_steps, interval_s, amplitude=0.05)
-    noise = _ar1(rng, n_steps, n_servers, rho=0.3, sigma=0.07)
+    matrix = _ar1(rng, n_steps, n_servers, rho=0.3, sigma=0.07)
     # Batch jobs: rectangular bursts of extra load on random servers.
     bursts = np.zeros((n_steps, n_servers))
     n_bursts = max(1, n_steps * n_servers // 40)
@@ -91,7 +94,9 @@ def drastic_trace(n_servers: int = 1313, duration_s: float = 12 * 3600.0,
     # Cluster schedulers keep CPU headroom; sustained utilisation above
     # ~90 % is rare in the public Alibaba data, so stacked bursts saturate
     # there rather than at the theoretical 100 %.
-    matrix = np.clip(base[:, None] + noise + bursts, 0.0, 0.90)
+    matrix += base[:, None]
+    matrix += bursts
+    np.clip(matrix, 0.0, 0.90, out=matrix)
     return WorkloadTrace._owning(matrix, interval_s, name="drastic")
 
 
@@ -106,7 +111,7 @@ def irregular_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
     rng = _rng(seed)
     n_steps = _steps(duration_s, interval_s)
     base = 0.17 + _diurnal(n_steps, interval_s, amplitude=0.04)
-    noise = _ar1(rng, n_steps, n_servers, rho=0.9, sigma=0.02)
+    matrix = _ar1(rng, n_steps, n_servers, rho=0.9, sigma=0.02)
     spikes = np.zeros((n_steps, n_servers))
     n_spikes = max(1, n_steps * n_servers // 400)
     starts = rng.integers(0, n_steps, size=n_spikes)
@@ -116,7 +121,9 @@ def irregular_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
     for start, server, length, height in zip(starts, servers, lengths,
                                              heights):
         spikes[start:start + length, server] += height
-    matrix = np.clip(base[:, None] + noise + spikes, 0.0, 1.0)
+    matrix += base[:, None]
+    matrix += spikes
+    np.clip(matrix, 0.0, 1.0, out=matrix)
     return WorkloadTrace._owning(matrix, interval_s, name="irregular")
 
 
@@ -131,15 +138,16 @@ def common_trace(n_servers: int = 1000, duration_s: float = 24 * 3600.0,
     rng = _rng(seed)
     n_steps = _steps(duration_s, interval_s)
     base = 0.22 + _diurnal(n_steps, interval_s, amplitude=0.03)
-    noise = _ar1(rng, n_steps, n_servers, rho=0.97, sigma=0.008)
+    matrix = _ar1(rng, n_steps, n_servers, rho=0.97, sigma=0.008)
     # Server heterogeneity: most servers cluster near the base load, but a
     # small share host steadily busy services (the binding CPUs a shared
     # circulation must be cooled for).
     per_server_offset = rng.normal(0.0, 0.05, size=n_servers)
     hot = rng.random(n_servers) < 0.04
     per_server_offset[hot] += rng.uniform(0.18, 0.32, size=int(hot.sum()))
-    matrix = np.clip(base[:, None] + noise + per_server_offset[None, :],
-                     0.0, 1.0)
+    matrix += base[:, None]
+    matrix += per_server_offset
+    np.clip(matrix, 0.0, 1.0, out=matrix)
     return WorkloadTrace._owning(matrix, interval_s, name="common")
 
 

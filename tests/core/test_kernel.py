@@ -42,8 +42,12 @@ from repro.errors import (
 )
 from repro.faults import FaultSchedule, FaultSpec
 from repro.teg.device import TegDevice
-from repro.teg.module import default_server_module
-from repro.thermal.cpu_model import CpuThermalModel, OutletDeltaModel
+from repro.teg.module import default_server_module, flow_coupling
+from repro.thermal.cpu_model import (
+    CpuThermalModel,
+    OutletDeltaModel,
+    SettingTerms,
+)
 from repro.workloads.synthetic import common_trace, drastic_trace
 from repro.workloads.trace import WorkloadTrace
 
@@ -682,3 +686,173 @@ class TestTinyRowBlocks:
             for fast in (kernel, sharded):
                 assert fast.records == serial.records, block_cells
                 assert fast.violations == serial.violations, block_cells
+
+
+# ----------------------------------------------------------------------
+# Evaluate against the per-block model calls it replaced
+# ----------------------------------------------------------------------
+
+def oracle_evaluate_blocks(sim, plane, setting_id, applied_settings):
+    """``_evaluate_blocks`` as it called the checked model entry points
+    per block and built every cell's CPU temperature."""
+    n_steps, n_servers = plane.shape
+    cpu_model = sim.cpu_model
+    limit = cpu_model.max_operating_temp_c
+    terms_by_sid = np.array([cpu_model.setting_terms(applied)
+                             for applied in applied_settings]).T
+    coupling_by_sid = np.array([flow_coupling(applied.flow_l_per_h)
+                                for applied in applied_settings])
+    heat_c, generation_c, max_temp_c = (
+        np.empty(setting_id.shape) for _ in range(3))
+    counts = np.zeros(n_steps, dtype=np.int64)
+    over = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    rows = max(1, kernel_module.ROW_BLOCK_CELLS // n_servers)
+    for first in range(0, n_steps, rows):
+        block = slice(first, first + rows)
+        for circs, first_server, utils in kernel_module._circulations(
+                sim, plane[block]):
+            sid = setting_id[block, circs, None]
+            power, temp, outlet = cpu_model.response(
+                utils, SettingTerms(*terms_by_sid[:, sid]))
+            heat_c[block, circs] = power.sum(axis=2)
+            generation_c[block, circs] = sim.teg_module.coupled_generation_w(
+                outlet, sim.config.cold_source_temp_c,
+                coupling_by_sid[sid]).sum(axis=2)
+            hottest = kernel_module._slot_max(temp, max_temp_c[block, circs])
+            if (hottest > limit).any():
+                hot = temp > limit
+                counts[block] += hot.sum(axis=(1, 2))
+                step, circ, slot = np.nonzero(hot)
+                over.append((first + step,
+                             first_server + circ * utils.shape[2] + slot,
+                             temp[step, circ, slot]))
+    steps, servers, temps = map(np.concatenate, zip(*over))
+    order = np.lexsort((servers, steps))
+    return (heat_c, generation_c, max_temp_c, counts,
+            (steps[order], servers[order], temps[order]))
+
+
+def assert_same_bits(got, want, name):
+    """Bit-equal arrays, except that at NaN cells only NaN-ness counts."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), name
+    assert np.array_equal(got[~nan].view(np.int64),
+                          want[~nan].view(np.int64)), name
+
+
+class TestEvaluateOracle:
+    """The in-place evaluate equals the per-block model calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=25),
+        full=st.integers(min_value=1, max_value=4),
+        tail=st.integers(min_value=0, max_value=24),
+        n_steps=st.integers(min_value=1, max_value=9),
+        block_cells=st.sampled_from([1, 7, 40]),
+        setting=st.sampled_from(["lookup", "hot", "warm", "fast"]),
+        strict=st.booleans(),
+        physical_outlet=st.booleans(),
+        physical_teg=st.booleans(),
+        power_scale=st.sampled_from([0.8, 1.0, 1.35]),
+        extra_resistance=st.sampled_from([0.0, 0.03, -0.2]),
+        data=st.data(),
+    )
+    def test_evaluate_equals_oracle(self, size, full, tail, n_steps,
+                                    block_cells, setting, strict,
+                                    physical_outlet, physical_teg,
+                                    power_scale, extra_resistance, data):
+        # ``tail`` adds a ragged last circulation; "hot" (30 L/h, 60 °C)
+        # puts CPUs over the limit, and "fast" (250 L/h) has R_th < 0
+        # when the extra resistance is -0.2.
+        n_servers = full * size + tail % size
+        plane = data.draw(arrays(float, (n_steps, n_servers),
+                                 elements=st.floats(0.0, 1.0)))
+        flow, inlet = {"hot": (30.0, 60.0), "warm": (50.0, 45.0),
+                       "fast": (250.0, 45.0)}.get(setting, (50.0, 45.0))
+        config = SimulationConfig(
+            name="drawn", policy="lookup" if setting == "lookup"
+            else "static", circulation_size=size, strict_safety=strict,
+            static_setting=CoolingSetting(flow_l_per_h=flow,
+                                          inlet_temp_c=inlet))
+        cpu_model = CpuThermalModel(
+            outlet_model=OutletDeltaModel(
+                mode="physical" if physical_outlet else "empirical"),
+            power_scale=power_scale,
+            extra_resistance_k_per_w=extra_resistance)
+        teg_module = default_server_module(TegDevice(
+            mode="physical" if physical_teg else "empirical"))
+        trace = WorkloadTrace(plane, 300.0)
+        runs = []
+        for oracle in (True, False):
+            sim = _CachedVectorisedSimulator(trace, config, cpu_model,
+                                             teg_module, mode="kernel")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
+                setting_id, applied = kernel_module._decide_cells(
+                    sim, plane)
+                if oracle:
+                    outputs = oracle_evaluate_blocks(sim, plane, setting_id,
+                                                     applied)
+                    patch.setattr(
+                        kernel_module, "_evaluate_blocks",
+                        lambda sim, plane, sid, applied, in_range:
+                        oracle_evaluate_blocks(sim, plane, sid, applied))
+                else:
+                    outputs = kernel_module._evaluate_blocks(
+                        sim, plane, setting_id, applied, True)
+                # The whole run, for the error strict safety raises.
+                columns = kernel_module.run_kernel_columns(sim)
+            runs.append((outputs, columns))
+        (want, want_columns), (got, got_columns) = runs
+        for name, got_plane, want_plane in zip(
+                ("heat", "generation", "hottest"), got[:3], want[:3]):
+            assert_same_bits(got_plane, want_plane, name)
+        assert np.array_equal(got[3], want[3])
+        for got_cells, want_cells in zip(got[4], want[4]):
+            assert np.array_equal(got_cells, want_cells)
+        assert got_columns.violations == want_columns.violations
+        assert np.array_equal(got_columns.violation_counts,
+                              want_columns.violation_counts)
+        assert (None if got_columns.error is None
+                else str(got_columns.error.exception)) == (
+            None if want_columns.error is None
+            else str(want_columns.error.exception))
+
+
+class TestEvaluateRangeCheck:
+    """An out-of-range plane decide did not prove still raises."""
+
+    def test_custom_scheduler_overload_raises_like_serial(self,
+                                                          monkeypatch):
+        class Overloading:
+            """Adds half a CPU to every load: the per-cell schedule path."""
+
+            policy_aggregation = "max"
+
+            def schedule(self, utilisations):
+                return np.asarray(utilisations, dtype=float) + 0.5
+
+        class Clipping:
+            """Decides on clipped loads, and has no ``decide_batch``."""
+
+            def __init__(self, policy):
+                self.policy = policy
+                self.aggregation = policy.aggregation
+
+            def decide(self, utilisations):
+                return self.policy.decide(np.clip(utilisations, 0.0, 1.0))
+
+        build_policy = SimulationConfig.build_policy
+        monkeypatch.setattr(SimulationConfig, "build_scheduler",
+                            lambda self: Overloading())
+        monkeypatch.setattr(
+            SimulationConfig, "build_policy",
+            lambda self, *args, **kwargs: Clipping(
+                build_policy(self, *args, **kwargs)))
+        trace = drastic_trace(n_servers=47, duration_s=3600.0, seed=3)
+        assert trace.utilisation.max() > 0.5
+        with pytest.raises(PhysicalRangeError):
+            DatacenterSimulator(trace, teg_original()).run()
+        with pytest.raises(PhysicalRangeError):
+            simulate(trace, teg_original(), mode="kernel")

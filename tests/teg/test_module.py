@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import PhysicalRangeError
-from repro.teg.device import PAPER_TEG
+from repro.teg.device import PAPER_TEG, TegDevice
 from repro.teg.module import (
     REFERENCE_FLOW_L_PER_H,
     TegModule,
@@ -172,3 +172,58 @@ class TestTegModule:
             TegModule(group_size=0)
         with pytest.raises(PhysicalRangeError):
             TegModule(group_count=-1)
+
+
+def oracle_generation(module, warm_out, cold, coupling):
+    """``TegModule.coupled_generation_w`` as it was written out of place."""
+    delta = np.maximum(0.0, np.asarray(warm_out, dtype=float) - cold)
+    if delta.ndim == 0:
+        delta = float(delta)
+    effective = np.asarray(delta, dtype=float) * coupling
+    device = module.device
+    if device.mode == "physical":
+        voc = device.seebeck_slope_v_per_c() * effective
+        if voc.ndim == 0:
+            voc = float(voc)
+        power = voc ** 2 / (4.0 * device.resistance_ohm)
+    else:
+        fit = device.fit
+        power = (fit.pmax_quad_w_per_c2 * effective ** 2
+                 + fit.pmax_lin_w_per_c * effective + fit.pmax_const_w)
+        power = np.where(effective == 0.0, 0.0, np.maximum(0.0, power))
+    if np.ndim(power) == 0:
+        power = float(power)
+    return module.teg_count * power
+
+
+class TestGenerationLaws:
+    """The public TEG entry points run the in-place laws as before."""
+
+    @given(warm=st.lists(st.floats(min_value=0.0, max_value=80.0),
+                         min_size=1, max_size=9),
+           physical=st.booleans(),
+           flow=st.sampled_from([20.0, 50.0, 200.0, 300.0]))
+    def test_generation_equals_oracle(self, warm, physical, flow):
+        module = default_server_module(
+            TegDevice(mode="physical" if physical else "empirical"))
+        coupling = flow_coupling(flow)
+        for warm_out in (np.array(warm), warm[0]):
+            got = module.coupled_generation_w(warm_out, 20.0, coupling)
+            want = oracle_generation(module, warm_out, 20.0, coupling)
+            assert type(got) is type(want)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+        # Unchanged inputs: the laws work on copies.
+        array = np.array(warm)
+        module.coupled_generation_w(array, 20.0, coupling)
+        module.as_string.coupled_max_power_w(array, coupling)
+        assert array.tolist() == warm
+
+    def test_negative_inputs_rejected(self):
+        string = TegString(count=6)
+        with pytest.raises(PhysicalRangeError):
+            string.coupled_max_power_w(1.0, -0.5)
+        with pytest.raises(PhysicalRangeError):
+            string.coupled_max_power_w(-1.0, 1.0)
+        with pytest.raises(PhysicalRangeError):
+            default_server_module().coupled_generation_w(50.0, 20.0, -0.5)

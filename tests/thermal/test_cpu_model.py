@@ -283,3 +283,56 @@ class TestCpuThermalModel:
         temps = cpu_model.cpu_temp_c(utils, warm_setting)
         assert temps.shape == utils.shape
         assert np.all(np.diff(temps) > 0)
+
+
+def oracle_response(model, utilisation, terms):
+    """``CpuThermalModel.response`` as it was written out of place."""
+    utils = np.asarray(utilisation, dtype=float)
+    if np.any((utils < 0.0) | (utils > 1.0)):
+        raise PhysicalRangeError("utilisation out of range")
+    eq20 = 109.71 * np.log(utils + 1.17) - 7.83
+    if utils.ndim == 0:
+        utils, eq20 = float(utils), float(eq20)
+    power = model.power_scale * eq20
+    cpu_temp = terms.k_inlet + terms.r_th * power
+    outlet_model = model.outlet_model
+    if outlet_model.mode == "physical":
+        delta = outlet_model.capture_efficiency * eq20 / terms.outlet_first
+    else:
+        base = outlet_model.base_delta_c + outlet_model.load_delta_c * utils
+        delta = base * terms.outlet_first * terms.outlet_second
+    return power, cpu_temp, terms.inlet_temp_c + delta
+
+
+class TestResponseLaws:
+    """``response`` runs the in-place laws, bit for bit as before."""
+
+    @given(utils=st.lists(utilisations, min_size=1, max_size=9),
+           physical=st.booleans(),
+           power_scale=st.sampled_from([0.8, 1.0, 1.35]),
+           extra=st.sampled_from([0.0, 0.03, -0.2]),
+           flow=st.sampled_from([20.0, 150.0, 300.0]),
+           inlet=st.floats(min_value=20.0, max_value=60.0))
+    def test_response_equals_oracle(self, utils, physical, power_scale,
+                                    extra, flow, inlet):
+        model = CpuThermalModel(
+            outlet_model=OutletDeltaModel(
+                mode="physical" if physical else "empirical"),
+            power_scale=power_scale, extra_resistance_k_per_w=extra)
+        terms = model.terms_at(flow, inlet)
+        for utilisation in (np.array(utils), utils[0]):
+            got = model.response(utilisation, terms)
+            want = oracle_response(model, utilisation, terms)
+            for value, expected in zip(got, want):
+                assert type(value) is type(expected)
+                assert np.array_equal(np.asarray(value).view(np.int64),
+                                      np.asarray(expected).view(np.int64))
+
+    def test_response_rejects_out_of_range_utilisation(self):
+        model = CpuThermalModel()
+        terms = model.terms_at(50.0, 45.0)
+        for bad in (-0.1, 1.1, np.array([0.2, 1.5]), np.array([-0.1])):
+            with pytest.raises(PhysicalRangeError):
+                model.response(bad, terms)
+        # NaN is not out of range: it propagates.
+        assert np.isnan(model.response(np.nan, terms)[1])

@@ -1,9 +1,12 @@
 """Synthetic trace generator tests — the three paper classes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import PhysicalRangeError
+from repro.workloads import synthetic
 from repro.workloads.synthetic import (
     TRACE_GENERATORS,
     common_trace,
@@ -121,3 +124,107 @@ class TestArguments:
                                 interval_s=600.0)
         assert trace.interval_s == 600.0
         assert trace.n_steps == 6
+
+
+# ----------------------------------------------------------------------
+# The in-place generators against the code they replaced
+# ----------------------------------------------------------------------
+
+def oracle_ar1(rng, n_steps, n_servers, rho, sigma):
+    """``_ar1`` as it recursed into a second plane."""
+    noise = rng.normal(0.0, sigma, size=(n_steps, n_servers))
+    series = np.empty_like(noise)
+    series[0] = noise[0]
+    for t in range(1, n_steps):
+        series[t] = rho * series[t - 1] + noise[t]
+    return series
+
+
+def oracle_drastic(n_servers, duration_s, interval_s, seed):
+    """``drastic_trace``'s plane as it was built out of place."""
+    rng = synthetic._rng(seed)
+    n_steps = synthetic._steps(duration_s, interval_s)
+    base = 0.22 + synthetic._diurnal(n_steps, interval_s, amplitude=0.05)
+    noise = oracle_ar1(rng, n_steps, n_servers, rho=0.3, sigma=0.07)
+    bursts = np.zeros((n_steps, n_servers))
+    n_bursts = max(1, n_steps * n_servers // 40)
+    starts = rng.integers(0, n_steps, size=n_bursts)
+    servers = rng.integers(0, n_servers, size=n_bursts)
+    lengths = rng.integers(1, max(2, n_steps // 6), size=n_bursts)
+    heights = rng.uniform(0.12, 0.32, size=n_bursts)
+    for start, server, length, height in zip(starts, servers, lengths,
+                                             heights):
+        bursts[start:start + length, server] += height
+    return np.clip(base[:, None] + noise + bursts, 0.0, 0.90)
+
+
+def oracle_irregular(n_servers, duration_s, interval_s, seed):
+    """``irregular_trace``'s plane as it was built out of place."""
+    rng = synthetic._rng(seed)
+    n_steps = synthetic._steps(duration_s, interval_s)
+    base = 0.17 + synthetic._diurnal(n_steps, interval_s, amplitude=0.04)
+    noise = oracle_ar1(rng, n_steps, n_servers, rho=0.9, sigma=0.02)
+    spikes = np.zeros((n_steps, n_servers))
+    n_spikes = max(1, n_steps * n_servers // 400)
+    starts = rng.integers(0, n_steps, size=n_spikes)
+    servers = rng.integers(0, n_servers, size=n_spikes)
+    lengths = rng.integers(1, 4, size=n_spikes)
+    heights = rng.uniform(0.5, 0.8, size=n_spikes)
+    for start, server, length, height in zip(starts, servers, lengths,
+                                             heights):
+        spikes[start:start + length, server] += height
+    return np.clip(base[:, None] + noise + spikes, 0.0, 1.0)
+
+
+def oracle_common(n_servers, duration_s, interval_s, seed):
+    """``common_trace``'s plane as it was built out of place."""
+    rng = synthetic._rng(seed)
+    n_steps = synthetic._steps(duration_s, interval_s)
+    base = 0.22 + synthetic._diurnal(n_steps, interval_s, amplitude=0.03)
+    noise = oracle_ar1(rng, n_steps, n_servers, rho=0.97, sigma=0.008)
+    per_server_offset = rng.normal(0.0, 0.05, size=n_servers)
+    hot = rng.random(n_servers) < 0.04
+    per_server_offset[hot] += rng.uniform(0.18, 0.32, size=int(hot.sum()))
+    return np.clip(base[:, None] + noise + per_server_offset[None, :],
+                   0.0, 1.0)
+
+
+GENERATOR_ORACLES = [(drastic_trace, oracle_drastic),
+                     (irregular_trace, oracle_irregular),
+                     (common_trace, oracle_common)]
+
+
+class TestInPlacePlanes:
+    """Each generator builds its plane in place, bit for bit as before."""
+
+    @pytest.mark.parametrize("generator,oracle", GENERATOR_ORACLES,
+                             ids=["drastic", "irregular", "common"])
+    @pytest.mark.parametrize("n_servers,n_steps", [
+        (1, 1), (1, 40), (37, 1), (37, 3), (200, 50)])
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_plane_equals_out_of_place_oracle(self, generator, oracle,
+                                              n_servers, n_steps, seed):
+        kwargs = dict(n_servers=n_servers, duration_s=n_steps * 300.0,
+                      interval_s=300.0, seed=seed)
+        got = generator(**kwargs).utilisation
+        want = oracle(**kwargs)
+        assert got.shape == (n_steps, n_servers)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("generator,bound", [
+        (common_trace, 1.5), (drastic_trace, 2.5), (irregular_trace, 2.5)],
+        ids=["common", "drastic", "irregular"])
+    def test_peak_allocation_is_bounded(self, generator, bound):
+        # 2,000 steps x 1,000 servers: a 16 MB plane.  Out of place, the
+        # generators peaked at 3.0x (common) and ~4x (the two with a
+        # bursts/spikes plane) its bytes.
+        n_steps, n_servers = 2_000, 1_000
+        tracemalloc.start()
+        try:
+            trace = generator(n_servers=n_servers,
+                              duration_s=n_steps * 300.0, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.utilisation.shape == (n_steps, n_servers)
+        assert peak <= bound * trace.utilisation.nbytes
