@@ -26,7 +26,7 @@ import numpy as np
 
 from ..constants import CPU_SAFE_TEMP_C, NATURAL_WATER_TEMP_C
 from ..errors import ConfigurationError, PhysicalRangeError
-from ..teg.module import TegModule, default_server_module
+from ..teg.module import TegModule, default_server_module, flow_coupling
 from ..thermal.cpu_model import CoolingSetting, CpuThermalModel
 from ..thermal.hydraulics import PipeSegment, loop_pump_power_w, prototype_warm_loop
 from .lookup_space import LookupSpace
@@ -182,9 +182,10 @@ class LookupSpacePolicy:
     aggregation:
         ``"max"`` keys on the hottest server (*TEG_Original*); ``"avg"``
         keys on the mean (*TEG_LoadBalance* after balancing).
-    fallback_setting:
-        Used when no grid point is near ``T_safe`` (extreme loads); the
-        coldest, fastest setting available — safety first.
+
+    When no grid point is near ``T_safe`` (extreme loads), the search
+    falls back to the safe points below the band, or else to the
+    coldest, fastest setting available — safety first.
     """
 
     space: LookupSpace = field(default_factory=LookupSpace)
@@ -200,13 +201,17 @@ class LookupSpacePolicy:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def decide(self, utilisations: Sequence[float]) -> PolicyDecision:
-        """Pick the near-``T_safe`` setting with the largest TEG output."""
+        """Pick the near-``T_safe`` setting with the largest TEG output.
+
+        A memo miss runs the batch search on the one binding, so this
+        equals :meth:`decide_batch` by construction.
+        """
         binding = _binding_utilisation(utilisations, self.aggregation)
         key = round(binding / self.cache_resolution)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        decision = self._decide_uncached(binding)
+        decision = self._decide_uncached_batch([binding])[0]
         self._cache[key] = decision
         return decision
 
@@ -234,121 +239,57 @@ class LookupSpacePolicy:
 
     def _decide_uncached_batch(self, bindings: Sequence[float]
                                ) -> list[PolicyDecision]:
-        """Vectorised :meth:`_decide_uncached` over many bindings.
+        """The Step 1-3 search for each binding, all at once.
 
-        The scalar search scans the ``(flow, inlet)`` grid flow-major
-        and keeps the first strict maximum; ``np.argmax`` over the
-        ``-inf``-masked, flow-major-raveled power plane picks the same
-        point, so each row reproduces the scalar decision bit for bit
-        (including the fallback and emergency branches).
+        Each row's ``(flow, inlet)`` plane is scanned flow-major for the
+        first maximum of the TEG output over the points in the ``T_safe
+        ± tol`` band; with none in band, over the points below it (the
+        load is too light to reach the band); with none below it either,
+        every setting overshoots and the row emergency-cools at the
+        coldest inlet and fastest flow.  One ``argmax`` over the
+        ``-inf``-masked, flow-major-raveled ``(n, F * I)`` outputs picks
+        each row's point, and the planes, the outputs and the picks are
+        gathered by index.
         """
         if self.tolerance_c <= 0:
-            # The scalar path raises this from safe_region on every miss.
             raise PhysicalRangeError(
                 f"tolerance must be > 0, got {self.tolerance_c}")
-        cpu, outlet = self.space.plane_temperatures_batch(bindings)
-        power = np.empty_like(outlet)
-        for j, flow in enumerate(self.space.flow_grid):
-            power[:, j, :] = self.teg_module.generation_w(
-                outlet[:, j, :], self.cold_source_temp_c, float(flow))
+        space = self.space
+        flow_grid = space.flow_grid.astype(float)
+        inlet_grid = space.inlet_grid.astype(float)
+        cpu, outlet = space.plane_temperatures_batch(bindings)
+        coupling = np.array([flow_coupling(flow) for flow in flow_grid])
+        power = self.teg_module.coupled_generation_w(
+            outlet, self.cold_source_temp_c, coupling[:, None])
+        n, n_flows, n_inlets = cpu.shape
         in_band = np.abs(cpu - self.safe_temp_c) <= self.tolerance_c
-        below_band = cpu <= self.safe_temp_c + self.tolerance_c
-        n_inlets = len(self.space.inlet_grid)
+        mask = np.where(in_band.any(axis=(1, 2))[:, None, None], in_band,
+                        cpu <= self.safe_temp_c + self.tolerance_c)
+        mask = mask.reshape(n, n_flows * n_inlets)
+        flat = np.where(mask.any(axis=1),
+                        np.where(mask, power.reshape(mask.shape),
+                                 -np.inf).argmax(axis=1),
+                        (n_flows - 1) * n_inlets)
+        j, k = np.divmod(flat, n_inlets)
+        row = np.arange(n)
+        settings: dict = {}
         decisions = []
-        for i, binding in enumerate(bindings):
-            mask = in_band[i] if in_band[i].any() else below_band[i]
-            if mask.any():
-                masked = np.where(mask, power[i], -np.inf).ravel()
-                flat = int(np.argmax(masked))
-                j, k = divmod(flat, n_inlets)
-                flow = float(self.space.flow_grid[j])
-                inlet = float(self.space.inlet_grid[k])
-                cpu_temp = float(cpu[i, j, k])
-                out_temp = float(outlet[i, j, k])
-                best_power = float(masked[flat])
-            else:
-                # Overload: every setting overshoots; emergency-cool.
-                flow = float(self.space.flow_grid[-1])
-                inlet = float(self.space.inlet_grid[0])
-                cpu_temp = float(cpu[i, -1, 0])
-                out_temp = float(outlet[i, -1, 0])
-                best_power = float(power[i, -1, 0])
+        for binding, flow, inlet, cpu_temp, out_temp, best_power in zip(
+                bindings, flow_grid[j].tolist(), inlet_grid[k].tolist(),
+                cpu[row, j, k].tolist(), outlet[row, j, k].tolist(),
+                power[row, j, k].tolist()):
+            setting = settings.get((flow, inlet))
+            if setting is None:
+                setting = settings[flow, inlet] = CoolingSetting(
+                    flow_l_per_h=flow, inlet_temp_c=inlet)
             decisions.append(PolicyDecision(
-                setting=CoolingSetting(flow_l_per_h=flow,
-                                       inlet_temp_c=inlet),
+                setting=setting,
                 binding_utilisation=float(binding),
                 predicted_cpu_temp_c=cpu_temp,
                 predicted_outlet_temp_c=out_temp,
                 predicted_generation_w=best_power,
             ))
         return decisions
-
-    def _decide_uncached(self, binding: float) -> PolicyDecision:
-        region = self.space.safe_region(binding, self.safe_temp_c,
-                                        self.tolerance_c)
-        if not region:
-            return self._fallback(binding)
-        best_point = None
-        best_power = -np.inf
-        for point in region:
-            power = self.teg_module.generation_w(
-                point.outlet_temp_c, self.cold_source_temp_c,
-                point.flow_l_per_h)
-            if power > best_power:
-                best_power = power
-                best_point = point
-        assert best_point is not None
-        return PolicyDecision(
-            setting=best_point.setting,
-            binding_utilisation=binding,
-            predicted_cpu_temp_c=best_point.cpu_temp_c,
-            predicted_outlet_temp_c=best_point.outlet_temp_c,
-            predicted_generation_w=best_power,
-        )
-
-    def _fallback(self, binding: float) -> PolicyDecision:
-        """No grid point sits in the ``T_safe ± tol`` band.
-
-        Two distinct situations end up here:
-
-        * the load is so light that even the hottest admissible setting
-          leaves the CPU *below* the band — then pick the safe setting
-          with the largest TEG output (the actuator simply cannot push
-          the water any hotter);
-        * the load is so heavy that every setting overshoots the band —
-          then cool as hard as possible (coldest inlet, fastest flow).
-        """
-        cpu_plane, outlet_plane = self.space.plane_temperatures(binding)
-        best_point = None
-        best_power = -np.inf
-        for j, flow in enumerate(self.space.flow_grid):
-            for k, inlet in enumerate(self.space.inlet_grid):
-                cpu_temp = float(cpu_plane[j, k])
-                if cpu_temp > self.safe_temp_c + self.tolerance_c:
-                    continue
-                outlet = float(outlet_plane[j, k])
-                power = self.teg_module.generation_w(
-                    outlet, self.cold_source_temp_c, float(flow))
-                if power > best_power:
-                    best_power = power
-                    best_point = (float(flow), float(inlet), cpu_temp,
-                                  outlet)
-        if best_point is None:
-            # Overload: every setting overshoots; emergency-cool.
-            flow = float(self.space.flow_grid[-1])
-            inlet = float(self.space.inlet_grid[0])
-            outlet = float(outlet_plane[-1, 0])
-            best_point = (flow, inlet, float(cpu_plane[-1, 0]), outlet)
-            best_power = self.teg_module.generation_w(
-                outlet, self.cold_source_temp_c, flow)
-        flow, inlet, cpu_temp, outlet = best_point
-        return PolicyDecision(
-            setting=CoolingSetting(flow_l_per_h=flow, inlet_temp_c=inlet),
-            binding_utilisation=binding,
-            predicted_cpu_temp_c=cpu_temp,
-            predicted_outlet_temp_c=outlet,
-            predicted_generation_w=best_power,
-        )
 
 
 @dataclass

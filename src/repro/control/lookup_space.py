@@ -113,18 +113,29 @@ class LookupSpace:
 
         One :meth:`CpuThermalModel.response` call covers the whole
         ``(u, flow, inlet)`` cube: the utilisation axis as a ``(U, 1,
-        1)`` column against every node's setting terms stacked to ``(1,
-        F, I)``.  The terms come from one checked :class:`CoolingSetting`
-        per node, and each element keeps the operation order of a
+        1)`` column against the nodes' setting terms stacked flow by
+        flow.  Each flow's terms are one :meth:`CpuThermalModel.terms_at`
+        call over the inlet grid, whose entries equal the scalar terms
+        of each node, and each element keeps the operation order of a
         scalar call, so the cube equals the per-point campaign bit for
         bit.
+
+        Every node is a :class:`CoolingSetting`, checked in the
+        campaign's flow-major order: the first row meets every inlet
+        and each later row's first node its flow, so a bad grid raises
+        what the first bad node would.
         """
-        per_node = [self.model.setting_terms(CoolingSetting(
-                        flow_l_per_h=float(flow), inlet_temp_c=float(inlet)))
-                    for flow in self.flow_grid for inlet in self.inlet_grid]
-        shape = (1, len(self.flow_grid), len(self.inlet_grid))
-        terms = SettingTerms(*(np.reshape(field, shape)
-                               for field in zip(*per_node)))
+        flows = [float(flow) for flow in self.flow_grid]
+        inlets = self.inlet_grid.astype(float)
+        for inlet in inlets:
+            CoolingSetting(flow_l_per_h=flows[0], inlet_temp_c=float(inlet))
+        for flow in flows[1:]:
+            CoolingSetting(flow_l_per_h=flow, inlet_temp_c=float(inlets[0]))
+        per_flow = [self.model.terms_at(flow, inlets) for flow in flows]
+        # A field is one scalar or one inlet row per flow: (1, F, 1) or
+        # (1, F, I), either of which broadcasts to the cube.
+        terms = SettingTerms(*(np.reshape(field, (1, len(flows), -1))
+                               for field in zip(*per_flow)))
         _, cpu, outlet = self.model.response(
             self.utilisation_grid[:, None, None], terms)
         return cpu, outlet

@@ -5,19 +5,21 @@ time; this module removes that Python loop entirely.  For a fault-free
 run the simulation is a pure function of the trace, so the kernel:
 
 1. **decides** — builds the scheduled ``(steps x servers)`` utilisation
-   plane (the trace itself under ``NoScheduler``), computes every
-   ``(step, circulation)`` cell's binding utilisation, dedupes cells
-   through the cooling-decision cache's own quantisation, and calls the
-   policy once per unique key (primed in first-occurrence order, so a
-   shared memoising policy sees exactly the serial call sequence);
+   plane (the trace itself under ``NoScheduler``; under
+   ``IdealBalancer`` one mean per ``(step, circulation)`` cell, which
+   every server of the circulation runs at), computes every cell's
+   binding utilisation, dedupes cells through the cooling-decision
+   cache's own quantisation, and calls the policy once per unique key
+   (primed in first-occurrence order, so a shared memoising policy sees
+   exactly the serial call sequence);
 2. **evaluates** — one pass over cache-sized row blocks, after the
    models' range checks have run once for the whole run: the models'
    unchecked laws compute CPU power once, the outlet temperature and
    the TEG output into reused block buffers, from each cell's setting
-   terms; each block is reduced at once to per-circulation sums, the
-   hottest CPU (the temperature law applied to each circulation's peak
-   power) and over-limit cells, so no ``(steps x servers)`` result
-   plane is built;
+   terms (once per circulation cell on a balanced plane); each block is
+   reduced at once to per-circulation sums, the hottest CPU (the
+   temperature law applied to each circulation's peak power) and
+   over-limit cells, so no ``(steps x servers)`` result plane is built;
 3. **reduces** — the facility split (chiller fraction, tower, pump) as
    per-cell array arithmetic with the serial expression order, the
    earliest capacity / strict-safety error and the violation log;
@@ -39,12 +41,13 @@ Bit-identity
 Every array expression mirrors the serial arithmetic exactly: the model
 laws keep the scalar operation order; a sum or mean over the last axis
 of a ``(rows, circulations, size)`` view is bit-identical to the serial
-1-D reduction (same pairwise blocking); a maximum is exact and
-order-free, so it is taken slot by slot; with ``R_th >= 0`` the CPU
-temperature is non-decreasing in the power under round-to-nearest, so
-the law applied to the peak power is the hottest CPU's temperature
-(a setting with ``R_th < 0`` takes the per-cell maximum); the cluster
-fold is
+1-D reduction (same pairwise blocking), so a balanced circulation's
+sum repeats its cell's value ``size`` times and takes that same sum,
+never ``size * value``; a maximum is exact and order-free, so it is
+taken slot by slot; with ``R_th >= 0`` the CPU temperature is
+non-decreasing in the power under round-to-nearest, so the law applied
+to the peak power is the hottest CPU's temperature (a setting with
+``R_th < 0`` takes the per-cell maximum); the cluster fold is
 ``np.add.accumulate`` along the circulations, a sequential sum; and
 capacity / strict-safety errors are replayed at the earliest offending
 cell in serial evaluation order.  ``tests/core/test_kernel.py`` and the
@@ -157,18 +160,41 @@ class KernelColumns:
     error: KernelError | None = None
 
 
+def _runs(sim, n_servers: int):
+    """Yield ``(circs, first_server, size)`` per run of same-size circulations.
+
+    The equal-size circulations, then any ragged tail.
+    """
+    size = int(sim._groups[0].size)
+    full = n_servers // size
+    yield slice(0, full), 0, size
+    if full * size < n_servers:
+        yield slice(full, full + 1), full * size, n_servers - full * size
+
+
 def _circulations(sim, rows: np.ndarray):
     """Yield ``(circs, first_server, view)`` per run of same-size circulations.
 
-    ``view`` is ``rows``' columns as ``(rows, circulations, size)`` (the
-    equal-size circulations, then any ragged tail), never a copy.
+    ``view`` is ``rows``' columns as ``(rows, circulations, size)``,
+    never a copy.
     """
     n_rows, n_servers = rows.shape
-    size = int(sim._groups[0].size)
-    full = n_servers // size
-    yield slice(0, full), 0, rows[:, :full * size].reshape(n_rows, full, size)
-    if full * size < n_servers:
-        yield slice(full, full + 1), full * size, rows[:, None, full * size:]
+    for circs, first_server, size in _runs(sim, n_servers):
+        columns = rows[:, first_server:first_server
+                       + (circs.stop - circs.start) * size]
+        yield circs, first_server, columns.reshape(n_rows, -1, size)
+
+
+def _copies(values: np.ndarray, size: int, buffer: np.ndarray) -> np.ndarray:
+    """``values`` ``(rows, circs, 1)`` repeated ``size`` times in ``buffer``.
+
+    The ``(rows, circs, size)`` cells of balanced circulations, laid out
+    as a per-server plane's: a last-axis sum or mean over them is the
+    plane's, bit for bit (``size * value`` would round differently).
+    """
+    copies = buffer[:values.size * size].reshape(values.shape[:2] + (size,))
+    copies[...] = values
+    return copies
 
 
 def _per_circulation(sim, plane: np.ndarray, reduce) -> np.ndarray:
@@ -211,6 +237,8 @@ def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
     ``IdealBalancer`` is an array expression (the paper's two schemes);
     any other scheduler falls back to a per-cell call so data-dependent
     balancers stay bit-faithful.  Callers never write to the plane.
+    :func:`run_kernel_columns` keeps a balanced plane as its
+    per-circulation means instead (see :func:`_evaluate_balanced`).
     """
     scheduler = sim._scheduler
     if type(scheduler) is NoScheduler:
@@ -298,19 +326,63 @@ def _decide_plane(sim, plane: np.ndarray):
     does only on a plane in ``[0, 1]`` without NaN, so evaluate need
     not check the utilisations again.
     """
+    avg = getattr(sim._policy, "aggregation", "max") == "avg"
     groups = sim._groups
-    n_steps = plane.shape[0]
+    # The bindings are passed, not held here, so decide can free them.
+    return _decide_bindings(
+        sim, (_per_circulation(sim, plane, np.mean) if avg
+              else _circulation_max(sim, plane)),
+        plane, lambda step, circ: plane[step, groups[circ]])
+
+
+def _balanced_mean(sim, means: np.ndarray) -> np.ndarray:
+    """Each cell's mean over its ``size`` servers of a balanced plane.
+
+    The mean :func:`_per_circulation` takes over the plane's columns,
+    taken over :func:`_copies` of ``means`` in cache-sized row blocks.
+    """
+    n_steps = means.shape[0]
+    n_servers = sum(len(group) for group in sim._groups)
+    out = np.empty_like(means)
+    rows = max(1, ROW_BLOCK_CELLS // n_servers)
+    buffer = np.empty(min(rows, n_steps) * n_servers)
+    for first in range(0, n_steps, rows):
+        block = slice(first, first + rows)
+        for circs, _, size in _runs(sim, n_servers):
+            out[block, circs] = _copies(means[block, circs, None], size,
+                                        buffer).mean(axis=2)
+    return out
+
+
+def _decide_balanced(sim, means: np.ndarray):
+    """:func:`_decide_plane` of a balanced plane, from its means.
+
+    ``means[step, circ]`` is every server's load in that circulation
+    (the ``IdealBalancer`` plane).  A maximum of equal copies is the
+    copy; a mean is taken over the copies as over the plane's columns.
+    The scalar fallback gets the circulation's full ``size``-long
+    vector, because the decision-cache key carries its length.
+    """
+    avg = getattr(sim._policy, "aggregation", "max") == "avg"
+    groups = sim._groups
+    return _decide_bindings(
+        sim, _balanced_mean(sim, means) if avg else means, means,
+        lambda step, circ: np.full(len(groups[circ]), means[step, circ]))
+
+
+def _decide_bindings(sim, bindings: np.ndarray, plane: np.ndarray, vector):
+    """The decide phase from every cell's binding utilisation.
+
+    ``plane`` is the scheduled plane, or a balanced plane's means (the
+    same minimum and maximum), for the batch path's range check;
+    ``vector(step, circ)`` is a cell's scheduled utilisation vector, for
+    the scalar loop.
+    """
+    groups = sim._groups
+    n_steps = bindings.shape[0]
     n_circs = len(groups)
     cells = n_steps * n_circs
-    policy = sim._policy
-    aggregation = getattr(policy, "aggregation", "max")
-
-    if aggregation == "avg":
-        bindings = _per_circulation(sim, plane, np.mean)
-    else:
-        bindings = _circulation_max(sim, plane)
-
-    resolution = getattr(policy, "cache_resolution", None)
+    resolution = getattr(sim._policy, "cache_resolution", None)
     sizes = np.array([group.size for group in groups], dtype=float)
     # Label every cell with its (bucket, size) key and find each label's
     # first cell (priming must follow the serial cell order); a label no
@@ -363,8 +435,8 @@ def _decide_plane(sim, plane: np.ndarray):
             decisions[int(uid)] = decision
     else:
         for uid in order:
-            step, circ = divmod(int(first_cell[uid]), n_circs)
-            decisions[uid] = sim._decide(plane[step, groups[circ]])
+            decisions[uid] = sim._decide(vector(*divmod(int(first_cell[uid]),
+                                                        n_circs)))
     # Free the bindings before the plane-sized gather below, so the
     # heap never holds three plane-sized arrays at once.
     del bindings
@@ -376,17 +448,44 @@ def _decide_plane(sim, plane: np.ndarray):
     obs.add("engine.kernel.decide_cells", cells)
     obs.add("engine.kernel.unique_decisions", n_uniq)
 
-    # Clamped settings are frozen (hashable) dataclasses: number them in
+    # Clamped settings are frozen (hashable) dataclasses: clamp each
+    # distinct decided setting once and number the applied ones in
     # first-seen order.
     setting_index: dict = {}
+    sid_of: dict = {}
     cdu = sim._circulations[0].cdu
+    sids = []
+    for decision in decisions:
+        sid = sid_of.get(decision.setting)
+        if sid is None:
+            sid = sid_of[decision.setting] = setting_index.setdefault(
+                cdu.clamp(decision.setting), len(setting_index))
+        sids.append(sid)
     label_to_sid = np.empty(n_labels, dtype=np.intp)
-    label_to_sid[present] = [
-        setting_index.setdefault(cdu.clamp(decision.setting),
-                                 len(setting_index))
-        for decision in decisions]
+    label_to_sid[present] = sids
     setting_id = label_to_sid[labels].reshape(n_steps, n_circs)
     return setting_id, list(setting_index), batched is not None
+
+
+def _setting_laws(sim, applied_settings: list):
+    """Each applied setting's model terms and TEG coupling factor.
+
+    The terms come as a ``(5, settings)`` array; the couplings are
+    range-checked once, here, for the whole run.
+    """
+    terms_by_sid = np.array([sim.cpu_model.setting_terms(applied)
+                             for applied in applied_settings]).T
+    coupling_by_sid = np.array([flow_coupling(applied.flow_l_per_h)
+                                for applied in applied_settings])
+    _check_coupling(coupling_by_sid)
+    return terms_by_sid, coupling_by_sid
+
+
+def _serial_order(over: list):
+    """The over-limit cells, as ``(steps, servers, temps)`` in serial order."""
+    steps, servers, temps = map(np.concatenate, zip(*over))
+    order = np.lexsort((servers, steps))
+    return steps[order], servers[order], temps[order]
 
 
 def _evaluate_blocks(sim, plane: np.ndarray, setting_id: np.ndarray,
@@ -414,11 +513,7 @@ def _evaluate_blocks(sim, plane: np.ndarray, setting_id: np.ndarray,
     cold = sim.config.cold_source_temp_c
     if not in_range:
         _check_utilisation(plane)
-    terms_by_sid = np.array([cpu_model.setting_terms(applied)
-                             for applied in applied_settings]).T
-    coupling_by_sid = np.array([flow_coupling(applied.flow_l_per_h)
-                                for applied in applied_settings])
-    _check_coupling(coupling_by_sid)
+    terms_by_sid, coupling_by_sid = _setting_laws(sim, applied_settings)
     heat_c, generation_c, max_temp_c = (
         np.empty(setting_id.shape) for _ in range(3))
     counts = np.zeros(n_steps, dtype=np.int64)
@@ -451,10 +546,66 @@ def _evaluate_blocks(sim, plane: np.ndarray, setting_id: np.ndarray,
                                  temp[step, circ, slot]))
             generation_c[block, circs] = teg_module._coupled_generation(
                 outlet, cold, coupling_by_sid[sid], cells, power).sum(axis=2)
-    steps, servers, temps = map(np.concatenate, zip(*over))
-    order = np.lexsort((servers, steps))
-    return (heat_c, generation_c, max_temp_c, counts,
-            (steps[order], servers[order], temps[order]))
+    return heat_c, generation_c, max_temp_c, counts, _serial_order(over)
+
+
+def _evaluate_balanced(sim, means: np.ndarray, setting_id: np.ndarray,
+                       applied_settings: list, in_range: bool):
+    """:func:`_evaluate_blocks` of a balanced plane, from its means.
+
+    Every server of a circulation runs at ``means[step, circ]``, so
+    each law runs once per circulation cell, on ``(rows, circs, 1)``
+    views.  Only the sums see the servers: a cell's CPU power and
+    generation are repeated to its ``size`` servers by :func:`_copies`
+    and summed as the plane's are.  Every copy is equal, so the hottest
+    CPU is the temperature law at the cell's power whatever the sign of
+    ``R_th``, and an over-limit cell is each of its servers at that
+    temperature.
+    """
+    n_steps, n_circs = means.shape
+    n_servers = sum(len(group) for group in sim._groups)
+    cpu_model = sim.cpu_model
+    teg_module = sim.teg_module
+    limit = cpu_model.max_operating_temp_c
+    cold = sim.config.cold_source_temp_c
+    if not in_range:
+        _check_utilisation(means)
+    terms_by_sid, coupling_by_sid = _setting_laws(sim, applied_settings)
+    heat_c, generation_c, max_temp_c = (
+        np.empty(setting_id.shape) for _ in range(3))
+    counts = np.zeros(n_steps, dtype=np.int64)
+    over = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    rows = max(1, ROW_BLOCK_CELLS // n_servers)
+    copies = np.empty(min(rows, n_steps) * n_servers)
+    buffers = np.empty((3, min(rows, n_steps) * n_circs))
+    for first in range(0, n_steps, rows):
+        block = slice(first, first + rows)
+        for circs, first_server, size in _runs(sim, n_servers):
+            utils = means[block, circs, None]
+            power, outlet, generation = (
+                buffer[:utils.size].reshape(utils.shape)
+                for buffer in buffers)
+            sid = setting_id[block, circs, None]
+            terms = SettingTerms(*terms_by_sid[:, sid])
+            cpu_model._power_outlet(utils, terms, power, outlet)
+            heat_c[block, circs] = _copies(power, size, copies).sum(axis=2)
+            hottest = max_temp_c[block, circs]
+            cpu_model._cpu_temp(power, terms.k_inlet, terms.r_th,
+                                out=hottest[:, :, None])
+            hot = hottest > limit
+            if hot.any():
+                counts[block] += hot.sum(axis=1) * size
+                step, circ = np.nonzero(hot)
+                slot = np.tile(np.arange(size), step.size)
+                over.append((np.repeat(first + step, size),
+                             np.repeat(first_server + circ * size, size)
+                             + slot,
+                             np.repeat(hottest[step, circ], size)))
+            teg_module._coupled_generation(outlet, cold, coupling_by_sid[sid],
+                                           generation, power)
+            generation_c[block, circs] = _copies(generation, size,
+                                                 copies).sum(axis=2)
+    return heat_c, generation_c, max_temp_c, counts, _serial_order(over)
 
 
 def _earliest_error(sim, chiller_heat, tower_heat, over,
@@ -532,14 +683,21 @@ def run_kernel_columns(sim) -> KernelColumns:
     # Phase 1 — schedule + decide (cache-deduplicated).
     clock = time.perf_counter()
     with obs.span("kernel.decide"):
-        plane = _scheduled_plane(sim, trace.utilisation)
-        setting_id, applied_settings, in_range = _decide_plane(sim, plane)
+        if type(sim._scheduler) is IdealBalancer:
+            # Every server of a circulation runs at its mean: the plane
+            # stays one column per circulation.
+            plane = _per_circulation(sim, trace.utilisation, np.mean)
+            decide, evaluate = _decide_balanced, _evaluate_balanced
+        else:
+            plane = _scheduled_plane(sim, trace.utilisation)
+            decide, evaluate = _decide_plane, _evaluate_blocks
+        setting_id, applied_settings, in_range = decide(sim, plane)
     timings.decide_s = time.perf_counter() - clock
 
     # Phase 2 — evaluate the models and reduce each row block at once.
     clock = time.perf_counter()
     with obs.span("kernel.evaluate"):
-        heat_c, generation_c, max_temp_c, counts, over = _evaluate_blocks(
+        heat_c, generation_c, max_temp_c, counts, over = evaluate(
             sim, plane, setting_id, applied_settings, in_range)
     timings.evaluate_s = time.perf_counter() - clock
 

@@ -80,12 +80,15 @@ class WorkloadTrace:
                 f"got shape {matrix.shape}")
         if matrix.size == 0:
             raise TraceFormatError("trace must not be empty")
-        if np.any(~np.isfinite(matrix)):
+        # A NaN or an infinity reaches the minimum or the maximum, so two
+        # reductions check the whole plane without a temporary.
+        lo, hi = matrix.min(), matrix.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise TraceFormatError("trace contains NaN or infinite values")
-        if np.any((matrix < 0) | (matrix > 1)):
+        if lo < 0 or hi > 1:
             raise PhysicalRangeError(
                 "all utilisations must be in [0, 1]; offending range "
-                f"[{matrix.min():.3f}, {matrix.max():.3f}]")
+                f"[{lo:.3f}, {hi:.3f}]")
         if interval_s <= 0:
             raise PhysicalRangeError(
                 f"interval must be > 0, got {interval_s}")

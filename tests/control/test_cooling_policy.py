@@ -7,6 +7,7 @@ from repro.constants import CPU_SAFE_TEMP_C
 from repro.control.cooling_policy import (
     AnalyticPolicy,
     LookupSpacePolicy,
+    PolicyDecision,
     StaticPolicy,
 )
 from repro.control.lookup_space import LookupSpace
@@ -277,3 +278,187 @@ class TestBatchScalarEquivalence:
                        LookupSpacePolicy(space=lookup_space)):
             with pytest.raises(PhysicalRangeError):
                 policy.decide_batch([0.5, 1.5])
+
+
+# ----------------------------------------------------------------------
+# The Fig. 13 search against the code it replaced
+# ----------------------------------------------------------------------
+
+from repro.core.config import teg_original  # noqa: E402
+from repro.teg.device import TegDevice  # noqa: E402
+from repro.teg.module import default_server_module  # noqa: E402
+
+
+def per_row_search(policy, bindings):
+    """``_decide_uncached_batch`` as it decided one row at a time."""
+    if policy.tolerance_c <= 0:
+        raise PhysicalRangeError(
+            f"tolerance must be > 0, got {policy.tolerance_c}")
+    cpu, outlet = policy.space.plane_temperatures_batch(bindings)
+    power = np.empty_like(outlet)
+    for j, flow in enumerate(policy.space.flow_grid):
+        power[:, j, :] = policy.teg_module.generation_w(
+            outlet[:, j, :], policy.cold_source_temp_c, float(flow))
+    in_band = np.abs(cpu - policy.safe_temp_c) <= policy.tolerance_c
+    below_band = cpu <= policy.safe_temp_c + policy.tolerance_c
+    n_inlets = len(policy.space.inlet_grid)
+    decisions = []
+    for i, binding in enumerate(bindings):
+        mask = in_band[i] if in_band[i].any() else below_band[i]
+        if mask.any():
+            masked = np.where(mask, power[i], -np.inf).ravel()
+            flat = int(np.argmax(masked))
+            j, k = divmod(flat, n_inlets)
+            flow = float(policy.space.flow_grid[j])
+            inlet = float(policy.space.inlet_grid[k])
+            cpu_temp = float(cpu[i, j, k])
+            out_temp = float(outlet[i, j, k])
+            best_power = float(masked[flat])
+        else:
+            flow = float(policy.space.flow_grid[-1])
+            inlet = float(policy.space.inlet_grid[0])
+            cpu_temp = float(cpu[i, -1, 0])
+            out_temp = float(outlet[i, -1, 0])
+            best_power = float(power[i, -1, 0])
+        decisions.append(PolicyDecision(
+            setting=CoolingSetting(flow_l_per_h=flow, inlet_temp_c=inlet),
+            binding_utilisation=float(binding),
+            predicted_cpu_temp_c=cpu_temp,
+            predicted_outlet_temp_c=out_temp,
+            predicted_generation_w=best_power,
+        ))
+    return decisions
+
+
+def scalar_search(policy, binding):
+    """``decide``'s memo miss as it scanned the safe region point by point."""
+    region = policy.space.safe_region(binding, policy.safe_temp_c,
+                                      policy.tolerance_c)
+    if region:
+        best_point, best_power = None, -np.inf
+        for point in region:
+            power = policy.teg_module.generation_w(
+                point.outlet_temp_c, policy.cold_source_temp_c,
+                point.flow_l_per_h)
+            if power > best_power:
+                best_power, best_point = power, point
+        return PolicyDecision(
+            setting=best_point.setting, binding_utilisation=binding,
+            predicted_cpu_temp_c=best_point.cpu_temp_c,
+            predicted_outlet_temp_c=best_point.outlet_temp_c,
+            predicted_generation_w=best_power)
+    cpu_plane, outlet_plane = policy.space.plane_temperatures(binding)
+    best_point, best_power = None, -np.inf
+    for j, flow in enumerate(policy.space.flow_grid):
+        for k, inlet in enumerate(policy.space.inlet_grid):
+            cpu_temp = float(cpu_plane[j, k])
+            if cpu_temp > policy.safe_temp_c + policy.tolerance_c:
+                continue
+            outlet = float(outlet_plane[j, k])
+            power = policy.teg_module.generation_w(
+                outlet, policy.cold_source_temp_c, float(flow))
+            if power > best_power:
+                best_power = power
+                best_point = (float(flow), float(inlet), cpu_temp, outlet)
+    if best_point is None:
+        flow = float(policy.space.flow_grid[-1])
+        inlet = float(policy.space.inlet_grid[0])
+        outlet = float(outlet_plane[-1, 0])
+        best_point = (flow, inlet, float(cpu_plane[-1, 0]), outlet)
+        best_power = policy.teg_module.generation_w(
+            outlet, policy.cold_source_temp_c, flow)
+    flow, inlet, cpu_temp, outlet = best_point
+    return PolicyDecision(
+        setting=CoolingSetting(flow_l_per_h=flow, inlet_temp_c=inlet),
+        binding_utilisation=binding, predicted_cpu_temp_c=cpu_temp,
+        predicted_outlet_temp_c=outlet, predicted_generation_w=best_power)
+
+
+def row_kind(policy, decision):
+    """Which branch of the search answered ``decision``."""
+    band = abs(decision.predicted_cpu_temp_c - policy.safe_temp_c)
+    if band <= policy.tolerance_c:
+        return "in-band"
+    if decision.predicted_cpu_temp_c <= policy.safe_temp_c \
+            + policy.tolerance_c:
+        return "below-band"
+    return "emergency"
+
+
+#: Bindings in [0, 1]: anywhere, or on a utilisation node (0 and 1
+#: included).
+search_bindings = st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=1.0),
+              st.sampled_from(np.linspace(0.0, 1.0, 11).tolist())),
+    min_size=1, max_size=30)
+
+#: (T_safe, tol) pairs that reach every row kind: a band only light
+#: loads reach (30 °C), the paper's (62 °C) and one no setting reaches
+#: from below (95 °C).
+BANDS = [(30.0, 0.5), (62.0, 0.05), (62.0, 1.0), (75.0, 3.0), (95.0, 1.0)]
+
+
+def search_policy(teg_mode, band, space):
+    safe, tolerance = band
+    return LookupSpacePolicy(
+        space=space, safe_temp_c=safe, tolerance_c=tolerance,
+        teg_module=default_server_module(TegDevice(mode=teg_mode)))
+
+
+class TestSearchOracle:
+    """The array search equals the per-row and per-point searches."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bindings=search_bindings,
+           teg_mode=st.sampled_from(["empirical", "physical"]),
+           band=st.sampled_from(BANDS))
+    def test_array_search_equals_per_row_loop(self, lookup_space, bindings,
+                                              teg_mode, band):
+        policies = [search_policy(teg_mode, band, lookup_space)
+                    for _ in range(2)]
+        got = policies[0]._decide_uncached_batch(bindings)
+        want = per_row_search(policies[1], bindings)
+        assert len(got) == len(want)
+        for got_one, want_one in zip(got, want):
+            for name in PolicyDecision.__dataclass_fields__:
+                assert getattr(got_one, name) == getattr(want_one, name), name
+        # decide_batch primes the memo with the same decisions, in the
+        # same order.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(policies[1], "_decide_uncached_batch",
+                          lambda rows: per_row_search(policies[1], rows))
+            assert policies[1].decide_batch(bindings) == \
+                policies[0].decide_batch(bindings)
+        assert list(policies[0]._cache.items()) == list(
+            policies[1]._cache.items())
+
+    def test_every_row_kind_is_reached(self, lookup_space):
+        kinds = set()
+        for band in BANDS:
+            policy = search_policy("empirical", band, lookup_space)
+            kinds.update(row_kind(policy, decision) for decision in
+                         policy._decide_uncached_batch([0.0, 0.5, 1.0]))
+        assert kinds == {"in-band", "below-band", "emergency"}
+
+    @pytest.mark.parametrize("band", BANDS)
+    def test_decide_equals_point_scan(self, lookup_space, band):
+        # Empirical TEG: every decision is the per-point scan's, bit for
+        # bit, including the below-band and emergency fallbacks.
+        bindings = np.concatenate([
+            np.linspace(0.0, 1.0, 11),
+            np.random.default_rng(3).uniform(0.0, 1.0, 200)]).tolist()
+        policy = search_policy("empirical", band, lookup_space)
+        for binding in bindings:
+            policy._cache.clear()
+            assert policy.decide([binding]) == scalar_search(policy,
+                                                             binding)
+
+    def test_physical_teg_decide_equals_decide_batch(self):
+        # Squaring a scalar through libm ``pow`` once made this
+        # binding's scalar decision one bit off the batch's.
+        binding = 0.19904020680777346
+        teg_module = default_server_module(TegDevice(mode="physical"))
+        scalar, batch = (teg_original().build_policy(CpuThermalModel(),
+                                                     teg_module)
+                         for _ in range(2))
+        assert scalar.decide([binding]) == batch.decide_batch([binding])[0]

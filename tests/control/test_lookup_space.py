@@ -11,6 +11,7 @@ from repro.thermal.cpu_model import (
     CoolingSetting,
     CpuThermalModel,
     OutletDeltaModel,
+    SettingTerms,
 )
 
 #: The spaces the plane-query and campaign properties run over.
@@ -275,3 +276,70 @@ class TestPlaneBatch:
             lookup_space.plane_temperatures_batch([0.2, 1.2])
         with pytest.raises(ConfigurationError):
             lookup_space.plane_temperatures_batch([[0.2], [0.4]])
+
+
+def per_node_measure(space):
+    """``_measure`` as it built one checked setting per grid node."""
+    per_node = [space.model.setting_terms(CoolingSetting(
+                    flow_l_per_h=float(flow), inlet_temp_c=float(inlet)))
+                for flow in space.flow_grid for inlet in space.inlet_grid]
+    shape = (1, len(space.flow_grid), len(space.inlet_grid))
+    terms = SettingTerms(*(np.reshape(field, shape)
+                           for field in zip(*per_node)))
+    _, cpu, outlet = space.model.response(
+        space.utilisation_grid[:, None, None], terms)
+    return cpu, outlet
+
+
+#: Models whose terms take other branches than the default's.
+MEASURE_MODELS = {
+    "default": CpuThermalModel(),
+    "physical-outlet": CpuThermalModel(
+        outlet_model=OutletDeltaModel(mode="physical")),
+    "power-1.35": CpuThermalModel(power_scale=1.35),
+    "negative-extra-r": CpuThermalModel(extra_resistance_k_per_w=-0.2),
+}
+
+#: A grid off the defaults: uneven axes and inlets near both ends of
+#: the plausible coolant range.
+CUSTOM_GRID = dict(
+    utilisation_grid=np.array([0.0, 0.07, 0.5, 0.93, 1.0]),
+    flow_grid=np.array([3.0, 35.5, 120.0, 280.0, 999.0]),
+    inlet_grid=np.array([-10.0, -0.5, 17.25, 61.0, 89.75, 90.0]))
+
+
+class TestMeasureOracle:
+    """The per-flow campaign equals the per-node one."""
+
+    @pytest.mark.parametrize("grid", ["default", "custom"])
+    @pytest.mark.parametrize("model", sorted(MEASURE_MODELS))
+    def test_measure_equals_per_node_campaign(self, model, grid):
+        space = LookupSpace(model=MEASURE_MODELS[model],
+                            **(CUSTOM_GRID if grid == "custom" else {}))
+        for got, want in zip(space._measure(), per_node_measure(space)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("flows, inlets", [
+        ([0.0, 20.0, 50.0], None),
+        (None, [-20.0, 20.0, 40.0]),
+        (None, [20.0, 40.0, 95.0]),
+        ([0.0, 20.0], [20.0, 95.0]),
+        ([20.0, 50.0], [-20.0, 40.0, 95.0]),
+    ])
+    def test_bad_node_raises_the_first_error(self, flows, inlets):
+        space = LookupSpace()
+        if flows is not None:
+            space.flow_grid = np.array(flows)
+        if inlets is not None:
+            space.inlet_grid = np.array(inlets)
+        errors = []
+        for measure in (per_node_measure, LookupSpace._measure):
+            with pytest.raises(PhysicalRangeError) as excinfo:
+                measure(space)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        with pytest.raises(PhysicalRangeError) as excinfo:
+            LookupSpace(flow_grid=space.flow_grid,
+                        inlet_grid=space.inlet_grid)
+        assert str(excinfo.value) == errors[0]

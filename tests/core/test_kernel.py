@@ -856,3 +856,178 @@ class TestEvaluateRangeCheck:
             DatacenterSimulator(trace, teg_original()).run()
         with pytest.raises(PhysicalRangeError):
             simulate(trace, teg_original(), mode="kernel")
+
+
+# ----------------------------------------------------------------------
+# A balanced plane evaluated once per circulation
+# ----------------------------------------------------------------------
+
+def repeated(sim, means):
+    """The per-server ``IdealBalancer`` plane of per-circulation ``means``."""
+    return np.repeat(means, [len(group) for group in sim._groups], axis=1)
+
+
+def run_columns(sim, per_server):
+    """``run_kernel_columns``, balanced or through the per-server route.
+
+    ``per_server`` runs decide and evaluate on the repeated plane, the
+    code the balanced route replaced.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if per_server:
+            patch.setattr(kernel_module, "_decide_balanced",
+                          lambda sim, means: kernel_module._decide_plane(
+                              sim, repeated(sim, means)))
+            patch.setattr(kernel_module, "_evaluate_balanced",
+                          lambda sim, means, *rest:
+                          kernel_module._evaluate_blocks(
+                              sim, repeated(sim, means), *rest))
+        return kernel_module.run_kernel_columns(sim)
+
+
+def drawn_model(physical_outlet, physical_teg, power_scale=1.0,
+                extra_resistance=0.0):
+    cpu_model = CpuThermalModel(
+        outlet_model=OutletDeltaModel(
+            mode="physical" if physical_outlet else "empirical"),
+        power_scale=power_scale,
+        extra_resistance_k_per_w=extra_resistance)
+    teg_module = default_server_module(TegDevice(
+        mode="physical" if physical_teg else "empirical"))
+    return cpu_model, teg_module
+
+
+class TestBalancedRoute:
+    """The balanced route equals the per-server route on the repeated plane."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=25),
+        full=st.integers(min_value=1, max_value=4),
+        tail=st.integers(min_value=0, max_value=24),
+        n_steps=st.integers(min_value=1, max_value=9),
+        block_cells=st.sampled_from([1, 7, 40]),
+        setting=st.sampled_from(["lookup", "hot", "warm", "fast"]),
+        strict=st.booleans(),
+        physical_outlet=st.booleans(),
+        physical_teg=st.booleans(),
+        power_scale=st.sampled_from([0.8, 1.0, 1.35]),
+        extra_resistance=st.sampled_from([0.0, 0.03, -0.2]),
+        data=st.data(),
+    )
+    def test_balanced_evaluate_equals_per_server(
+            self, size, full, tail, n_steps, block_cells, setting, strict,
+            physical_outlet, physical_teg, power_scale, extra_resistance,
+            data):
+        # ``tail`` adds a ragged last circulation; "hot" (30 L/h, 60 °C)
+        # puts CPUs over the limit, and "fast" (250 L/h) has R_th < 0
+        # when the extra resistance is -0.2.
+        n_servers = full * size + tail % size
+        raw = data.draw(arrays(float, (n_steps, n_servers),
+                               elements=st.floats(0.0, 1.0)))
+        flow, inlet = {"hot": (30.0, 60.0), "warm": (50.0, 45.0),
+                       "fast": (250.0, 45.0)}.get(setting, (50.0, 45.0))
+        config = SimulationConfig(
+            name="drawn", scheduler="ideal",
+            policy="lookup" if setting == "lookup" else "static",
+            circulation_size=size, strict_safety=strict,
+            static_setting=CoolingSetting(flow_l_per_h=flow,
+                                          inlet_temp_c=inlet))
+        cpu_model, teg_module = drawn_model(physical_outlet, physical_teg,
+                                            power_scale, extra_resistance)
+        trace = WorkloadTrace(raw, 300.0)
+
+        def simulator():
+            return _CachedVectorisedSimulator(trace, config, cpu_model,
+                                              teg_module, mode="kernel")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
+            sim = simulator()
+            means = kernel_module._per_circulation(sim, raw, np.mean)
+            plane = kernel_module._scheduled_plane(sim, raw)
+            assert np.array_equal(plane, repeated(sim, means))
+            decided = kernel_module._decide_balanced(sim, means)
+            oracle_sim = simulator()
+            want_decided = kernel_module._decide_plane(oracle_sim, plane)
+            got = kernel_module._evaluate_balanced(sim, means, *decided)
+            want = kernel_module._evaluate_blocks(sim, plane, *decided)
+            columns = [run_columns(simulator(), per_server)
+                       for per_server in (False, True)]
+        assert np.array_equal(decided[0], want_decided[0])
+        assert decided[1:] == want_decided[1:]
+        assert list(sim._cache._store.items()) == list(
+            oracle_sim._cache._store.items())
+        for name, got_plane, want_plane in zip(
+                ("heat", "generation", "hottest"), got[:3], want[:3]):
+            assert_same_bits(got_plane, want_plane, name)
+        assert np.array_equal(got[3], want[3])
+        for got_cells, want_cells in zip(got[4], want[4]):
+            assert np.array_equal(got_cells, want_cells)
+        got_columns, want_columns = columns
+        for name in kernel_module.KernelColumns.__dataclass_fields__:
+            if name not in ("violations", "error"):
+                assert np.array_equal(getattr(got_columns, name),
+                                      getattr(want_columns, name)), name
+        assert got_columns.violations == want_columns.violations
+        assert (None if got_columns.error is None
+                else str(got_columns.error.exception)) == (
+            None if want_columns.error is None
+            else str(want_columns.error.exception))
+
+    def test_hot_balanced_run_logs_every_server(self):
+        # Every server of an over-limit balanced circulation is logged,
+        # the ragged tail's too, exactly as the serial loop logs them.
+        hot = teg_loadbalance(policy="static", static_setting=CoolingSetting(
+            flow_l_per_h=30.0, inlet_temp_c=60.0))
+        trace = trailing_trace()
+        serial = DatacenterSimulator(trace, hot).run()
+        kernel = simulate(trace, hot, mode="kernel")
+        assert {v.server_id for v in serial.violations} >= {46}
+        assert kernel.violations == serial.violations
+        assert kernel.records == serial.records
+        strict = replace(hot, strict_safety=True)
+        errors = []
+        for run in (DatacenterSimulator(trace, strict).run,
+                    lambda: simulate(trace, strict, mode="kernel")):
+            with pytest.raises(CoolingFailureError) as excinfo:
+                run()
+            exc = excinfo.value
+            errors.append((str(exc), exc.server_id, exc.temperature_c,
+                           exc.step_index))
+        assert errors[0] == errors[1]
+
+    def test_scalar_decide_gets_full_vectors(self, monkeypatch):
+        # Without ``decide_batch`` the balanced route asks the policy
+        # once per novel cell with the circulation's whole vector, so
+        # the decision cache holds the keys (and vector sizes) the
+        # per-server route stores.
+        from repro.control.cooling_policy import LookupSpacePolicy
+
+        monkeypatch.delattr(LookupSpacePolicy, "decide_batch")
+        trace = trailing_trace()
+        stores = []
+        for per_server in (False, True):
+            sim = _CachedVectorisedSimulator(trace, teg_loadbalance(),
+                                             mode="kernel")
+            run_columns(sim, per_server)
+            stores.append(list(sim._cache._store.items()))
+        assert stores[0] == stores[1]
+        assert {key[2] for key, _ in stores[0]} == {20, 7}
+        serial = DatacenterSimulator(trace, teg_loadbalance()).run()
+        assert simulate(trace, teg_loadbalance(),
+                        mode="kernel").records == serial.records
+
+    @pytest.mark.parametrize("shard_servers", [20, 40])
+    def test_sharded_ragged_loadbalance_equals_serial(self, shard_servers):
+        # 53 servers: circulations of 20, 20 and a ragged 13, so with
+        # 20-server tiles the tail runs as a tile of its own.
+        trace = drastic_trace(n_servers=53, duration_s=6 * 3600.0,
+                              interval_s=300.0, seed=17)
+        config = teg_loadbalance()
+        serial = DatacenterSimulator(trace, config).run()
+        sharded = simulate_sharded(trace, config,
+                                   shard_servers=shard_servers,
+                                   shard_steps=25)
+        assert sharded.records == serial.records
+        assert sharded.violations == serial.violations

@@ -167,3 +167,44 @@ class TestTransformations:
         # Balancing never raises the per-step maximum.
         assert np.all(balanced.max_per_step()
                       <= trace.max_per_step() + 1e-12)
+
+
+class TestAdoptValidation:
+    """One minimum and one maximum validate a whole plane."""
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.nan, TraceFormatError, "trace contains NaN or infinite values"),
+        (np.inf, TraceFormatError, "trace contains NaN or infinite values"),
+        (-np.inf, TraceFormatError, "trace contains NaN or infinite values"),
+        (-0.1, PhysicalRangeError,
+         "all utilisations must be in [0, 1]; offending range "
+         "[-0.100, 0.900]"),
+        (1.1, PhysicalRangeError,
+         "all utilisations must be in [0, 1]; offending range "
+         "[0.000, 1.100]"),
+    ])
+    def test_bad_cell_raises_todays_error(self, bad, error, message):
+        matrix = np.linspace(0.0, 0.9, 12).reshape(3, 4)
+        matrix[1, 2] = bad
+        with pytest.raises(error) as excinfo:
+            make_trace(matrix)
+        assert str(excinfo.value) == message
+        with pytest.raises(error) as excinfo:
+            WorkloadTrace._owning(matrix.copy(), 300.0)
+        assert str(excinfo.value) == message
+
+    def test_nan_beats_out_of_range(self):
+        with pytest.raises(TraceFormatError):
+            make_trace([[1.5, np.nan, -2.0]])
+
+    def test_validation_allocates_no_plane_temporary(self):
+        import tracemalloc
+
+        matrix = np.random.default_rng(0).uniform(0.0, 1.0, (2000, 1000))
+        tracemalloc.start()
+        try:
+            WorkloadTrace._owning(matrix, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * matrix.nbytes
