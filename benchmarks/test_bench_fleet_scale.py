@@ -53,7 +53,7 @@ FLEET_CELLS_PER_S_FLOOR = 0.5e6
 
 #: Hard ceiling on one pickled worker payload.  The trace plane is
 #: ~890 MB; the payload carries a shared-memory window reference and
-#: the primed decision table (bounded by the policy's quantisation),
+#: the primed policy memo (bounded by the policy's quantisation),
 #: so 64 KiB is already generous.
 MAX_PAYLOAD_BYTES = 64 * 1024
 

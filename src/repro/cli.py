@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="parallel workers (default: REPRO_WORKERS "
                             "or the CPU count)")
     batch.add_argument("--check", action="store_true",
-                       help="also run the first job serially and "
-                            "verify bit-identity")
+                       help="also run every completed job serially "
+                            "and verify bit-identity")
     batch.add_argument("--faults", default=None, metavar="SPEC.JSON",
                        help="attach a fault schedule (JSON file, see "
                             "docs/faults.md) to every job")
@@ -393,15 +393,24 @@ def _cmd_batch(args: argparse.Namespace, reporter: Reporter) -> int:
             reporter.info(f"telemetry written to {paths['manifest'].parent}")
 
     if args.check and batch.results:
-        first = jobs[0]
-        serial = DatacenterSimulator(first.trace, first.config,
-                                     faults=first.faults).run()
-        identical = serial.records == batch.results[0].records
-        reporter.result("serial_check", bool(identical))
-        if identical:
+        # Results are the completed jobs in submission order, so each
+        # pairs with the next job of its label; a failed job has none.
+        remaining = iter(jobs)
+        mismatches = []
+        for result in batch.results:
+            job = next(job for job in remaining
+                       if job.key == (result.scheme, result.trace_name))
+            serial = DatacenterSimulator(job.trace, job.config,
+                                         faults=job.faults).run()
+            if (serial.records != result.records
+                    or serial.violations != result.violations):
+                mismatches.append(f"{result.scheme} on {result.trace_name}")
+        reporter.result("serial_check", not mismatches)
+        if not mismatches:
             reporter.info("serial check: bit-identical")
         else:
-            reporter.error("serial check: MISMATCH")
+            for name in mismatches:
+                reporter.error(f"serial check: MISMATCH in {name}")
             return 1
     return 0 if batch.ok else 1
 

@@ -6,7 +6,7 @@
 * :mod:`repro.core.simulator` — the time-stepped cluster simulator that
   produces Fig. 14 / Fig. 15;
 * :mod:`repro.core.engine` — the parallel batch execution layer (many
-  (scheme x trace) runs through one API, cached and vectorised);
+  (scheme x trace) runs through one API, vectorised);
 * :mod:`repro.core.shard` — fleet-scale sharded execution: one huge
   trace split into circulation-block x time-window tiles, dispatched
   over the engine's executor and merged back bit-identically;
@@ -28,7 +28,6 @@ from .engine import (
     EXECUTION_MODES,
     BatchResult,
     BatchSimulationEngine,
-    CoolingDecisionCache,
     EngineMetrics,
     FailedJob,
     KernelTimings,
@@ -74,7 +73,6 @@ __all__ = [
     "KernelTimings",
     "SharedTraceRef",
     "EXECUTION_MODES",
-    "CoolingDecisionCache",
     "ShardSpec",
     "ShardOutcome",
     "plan_shards",

@@ -44,10 +44,10 @@ alias two runs that would diverge.
 Warm starts
 -----------
 Beyond exact hits, the sharded decision pre-pass
-(:func:`repro.core.shard.primed_or_warm`) persists its primed
-cooling-decision state under its own two-level content key, so a
-*near-miss* sharded job skips the full-plane decide pass.  Nothing else
-writes or reads these snapshots:
+(:func:`repro.core.shard.primed_or_warm`) persists its primed policy
+memo, as ``(bucket, decision)`` entries in first-occurrence order, under
+its own two-level content key, so a *near-miss* sharded job skips the
+full-plane decide pass.  Nothing else writes or reads these snapshots:
 
 * **W1 (decision key)** covers everything that shapes the decisions
   themselves — trace plane, config minus its display name, hardware
@@ -232,9 +232,11 @@ def warm_keys(trace: WorkloadTrace, config, cpu_model=None,
     config_fields = {f.name: getattr(config, f.name)
                      for f in dataclass_fields(config)
                      if f.name != "name"}
-    w1 = fingerprint("h2p-warm/decisions", digest, config_fields,
+    # The "memo" tags name the (bucket, decision) entry format: a
+    # snapshot of an older format sits under other keys, never read.
+    w1 = fingerprint("h2p-warm/memo-decisions", digest, config_fields,
                      cpu_model, teg_module)
-    w2 = fingerprint("h2p-warm/bindings", digest,
+    w2 = fingerprint("h2p-warm/memo-bindings", digest,
                      config_fields.get("scheduler"),
                      config_fields.get("threshold_cap"),
                      config_fields.get("control_interval_s"),
@@ -497,8 +499,8 @@ class ResultCache:
         return payload
 
     def store_warm(self, w1: str, w2: str, entries: list) -> None:
-        """Persist one warm snapshot: the decision-cache entries of a
-        completed run, first-occurrence order preserved."""
+        """Persist one warm snapshot: the ``(bucket, decision)`` entries
+        of a primed policy memo, first-occurrence order preserved."""
         payload = {"schema": CACHE_SCHEMA,
                    "version": CACHE_FORMAT_VERSION,
                    "kind": "warm", "w1": w1, "entries": list(entries)}

@@ -34,15 +34,14 @@ Durability contract
 
 Bit-identity across interruption
 --------------------------------
-Kernel shards are pure functions of (tile, primed decision cache), and
-the pre-pass that primes the cache is deterministic, so loading a saved
+Kernel shards are pure functions of (tile, primed policy memo), and
+the pre-pass that primes the memo is deterministic, so loading a saved
 outcome is indistinguishable from recomputing it.  Fault windows are
-path-dependent — they share one decision cache and one policy instance
-sequentially — so each saved window also carries a snapshot of the
-shared cache store, and the saved outcome carries the policy instance;
-resuming restores both before the first missing window runs.  The
-per-outcome cache hit/miss deltas ride inside the saved outcomes, so
-even the merged cache counters match the uninterrupted run.
+path-dependent — each hands its policy instance, memo included, to the
+next — so the saved outcome carries that policy, and resuming restores
+it before the first missing window runs.  The per-outcome decision
+hit/miss counts ride inside the saved outcomes, so even the merged
+counts match the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -406,15 +405,9 @@ class CheckpointStore:
                 done.append(index)
         return sorted(done)
 
-    def save_shard(self, index: int, outcome: "ShardOutcome", *,
-                   cache_store: dict | None = None) -> None:
-        """Persist one completed shard (atomically).
-
-        ``cache_store`` rides along for sequential fault windows: the
-        shared decision-cache contents *after* this window, which a
-        resume must restore before running the next window.
-        """
-        payload = {"outcome": outcome, "cache_store": cache_store}
+    def save_shard(self, index: int, outcome: "ShardOutcome") -> None:
+        """Persist one completed shard (atomically)."""
+        payload = {"outcome": outcome}
         atomic_write(self._shard_path(index),
                      pickle.dumps(payload,
                                   protocol=pickle.HIGHEST_PROTOCOL))

@@ -10,9 +10,8 @@ scheme per trace.  This module turns that hot path into a batch API:
   serial loop when processes are unavailable, with a ``REPRO_WORKERS``
   environment override;
 * inside each job the whole-trace kernel (:mod:`repro.core.kernel`)
-  replaces the step loop, and cooling decisions are memoised by
-  :class:`CoolingDecisionCache`;
-* :class:`EngineMetrics` (wall time per phase, steps/sec, cache hit
+  replaces the step loop and asks the policy once per distinct binding;
+* :class:`EngineMetrics` (wall time per phase, steps/sec, decision hit
   rate) is attached to every :class:`~repro.core.results.SimulationResult`
   so benchmarks can assert speedups.
 
@@ -28,8 +27,9 @@ Engine results are **bit-identical** to the serial
 * per-circulation sums and the cluster-level accumulation reuse the
   simulator's own :meth:`DatacenterSimulator._aggregate_step`, in the
   same circulation order;
-* the decision cache only serves hits that provably reproduce what the
-  policy itself would return (see :class:`CoolingDecisionCache`).
+* every cooling decision comes from the simulator's own policy, in the
+  serial loop's first-occurrence order, so a memoising policy ends up
+  with the memo the serial loop gives it.
 
 The golden and determinism tests in ``tests/core/test_engine.py``
 enforce this equivalence.
@@ -75,7 +75,12 @@ from .cache import (
     result_key,
 )
 from .config import SimulationConfig
-from .kernel import KernelTimings, run_whole_trace
+from .kernel import (
+    KernelTimings,
+    _decision_counts,
+    _decision_memo,
+    run_whole_trace,
+)
 from .results import SimulationResult
 from .simulator import DatacenterSimulator
 
@@ -103,7 +108,7 @@ _POLL_INTERVAL_S = 0.05
 #: Execution modes of one job, fastest first.  Both are bit-identical:
 #:
 #: * ``"kernel"`` — whole-trace NumPy pipeline (no per-step Python loop);
-#: * ``"loop"``   — the serial per-circulation loop with cached decisions.
+#: * ``"loop"``   — the serial simulator's own per-circulation loop.
 #:
 #: Jobs carrying a fault schedule, and jobs on a ``WorkloadTrace``
 #: subclass, always step through the simulator's serial loop, whatever
@@ -122,145 +127,6 @@ def resolve_mode(mode: str | None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Cooling-decision cache
-# ----------------------------------------------------------------------
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`CoolingDecisionCache`."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total number of ``decide`` calls answered."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-
-class CoolingDecisionCache:
-    """Memoised cooling-setting decisions across steps and circulations.
-
-    The ``control.cooling_policy`` / ``control.lookup_space`` search is
-    the dominant per-decision cost and highly repetitive across steps:
-    the decision depends only on the *binding* utilisation (the max or
-    mean of the circulation's utilisation vector), which revisits the
-    same quantised values over and over.
-
-    Keys are derived from the quantised utilisation vector together with
-    the cold-source temperature and the policy identity (the ``context``
-    tuple).  Hits are guaranteed bit-identical to calling the policy:
-
-    * for :class:`~repro.control.cooling_policy.LookupSpacePolicy` (it
-      exposes ``cache_resolution``) the key uses the same quantised
-      binding bucket the policy's own memo uses, so any colliding vector
-      would be answered with the identical cached decision by the policy
-      itself;
-    * for policies without an internal memo (analytic, static) the key
-      carries the *exact* binding utilisation, and the decision is a
-      pure function of it.
-    """
-
-    def __init__(self) -> None:
-        self.stats = CacheStats()
-        self._store: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def decide(self, policy, utilisations: np.ndarray, context: tuple = ()):
-        """Return ``policy.decide(utilisations)``, memoised.
-
-        Parameters
-        ----------
-        policy:
-            Any cooling policy keyed on a binding utilisation through an
-            ``aggregation`` attribute (``"max"`` or ``"avg"``).
-        utilisations:
-            The scheduled per-server utilisation vector.
-        context:
-            Hashable policy/environment identity (policy kind, cold
-            source temperature, safe temperature, ...) so one cache can
-            serve several simulations without cross-talk.
-        """
-        utils = np.asarray(utilisations, dtype=float)
-        aggregation = getattr(policy, "aggregation", "max")
-        if aggregation == "avg":
-            binding = float(utils.mean())
-        else:
-            binding = float(utils.max())
-        policy_resolution = getattr(policy, "cache_resolution", None)
-        if policy_resolution:
-            # Same bucketing (and same round()) as the policy's memo.
-            binding_key = round(binding / policy_resolution)
-        else:
-            binding_key = binding
-        key = (context, aggregation, utils.size, binding_key)
-        cached = self._store.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            return cached
-        decision = policy.decide(utils)
-        self._store[key] = decision
-        self.stats.misses += 1
-        return decision
-
-    def decide_batch(self, policy, bindings: np.ndarray,
-                     sizes: np.ndarray, context: tuple = ()) -> list:
-        """Memoised decisions for pre-aggregated ``(binding, size)`` pairs.
-
-        The batched counterpart of :meth:`decide` for callers (the
-        columnar kernel) that have already reduced each utilisation
-        vector to its binding value.  ``bindings[i]`` must be bit-equal
-        to the aggregation :meth:`decide` would compute from the full
-        vector, and ``sizes[i]`` is that vector's length; the cache key
-        is then identical to the scalar path's.  Misses are answered by
-        one ``policy.decide_batch`` call and inserted in input order, so
-        the store's insertion order (which the warm-start exporter
-        consumes) matches a scalar-loop replay exactly.
-
-        Callers must ensure the pairs map to *distinct* cache keys (the
-        kernel's unique-cell dedup guarantees this); duplicate keys
-        within one batch would each be counted and computed as a miss.
-        """
-        aggregation = getattr(policy, "aggregation", "max")
-        policy_resolution = getattr(policy, "cache_resolution", None)
-        decisions: list = [None] * len(bindings)
-        miss_at: list[int] = []
-        miss_keys: list[tuple] = []
-        miss_bindings: list[float] = []
-        for i, raw in enumerate(bindings):
-            binding = float(raw)
-            if policy_resolution:
-                binding_key = round(binding / policy_resolution)
-            else:
-                binding_key = binding
-            key = (context, aggregation, int(sizes[i]), binding_key)
-            cached = self._store.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                decisions[i] = cached
-            else:
-                miss_at.append(i)
-                miss_keys.append(key)
-                miss_bindings.append(binding)
-        if miss_at:
-            computed = policy.decide_batch(miss_bindings)
-            for i, key, decision in zip(miss_at, miss_keys, computed):
-                decisions[i] = decision
-                self._store[key] = decision
-                self.stats.misses += 1
-        return decisions
-
-
-# ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
 
@@ -276,7 +142,9 @@ class EngineMetrics:
     n_steps / steps_per_s:
         Steps replayed and throughput of the stepping phase.
     cache_hits / cache_misses / cache_hit_rate:
-        Cooling-decision cache counters for this run.
+        Cooling decisions of this run: a lookup is a decision the serial
+        loop makes, a miss one the policy computed (its memo's growth,
+        or every request to a policy without a memo), a hit the rest.
     mode:
         Execution mode actually used (see :data:`EXECUTION_MODES`;
         fault-carrying jobs report ``"loop"``).
@@ -376,7 +244,7 @@ class BatchMetrics:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Aggregate cooling-cache hit rate across all jobs."""
+        """Aggregate cooling-decision hit rate across all jobs."""
         lookups = self.cache_hits + self.cache_misses
         if not lookups:
             return 0.0
@@ -437,19 +305,18 @@ class SimulationJob:
 
 
 class _CachedVectorisedSimulator(DatacenterSimulator):
-    """A :class:`DatacenterSimulator` with memoised decisions.
+    """A :class:`DatacenterSimulator` that can skip the step loop.
 
     The scheduler, policy, partitioning and aggregation all come from
-    the parent class; every mode routes cooling decisions through a
-    :class:`CoolingDecisionCache`, and ``"kernel"`` skips the step loop
-    entirely and runs the whole-trace pipeline of
-    :mod:`repro.core.kernel`.
+    the parent class; ``"kernel"`` runs the whole-trace pipeline of
+    :mod:`repro.core.kernel` instead of the step loop, and ``"loop"`` is
+    the parent's serial loop.  After a run, ``decisions`` holds its
+    ``(hits, misses)`` (see :class:`EngineMetrics`).
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig,
                  cpu_model: CpuThermalModel | None = None,
                  teg_module: TegModule | None = None,
-                 cache: CoolingDecisionCache | None = None,
                  mode: str | None = None,
                  faults: FaultSchedule | None = None,
                  step_offset: int = 0,
@@ -462,46 +329,37 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
         super().__init__(trace, config, faults=faults,
                          step_offset=step_offset,
                          server_offset=server_offset, **kwargs)
-        # `is None` check: an empty cache is falsy (it has __len__).
-        self._cache = cache if cache is not None else CoolingDecisionCache()
         self._mode = resolve_mode(mode)
         if self._fault_runtime is not None or type(trace) is not WorkloadTrace:
             # Fault injection needs the parent's fault-aware serial step
             # (degraded fallback, shadow accounting), and a trace
             # subclass may override step(), which the kernel would
             # silently bypass by reading the plane: both run the serial
-            # loop.  Decisions stay cached either way.
+            # loop.
             self._mode = "loop"
         self.kernel_timings: KernelTimings | None = None
-        self._context = (config.name, config.policy, config.scheduler,
-                         config.cold_source_temp_c, config.safe_temp_c)
-
-    @property
-    def cache(self) -> CoolingDecisionCache:
-        """The cooling-decision cache backing this simulator."""
-        return self._cache
+        self.decisions = (0, 0)
 
     @property
     def mode(self) -> str:
         """Execution mode actually in effect (fault jobs force "loop")."""
         return self._mode
 
-    def _decide(self, scheduled: np.ndarray):
-        return self._cache.decide(self._policy, scheduled, self._context)
-
-    def _decide_batch(self, bindings: np.ndarray, sizes: np.ndarray) -> list:
-        """Batched :meth:`_decide` over pre-aggregated bindings.
-
-        The columnar kernel calls this with one ``(binding, size)``
-        pair per unique decision cell; see
-        :meth:`CoolingDecisionCache.decide_batch` for the contract.
-        """
-        return self._cache.decide_batch(self._policy, bindings, sizes,
-                                        self._context)
-
     def run(self) -> SimulationResult:
         if self._mode != "kernel":
-            return super().run()
+            memo = _decision_memo(self._policy)
+            before = len(memo) if memo is not None else 0
+            result = super().run()
+            # The serial loop decides every circulation of every step, a
+            # faulted step's healthy shadow too, but not a degraded
+            # circulation, which takes the conservative setting.
+            lookups = int(len(self._groups) * (
+                len(result.records) + np.count_nonzero(
+                    result._series("active_faults")))
+                - result._series("degraded_circulations").sum())
+            self.decisions = _decision_counts(memo, before, lookups,
+                                              lookups)
+            return result
         self._check_trace_width()
         self._violation_log = []
         result = run_whole_trace(self)
@@ -521,12 +379,12 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
 
     Returns a :class:`SimulationResult` that is bit-identical to
     ``DatacenterSimulator(trace, config, ...).run()`` but carries
-    :class:`EngineMetrics` (phase wall times, steps/sec, cache stats,
-    kernel-phase timings).  ``mode`` picks the execution path (see
+    :class:`EngineMetrics` (phase wall times, steps/sec, decision
+    counts, kernel-phase timings).  ``mode`` picks the execution path (see
     :data:`EXECUTION_MODES`; default ``"kernel"``).  Attaching a
     ``faults`` schedule switches stepping to the simulator's
-    fault-aware serial loop (decisions stay cached); without one the
-    output is unchanged down to the bit.
+    fault-aware serial loop; without one the output is unchanged down
+    to the bit.
 
     ``telemetry`` (explicit, else ``REPRO_TELEMETRY``) records the run
     into a *private* :class:`repro.obs.Telemetry` session and attaches
@@ -565,21 +423,17 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
             setup_done = time.perf_counter()
             result = simulator.run()
             finished = time.perf_counter()
-        stats = simulator.cache.stats
-        if local is not None:
-            labels = {"scheme": config.name, "trace": trace.name}
-            obs.add("engine.cache.hits", stats.hits, labels=labels)
-            obs.add("engine.cache.misses", stats.misses, labels=labels)
     step_time = finished - setup_done
+    hits, misses = simulator.decisions
     result.metrics = EngineMetrics(
         setup_time_s=setup_done - started,
         step_time_s=step_time,
         wall_time_s=finished - started,
         n_steps=trace.n_steps,
         steps_per_s=trace.n_steps / step_time if step_time > 0 else 0.0,
-        cache_hits=stats.hits,
-        cache_misses=stats.misses,
-        cache_hit_rate=stats.hit_rate,
+        cache_hits=hits,
+        cache_misses=misses,
+        cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         mode=simulator.mode,
         kernel=simulator.kernel_timings,
     )
@@ -1884,7 +1738,7 @@ class BatchSimulationEngine:
         ``tile(spec)`` builds one tile's unit (see ``_drive_shards``); on
         a process pool it ships a :class:`~repro.core.shard._ShardPayload`
         — a windowed :class:`SharedTraceRef`, the spec and the ``primed``
-        decision cache — so payload size is independent of trace length
+        policy memo — so payload size is independent of trace length
         and shard count.  A tile running past ``straggler_s`` gets one
         speculative twin.
         """
@@ -2221,8 +2075,6 @@ __all__ = [
     "SHARD_STRAGGLER_ENV_VAR",
     "SEGMENT_PREFIX",
     "EXECUTION_MODES",
-    "CacheStats",
-    "CoolingDecisionCache",
     "EngineMetrics",
     "KernelTimings",
     "BatchMetrics",

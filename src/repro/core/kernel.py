@@ -8,10 +8,10 @@ run the simulation is a pure function of the trace, so the kernel:
    plane (the trace itself under ``NoScheduler``; under
    ``IdealBalancer`` one mean per ``(step, circulation)`` cell, which
    every server of the circulation runs at), computes every cell's
-   binding utilisation, dedupes cells through the cooling-decision
-   cache's own quantisation, and calls the policy once per unique key
-   (primed in first-occurrence order, so a shared memoising policy sees
-   exactly the serial call sequence);
+   binding utilisation, dedupes cells through the policy memo's own
+   quantisation, and asks the policy once per unique key, in
+   first-occurrence order, so a memoising policy's memo is filled
+   exactly as the serial loop fills it;
 2. **evaluates** — one pass over cache-sized row blocks, after the
    models' range checks have run once for the whole run: the models'
    unchecked laws compute CPU power once, the outlet temperature and
@@ -237,8 +237,9 @@ def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
     ``IdealBalancer`` is an array expression (the paper's two schemes);
     any other scheduler falls back to a per-cell call so data-dependent
     balancers stay bit-faithful.  Callers never write to the plane.
-    :func:`run_kernel_columns` keeps a balanced plane as its
-    per-circulation means instead (see :func:`_evaluate_balanced`).
+    :func:`_decide_phase` keeps a balanced plane as its per-circulation
+    means instead (see :func:`_evaluate_balanced`); the ``IdealBalancer``
+    branch here is the per-server reference for that route.
     """
     scheduler = sim._scheduler
     if type(scheduler) is NoScheduler:
@@ -254,29 +255,25 @@ def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
 
 
 def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
-                       sizes: np.ndarray, first_cell: np.ndarray,
-                       order: np.ndarray, n_circs: int) -> list | None:
-    """All unique decisions through the vectorised batch path, or ``None``.
+                       cells: np.ndarray) -> list | None:
+    """The decisions of ``cells`` through ``policy.decide_batch``, or ``None``.
 
-    Returns decisions in priming (first-occurrence) order, i.e. aligned
-    with ``order``.  Falls back — returning ``None`` so the caller runs
-    the scalar per-uid loop — when:
+    ``cells`` are the unique cells' flat indices in priming
+    (first-occurrence) order.  Falls back — returning ``None`` so the
+    caller runs the scalar loop — when:
 
-    * the simulator or its policy does not implement the batch protocol
-      (third-party policies keep working through ``sim._decide``);
+    * the policy does not implement ``decide_batch`` (third-party
+      policies keep working through ``decide``);
     * the plane contains values outside ``[0, 1]`` (or NaN) — the serial
       path raises on the first offending *vector*, inside the policy,
       so the scalar loop must run to reproduce that exact error.
 
     The representative binding for each unique cell is read back from
     the precomputed ``bindings``: a last-axis reduction of a circulation
-    view is bit-equal to reducing the cell's 1-D vector, so the cache
-    sees what :meth:`CoolingDecisionCache.decide` would have computed.
+    view is bit-equal to reducing the cell's 1-D vector, so the policy
+    sees the binding its ``decide`` would have computed.
     """
-    decide_batch = getattr(sim, "_decide_batch", None)
-    policy = getattr(sim, "_policy", None)
-    if decide_batch is None or policy is None:
-        return None
+    policy = sim._policy
     if not callable(getattr(policy, "decide_batch", None)):
         return None
     if plane.size == 0:
@@ -288,16 +285,14 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
           else bindings.max())
     if not (lo >= 0.0 and hi <= 1.0):  # NaN compares false: falls back
         return None
-    cell = first_cell[order]
     with obs.span("kernel.decide_batch"):
-        decisions = decide_batch(bindings.ravel()[cell],
-                                 sizes[cell % n_circs])
+        decisions = policy.decide_batch(bindings.ravel()[cells])
     obs.add("engine.kernel.batched_decisions", len(decisions))
     return decisions
 
 
 def _buckets(bindings: np.ndarray, resolution: float) -> np.ndarray:
-    """``bindings`` quantised as the policy memo and the decision cache do.
+    """``bindings`` quantised as the policy memo does.
 
     ``np.rint`` and ``round()`` both round half to even.
     """
@@ -305,24 +300,36 @@ def _buckets(bindings: np.ndarray, resolution: float) -> np.ndarray:
     return np.rint(keys, out=keys)
 
 
-def _decide_cells(sim, plane: np.ndarray):
-    """Cooling decisions for every ``(step, circulation)`` cell.
+def _decision_memo(policy) -> dict | None:
+    """A memoising policy's ``{bucket: PolicyDecision}`` memo, else ``None``.
 
-    Returns ``(setting_id, applied_settings)``: a ``(steps x circs)``
-    array of indices into the deduplicated list of clamped settings.
-    Unique ``(binding bucket, group size)`` keys are decided once, in
-    first-occurrence order, through ``sim._decide`` — so the decision
-    cache and any memoising policy are primed with exactly the vectors
-    (and in exactly the order) the serial loop would have used, and
-    duplicate cells are accounted as cache hits.
+    :class:`~repro.control.cooling_policy.LookupSpacePolicy` (it exposes
+    ``cache_resolution``) keeps one; analytic and static decisions are
+    pure functions of the exact binding, so those policies keep none.
     """
-    return _decide_plane(sim, plane)[:2]
+    if getattr(policy, "cache_resolution", None):
+        return policy._cache
+    return None
+
+
+def _decision_counts(memo: dict | None, before: int, lookups: int,
+                     requests: int) -> tuple[int, int]:
+    """``(hits, misses)`` of ``lookups`` decisions, ``requests`` asked of
+    the policy.
+
+    A miss is a decision the policy computed: its memo's growth since it
+    held ``before`` entries, or, without a memo, every request.
+    """
+    misses = requests if memo is None else len(memo) - before
+    return lookups - misses, misses
 
 
 def _decide_plane(sim, plane: np.ndarray):
-    """:func:`_decide_cells` plus whether it proved the plane's range.
+    """Cooling decisions for every ``(step, circulation)`` cell.
 
-    The third element is ``True`` when the batch path ran, which it
+    Returns ``(setting_id, applied_settings, in_range)``: a ``(steps x
+    circs)`` array of indices into the deduplicated list of clamped
+    settings, that list, and ``True`` when the batch path ran, which it
     does only on a plane in ``[0, 1]`` without NaN, so evaluate need
     not check the utilisations again.
     """
@@ -361,7 +368,7 @@ def _decide_balanced(sim, means: np.ndarray):
     (the ``IdealBalancer`` plane).  A maximum of equal copies is the
     copy; a mean is taken over the copies as over the plane's columns.
     The scalar fallback gets the circulation's full ``size``-long
-    vector, because the decision-cache key carries its length.
+    vector, because the policy takes the vector's own mean.
     """
     avg = getattr(sim._policy, "aggregation", "max") == "avg"
     groups = sim._groups
@@ -376,48 +383,44 @@ def _decide_bindings(sim, bindings: np.ndarray, plane: np.ndarray, vector):
     ``plane`` is the scheduled plane, or a balanced plane's means (the
     same minimum and maximum), for the batch path's range check;
     ``vector(step, circ)`` is a cell's scheduled utilisation vector, for
-    the scalar loop.
+    the scalar loop.  Unique keys — the policy memo's buckets, or exact
+    bindings for a policy without a memo — are decided once, in
+    first-occurrence order, so the memo is filled with exactly the
+    bindings (and in exactly the order) the serial loop would have
+    used.  Stores the run's ``(hits, misses)`` on ``sim.decisions``.
     """
-    groups = sim._groups
-    n_steps = bindings.shape[0]
-    n_circs = len(groups)
+    n_steps, n_circs = bindings.shape
     cells = n_steps * n_circs
-    resolution = getattr(sim._policy, "cache_resolution", None)
-    sizes = np.array([group.size for group in groups], dtype=float)
-    # Label every cell with its (bucket, size) key and find each label's
-    # first cell (priming must follow the serial cell order); a label no
-    # cell carries keeps ``cells`` and is dropped.  Labels ascend with
-    # the key, so the labels present, in ascending order, number the
-    # unique keys (the uids) as a sorted unique would.
+    policy = sim._policy
+    resolution = getattr(policy, "cache_resolution", None)
+    # Label every cell with its key and find each label's first cell
+    # (priming must follow the serial cell order); a label no cell
+    # carries keeps ``cells`` and is dropped.  Labels ascend with the
+    # key, so the labels present, in ascending order, number the unique
+    # keys (the uids) as a sorted unique would.
     top = np.nan
     if resolution and bindings.size:
         top = np.rint(bindings.max() / resolution)
     if top < 2**20 and np.rint(bindings.min() / resolution) >= 0.0:
         # Quantised buckets are small non-negative integers (bucketing
         # is monotone, so the extreme bindings' buckets bound them): the
-        # label is a code monotone in (bucket, size) that indexes a
-        # table directly, so nothing is sorted.  Row blocks keep every
-        # temporary block-sized.  NaN, inf and overflowing buckets
-        # compare false and take the row-wise unique below.
-        usizes, size_code = np.unique(sizes, return_inverse=True)
-        n_labels = (int(top) + 1) * len(usizes)
+        # bucket is the label and indexes a table directly, so nothing
+        # is sorted.  Row blocks keep every temporary block-sized.  NaN,
+        # inf and overflowing buckets compare false and take the unique
+        # below.
+        n_labels = int(top) + 1
         first = np.full(n_labels, cells, dtype=np.int64)
         labels = np.empty((n_steps, n_circs), dtype=np.intp)
         rows = max(1, ROW_BLOCK_CELLS // n_circs)
         for start in range(0, n_steps, rows):
             block = labels[start:start + rows]
             block[...] = _buckets(bindings[start:start + rows], resolution)
-            block *= len(usizes)
-            block += size_code
             np.minimum.at(first, block.ravel(),
                           np.arange(start * n_circs,
                                     start * n_circs + block.size))
     else:
         keys = _buckets(bindings, resolution) if resolution else bindings
-        pairs = np.column_stack((keys.ravel(),
-                                 np.broadcast_to(sizes, (n_steps,
-                                                         n_circs)).ravel()))
-        uniq, labels = np.unique(pairs, axis=0, return_inverse=True)
+        uniq, labels = np.unique(keys, return_inverse=True)
         n_labels = len(uniq)
         first = np.full(n_labels, cells, dtype=np.int64)
         np.minimum.at(first, labels.ravel(), np.arange(cells))
@@ -426,25 +429,22 @@ def _decide_bindings(sim, bindings: np.ndarray, plane: np.ndarray, vector):
     first_cell = first[present]
     n_uniq = len(first_cell)
 
+    memo = _decision_memo(policy)
+    before = len(memo) if memo is not None else 0
     decisions = [None] * n_uniq
     order = np.argsort(first_cell, kind="stable")
-    batched = _batched_decisions(sim, plane, bindings, sizes, first_cell,
-                                 order, n_circs)
+    batched = _batched_decisions(sim, plane, bindings, first_cell[order])
     if batched is not None:
         for uid, decision in zip(order, batched):
             decisions[int(uid)] = decision
     else:
         for uid in order:
-            decisions[uid] = sim._decide(vector(*divmod(int(first_cell[uid]),
-                                                        n_circs)))
+            decisions[uid] = policy.decide(
+                vector(*divmod(int(first_cell[uid]), n_circs)))
     # Free the bindings before the plane-sized gather below, so the
     # heap never holds three plane-sized arrays at once.
     del bindings
-    cache = getattr(sim, "_cache", None)
-    if cache is not None:
-        # The serial loop would have looked every cell up; duplicates
-        # were served by construction, so they count as hits.
-        cache.stats.hits += cells - n_uniq
+    sim.decisions = _decision_counts(memo, before, cells, n_uniq)
     obs.add("engine.kernel.decide_cells", cells)
     obs.add("engine.kernel.unique_decisions", n_uniq)
 
@@ -660,14 +660,30 @@ def _earliest_error(sim, chiller_heat, tower_heat, over,
     return None
 
 
+def _decide_phase(sim):
+    """Phase 1 for ``sim``'s whole trace: ``(plane, evaluate, decided)``.
+
+    ``plane`` is the scheduled plane, or under ``IdealBalancer`` its
+    per-circulation means: every server of a circulation runs at its
+    mean, so a balanced plane stays one column per circulation.
+    ``evaluate`` is the phase-2 function for that plane and ``decided``
+    the decide output it takes (see :func:`_decide_plane`).
+    """
+    if type(sim._scheduler) is IdealBalancer:
+        plane = _per_circulation(sim, sim.trace.utilisation, np.mean)
+        return plane, _evaluate_balanced, _decide_balanced(sim, plane)
+    plane = _scheduled_plane(sim, sim.trace.utilisation)
+    return plane, _evaluate_blocks, _decide_plane(sim, plane)
+
+
 def run_kernel_columns(sim) -> KernelColumns:
     """Phases 1–3 for ``sim``'s whole trace: per-circulation columns.
 
-    ``sim`` is a (engine-cached) :class:`DatacenterSimulator`; its
-    scheduler, policy, partitioning, circulations and decision hook are
-    reused so the columns — including the captured exception of a
-    chiller / tower capacity breach or a strict-safety violation — are
-    bit-identical to what ``sim.run()``'s serial loop computes.  Phase
+    ``sim`` is a :class:`DatacenterSimulator`; its scheduler, policy,
+    partitioning and circulations are reused so the columns —
+    including the captured exception of a chiller / tower capacity
+    breach or a strict-safety violation — are bit-identical to what
+    ``sim.run()``'s serial loop computes.  Phase
     timings are stored on a fresh ``sim.kernel_timings`` (the caller
     adds ``fold_s`` after :func:`fold_columns`).
 
@@ -680,18 +696,11 @@ def run_kernel_columns(sim) -> KernelColumns:
     circulations = sim._circulations
     interval_s = trace.interval_s
 
-    # Phase 1 — schedule + decide (cache-deduplicated).
+    # Phase 1 — schedule + decide (deduplicated per policy key).
     clock = time.perf_counter()
     with obs.span("kernel.decide"):
-        if type(sim._scheduler) is IdealBalancer:
-            # Every server of a circulation runs at its mean: the plane
-            # stays one column per circulation.
-            plane = _per_circulation(sim, trace.utilisation, np.mean)
-            decide, evaluate = _decide_balanced, _evaluate_balanced
-        else:
-            plane = _scheduled_plane(sim, trace.utilisation)
-            decide, evaluate = _decide_plane, _evaluate_blocks
-        setting_id, applied_settings, in_range = decide(sim, plane)
+        plane, evaluate, (setting_id, applied_settings,
+                          in_range) = _decide_phase(sim)
     timings.decide_s = time.perf_counter() - clock
 
     # Phase 2 — evaluate the models and reduce each row block at once.
@@ -811,12 +820,11 @@ def fold_columns(columns: KernelColumns, n_servers: int) -> dict:
 def run_whole_trace(sim) -> SimulationResult:
     """Replay the full trace of a fault-free simulator as NumPy kernels.
 
-    ``sim`` is a (engine-cached) :class:`DatacenterSimulator`; its
-    scheduler, policy, partitioning, circulations and decision hook are
-    reused so the output — including the exception raised on a chiller /
-    tower capacity breach or a strict-safety violation — is bit-identical
-    to ``sim.run()``'s serial loop.  Phase timings are stored on
-    ``sim.kernel_timings``.
+    ``sim`` is a :class:`DatacenterSimulator`; its scheduler, policy,
+    partitioning and circulations are reused so the output — including
+    the exception raised on a chiller / tower capacity breach or a
+    strict-safety violation — is bit-identical to ``sim.run()``'s serial
+    loop.  Phase timings are stored on ``sim.kernel_timings``.
     """
     columns = run_kernel_columns(sim)
     if columns.error is not None:

@@ -42,12 +42,12 @@ quantised bucket's decision from the **exact** binding utilisation that
 first lands in the bucket, so decisions are path-dependent on priming
 order — and a shard's tile-local first occurrences need not match the
 global serial ones.  :func:`prime_decisions` therefore replays kernel
-phase 1 over the *full* plane on the coordinator, priming one decision
-cache in global first-occurrence order; every shard runs against (a
-clone of) that cache, so all shard-side lookups hit and the policy is
-never consulted out of order.  The primed store is bounded by the
-policy's quantisation (a few hundred entries), keeping worker payloads
-independent of trace length.
+phase 1 over the *full* plane on the coordinator, filling the policy's
+``{bucket: PolicyDecision}`` memo in global first-occurrence order;
+every shard's policy starts from a copy of that memo, so every
+shard-side lookup hits and no decision is computed out of order.  The
+memo is bounded by the policy's quantisation (a few hundred entries),
+keeping worker payloads independent of trace length.
 
 Fault-carrying runs shard by **time only**: fault masks are drawn once
 over the whole cluster and sensor-noise RNG streams are keyed on global
@@ -55,8 +55,8 @@ step indices, so a time window replays exactly its slice of the
 unsharded fault run, and merging is plain record concatenation.
 Decisions in a fault run key on noisy sensor readings that no pre-pass
 can enumerate, so fault windows execute **sequentially in time order**,
-sharing one decision cache and one policy instance — reproducing the
-serial priming sequence exactly.
+each handing its policy (and so the policy's memo) to the next —
+reproducing the serial priming sequence exactly.
 
 ``tests/core/test_shard_parity.py`` enforces all of this against the
 serial simulator, golden fixtures and hypothesis property tests
@@ -90,8 +90,6 @@ from ..workloads.trace import WorkloadTrace
 from .config import SimulationConfig
 from .cache import ResultCache, resolve_result_cache, result_key, warm_keys
 from .engine import (
-    CacheStats,
-    CoolingDecisionCache,
     EngineMetrics,
     SharedTraceRef,
     SimulationJob,
@@ -103,8 +101,8 @@ from .engine import (
 from .kernel import (
     KernelColumns,
     KernelTimings,
-    _decide_cells,
-    _scheduled_plane,
+    _decide_phase,
+    _decision_memo,
     fold_columns,
     run_kernel_columns,
 )
@@ -240,7 +238,7 @@ class ShardOutcome:
     #: The policy instance a fault shard decided with — the sequential
     #: fault orchestration carries it into the next time window so a
     #: memoising policy replays the serial priming sequence.  Kernel
-    #: shards leave it ``None`` (they run off a pre-primed cache).
+    #: shards leave it ``None`` (they start from a primed memo).
     policy: object = field(default=None, repr=False, compare=False)
 
 
@@ -323,7 +321,7 @@ def plan_shards(n_steps: int, n_servers: int, circulation_size: int,
 def prime_decisions(trace: WorkloadTrace, config: SimulationConfig,
                     cpu_model: CpuThermalModel | None = None,
                     teg_module: TegModule | None = None
-                    ) -> CoolingDecisionCache | None:
+                    ) -> dict | None:
     """Every cooling decision of ``trace``, primed in serial order.
 
     A memoising policy (``LookupSpacePolicy`` exposes
@@ -332,18 +330,16 @@ def prime_decisions(trace: WorkloadTrace, config: SimulationConfig,
     decisions are path-dependent on priming order, and a shard's
     tile-local first occurrences need not match the global serial ones.
     This pre-pass replays kernel phase 1 (schedule + decide) over the
-    full plane, priming one :class:`CoolingDecisionCache` with every
-    ``(bucket, group size)`` key in global first-occurrence order.  A
-    shard running against this cache answers every decision lookup from
-    the store and never consults the policy, restoring bit-identity.
+    full plane — a balanced plane from its circulation means, as the
+    kernel does — and returns the policy's memo ``{bucket:
+    PolicyDecision}``, filled in global first-occurrence order.  A shard
+    whose policy starts from this memo answers every decision from it.
 
-    Returns ``None`` for pure policies (analytic, static — no internal
-    memo): their decisions are pure functions of the exact binding, so
-    shard-local computation is already bit-identical and an exact-key
-    table could grow with the trace.  The primed store is bounded by
-    the policy's quantisation (a few hundred entries), independent of
-    trace length.  Stats are reset before returning — shards account
-    their own lookups.
+    Returns ``None`` for pure policies (analytic, static — no memo):
+    their decisions are pure functions of the exact binding, so
+    shard-local computation is already bit-identical.  The memo is
+    bounded by the policy's quantisation (a few hundred entries),
+    independent of trace length.
     """
     return primed_or_warm(trace, config, cpu_model, teg_module)
 
@@ -353,16 +349,16 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
                    teg_module: TegModule | None = None, *,
                    result_cache: ResultCache | None = None,
                    trace_hash: str | None = None
-                   ) -> CoolingDecisionCache | None:
+                   ) -> dict | None:
     """:func:`prime_decisions` with a cross-run warm start.
 
     With a ``result_cache``, the decision pre-pass first looks up the
     snapshot an earlier run over the same trace and scheduling saved
     under the binding key W2 (see :func:`~repro.core.cache.warm_keys`
     and ``docs/cache.md``).  When the decision key W1 matches too, the
-    saved decisions are installed verbatim; otherwise each saved
-    bucket's representative binding is replayed through the current
-    policy.  Either way the cache equals the one
+    saved ``(bucket, decision)`` entries are installed verbatim;
+    otherwise each saved bucket's representative binding is replayed
+    through the current policy.  Either way the memo equals the one
     :func:`prime_decisions` builds, at a fraction of the full-plane
     cost.  Without a ``result_cache`` this is exactly
     :func:`prime_decisions`.
@@ -370,58 +366,46 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
     sim = _CachedVectorisedSimulator(trace, config, cpu_model, teg_module,
                                      mode="kernel")
     policy = sim._policy
-    resolution = getattr(policy, "cache_resolution", None)
-    if not resolution:
+    memo = _decision_memo(policy)
+    if memo is None:
         return None
-    cache = sim._cache
     warm = None
     if result_cache is not None:
         w1, w2 = warm_keys(trace, config, cpu_model, teg_module,
                            aggregation=getattr(policy, "aggregation", "max"),
-                           policy_resolution=resolution,
+                           policy_resolution=policy.cache_resolution,
                            trace_hash=trace_hash)
         warm = result_cache.load_warm(w2)
-    direct = False
+    direct = warm is not None and warm.get("w1") == w1
     if warm is None:
-        _decide_cells(sim, _scheduled_plane(sim, trace.utilisation))
+        _decide_phase(sim)
     else:
-        direct = warm.get("w1") == w1
-        for agg, size, binding_key, decision in warm["entries"]:
-            if not direct:
+        for bucket, decision in warm["entries"]:
+            if direct:
+                memo[bucket] = decision
+            else:
                 # A single-element vector aggregates (max or mean) to
-                # exactly the bucket's saved binding, so this both
-                # primes the policy's own memo and yields the decision a
-                # cold run computes for the bucket; the key keeps the
-                # *saved* vector size.
-                decision = policy.decide(
-                    np.asarray([decision.binding_utilisation]))
-            cache._store[(sim._context, agg, size, binding_key)] = decision
+                # exactly the bucket's saved binding, so the policy
+                # stores the decision a cold run computes for the
+                # bucket, under the same bucket.
+                policy.decide([decision.binding_utilisation])
     if result_cache is not None and not direct:
         # Cold primes publish their snapshot; replays refresh it under
         # the current decision key so the next same-config run restores
         # directly.  First-occurrence order is kept, so a replay fills
-        # the policy memo in the order a cold run does.
-        result_cache.store_warm(
-            w1, w2, [(agg, size, binding_key, decision)
-                     for (_, agg, size, binding_key), decision
-                     in cache._store.items()])
-    cache.stats = CacheStats()
-    return cache
+        # the memo in the order a cold run does.
+        result_cache.store_warm(w1, w2, list(memo.items()))
+    return memo
 
 
-def clone_cache(primed: CoolingDecisionCache | None
-                ) -> CoolingDecisionCache | None:
-    """A private copy of a primed cache (store shared-by-value, fresh stats).
+def clone_cache(primed: dict | None) -> dict | None:
+    """A private copy of a primed policy memo (``None`` passes through).
 
-    Concurrent shards must not share one mutable stats object; the store
-    itself is tiny (see :func:`prime_decisions`) and never grows on a
-    shard — every lookup hits — so a shallow dict copy suffices.
+    A tile's policy fills its memo from the copy; the memo is tiny (see
+    :func:`prime_decisions`) and never grows on a tile — every lookup
+    hits — so a shallow dict copy suffices.
     """
-    if primed is None:
-        return None
-    clone = CoolingDecisionCache()
-    clone._store = dict(primed._store)
-    return clone
+    return None if primed is None else dict(primed)
 
 
 def run_shard(tile: WorkloadTrace, spec: ShardSpec,
@@ -429,7 +413,7 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
               cpu_model: CpuThermalModel | None = None,
               teg_module: TegModule | None = None, *,
               faults: FaultSchedule | None = None,
-              cache: CoolingDecisionCache | None = None,
+              cache: dict | None = None,
               policy: object = None,
               telemetry: bool = False) -> ShardOutcome:
     """Execute one tile and return its mergeable :class:`ShardOutcome`.
@@ -442,15 +426,13 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
     Fault tiles must span the full server width (masks are drawn over
     the whole cluster) and step the fault-aware serial loop.
 
-    ``cache`` supplies the decision cache to run against — for kernel
-    tiles a :func:`prime_decisions` pre-pass (required for bit-identity
-    under memoising policies), for fault windows the shared cache the
-    sequential orchestration carries across windows; ``None`` builds a
-    fresh one (bit-exact only for pure policies or single-tile plans).
-    ``policy`` injects the shared policy instance of a sequential fault
-    run; the instance actually used rides back on the outcome.  Cache
-    hit/miss counters on the outcome are deltas, so shared caches
-    account correctly.
+    ``cache`` is the :func:`prime_decisions` memo a kernel tile's policy
+    starts from (required for bit-identity under memoising policies);
+    ``None`` starts from an empty memo (bit-exact only for pure policies
+    or single-tile plans).  ``policy`` injects the policy instance a
+    sequential fault run hands from window to window; the instance
+    actually used rides back on the outcome.  The outcome's decision
+    hit/miss counts are this tile's own.
 
     With ``telemetry`` on, the shard records into a private
     :mod:`repro.obs` session whose snapshot rides back on the outcome —
@@ -469,17 +451,11 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
     shard_config = config
     if spec.n_servers < config.circulation_size:
         # A tile holding only the global trailing ragged circulation:
-        # partition it as the single underpopulated group it is.  The
-        # decision-cache key carries the vector size, so the narrowed
-        # config cannot alias a full circulation's decisions.
+        # partition it as the single underpopulated group it is.
         shard_config = replace(config, circulation_size=spec.n_servers)
 
     local = obs.Telemetry() if telemetry else None
     outcome = ShardOutcome(spec=spec, n_cells=spec.n_cells)
-    if cache is None:
-        cache = CoolingDecisionCache()
-    hits_before = cache.stats.hits
-    misses_before = cache.stats.misses
     with obs.session(local) if local is not None else nullcontext():
         with obs.span("engine.shard"):
             obs.add("shard.cells", spec.n_cells,
@@ -488,8 +464,7 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
             try:
                 if faults is not None:
                     _run_fault_shard(tile, spec, shard_config, cpu_model,
-                                     teg_module, faults, cache, policy,
-                                     outcome)
+                                     teg_module, faults, policy, outcome)
                 else:
                     _run_kernel_shard(tile, spec, shard_config, cpu_model,
                                       teg_module, cache, outcome)
@@ -513,26 +488,21 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
                     server_start=spec.server_start,
                     server_stop=spec.server_stop,
                     worker_pid=os.getpid()) from exc
-        outcome.cache_hits = cache.stats.hits - hits_before
-        outcome.cache_misses = cache.stats.misses - misses_before
-        if local is not None:
-            labels = {"scheme": config.name, "trace": tile.name}
-            obs.add("engine.cache.hits", outcome.cache_hits,
-                    labels=labels)
-            obs.add("engine.cache.misses", outcome.cache_misses,
-                    labels=labels)
     if local is not None:
         outcome.telemetry = local.snapshot()
     return outcome
 
 
-def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, cache,
+def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, memo,
                       outcome) -> None:
     """Kernel phases 1–3 over one tile, offsets in the global frame."""
     sim = _CachedVectorisedSimulator(
-        tile, config, cpu_model, teg_module, cache=cache, mode="kernel",
+        tile, config, cpu_model, teg_module, mode="kernel",
         step_offset=spec.step_start, server_offset=spec.server_start)
+    if memo is not None:
+        _decision_memo(sim._policy).update(memo)
     columns = run_kernel_columns(sim)
+    outcome.cache_hits, outcome.cache_misses = sim.decisions
     outcome.columns = columns
     outcome.violations = columns.violations
     outcome.timings = sim.kernel_timings
@@ -546,10 +516,10 @@ def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, cache,
 
 
 def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
-                     cache, policy, outcome) -> None:
+                     policy, outcome) -> None:
     """The fault-aware serial loop over one full-width time window."""
     sim = _CachedVectorisedSimulator(
-        tile, config, cpu_model, teg_module, cache=cache, mode="loop",
+        tile, config, cpu_model, teg_module, mode="loop",
         faults=faults, step_offset=spec.step_start)
     if policy is not None:
         # Sequential fault windows share one policy so a memoising
@@ -572,6 +542,7 @@ def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
     else:
         outcome.records = list(result.records)
         outcome.violations = list(result.violations)
+        outcome.cache_hits, outcome.cache_misses = sim.decisions
 
 
 # ----------------------------------------------------------------------
@@ -752,7 +723,7 @@ class StreamingMerge:
         self.trace = trace
         self.config = config
         self.kind = kind
-        #: Outcomes folded so far / decision-cache tallies across them.
+        #: Outcomes folded so far / decision hit-miss tallies across them.
         self.n_added = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -1016,19 +987,19 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
     * Shards already saved in the checkpoint ``store`` are folded from
       disk and never run again.
     * A fault plan runs its time windows in order, through the
-      engine's in-process loop, sharing one decision cache and one
-      policy instance (see the module note).  Each saved window carries
-      the cache store its successor needs, so a resume replays the
-      identical sequence from the first missing window onward.
-    * A kernel plan primes one decision cache with
-      :func:`primed_or_warm` (warm-started from ``result_cache``, keyed
-      by ``trace_hash``) and makes each missing tile a unit of work
+      engine's in-process loop, each window handing its policy instance
+      to the next (see the module note).  Each saved window carries
+      that policy, so a resume replays the identical sequence from the
+      first missing window onward.
+    * A kernel plan primes one policy memo with :func:`primed_or_warm`
+      (warm-started from ``result_cache``, keyed by ``trace_hash``) and
+      makes each missing tile a unit of work
       (:class:`~repro.core.engine._Unit`: its local run, landing and
       retry).  ``dispatch(pending, primed, tile)`` runs them, calling
       ``tile(spec)`` for each tile's unit; it lands every tile or
       raises.  Without a dispatcher the in-process loop runs them.
       The pre-pass is deterministic, so recomputing it on resume hands
-      the remaining tiles the cache an uninterrupted run would have.
+      the remaining tiles the memo an uninterrupted run would have.
     * A shard that raises is retried up to ``max_retries`` times, with
       the engine's backoff; one that may not be retried again fails the
       job with its error.
@@ -1055,11 +1026,9 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
             health.shard_done()
         return saved
 
-    def land(unit: _Unit, outcome: ShardOutcome,
-             cache_store: dict | None = None) -> None:
+    def land(unit: _Unit, outcome: ShardOutcome) -> None:
         if store is not None:
-            store.save_shard(outcome.spec.index, outcome,
-                             cache_store=cache_store)
+            store.save_shard(outcome.spec.index, outcome)
         merge.add(outcome)
         health.shard_done()
 
@@ -1096,7 +1065,6 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
 
     try:
         if has_faults:
-            shared = CoolingDecisionCache()
             policy = None
 
             def run_window(spec: ShardSpec) -> ShardOutcome:
@@ -1104,19 +1072,19 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                     spec.server_start, spec.server_stop)
                 return run_shard(tile, spec, config, job.cpu_model,
                                  job.teg_module, faults=job.faults,
-                                 cache=shared, policy=policy,
-                                 telemetry=telemetry)
+                                 policy=policy, telemetry=telemetry)
 
             def land_window(unit: _Unit, outcome: ShardOutcome) -> None:
                 nonlocal policy
                 policy = outcome.policy
-                land(unit, outcome, cache_store=dict(shared._store))
+                land(unit, outcome)
 
             for spec in specs:
                 saved = resume(spec)
                 if saved is not None:
-                    if saved.get("cache_store") is not None:
-                        shared._store = dict(saved["cache_store"])
+                    # An older window file also holds a copy of the
+                    # decisions made so far; they are the policy's own,
+                    # so only the policy is read.
                     if saved["outcome"].policy is not None:
                         policy = saved["outcome"].policy
                     continue
@@ -1197,8 +1165,8 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     manifest — see :mod:`repro.core.checkpoint`).  A rerun against the
     same directory with ``resume=True`` (the default) skips completed
     shards and produces results bit-identical to an uninterrupted run,
-    fault windows included: each saved window carries the shared
-    decision-cache snapshot and policy instance the next window needs.
+    fault windows included: each saved window carries the policy
+    instance the next window needs.
     ``resume=False`` discards any prior state and starts over.
 
     ``result_cache`` (see :mod:`repro.core.cache`) memoises the merged
@@ -1303,9 +1271,9 @@ class _ShardPayload:
     segment — payload size is independent of both the trace length and
     the shard count (the zero-copy property the fleet-scale benchmark
     and the dispatch tests pin down).  ``decisions`` is the
-    :func:`prime_decisions` cache (pickling gives each worker a private
-    copy); its store is bounded by the policy's quantisation, so the
-    size independence survives.
+    :func:`prime_decisions` memo (pickling gives each worker a private
+    copy); it is bounded by the policy's quantisation, so the size
+    independence survives.
     """
 
     trace_ref: SharedTraceRef
@@ -1314,7 +1282,7 @@ class _ShardPayload:
     cpu_model: CpuThermalModel | None
     teg_module: TegModule | None
     faults: FaultSchedule | None
-    decisions: CoolingDecisionCache | None = None
+    decisions: dict | None = None
     telemetry: bool = False
     #: With a column ref, the worker publishes its plane tiles into the
     #: shared block and ships back a slimmed outcome (``columns=None``)

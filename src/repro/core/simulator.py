@@ -171,14 +171,6 @@ class DatacenterSimulator:
             obs.emit("fault.activation", scheme=self.config.name,
                      trace=self.trace.name, **payload)
 
-    def _decide(self, scheduled: np.ndarray):
-        """Pick the cooling setting for one circulation's scheduled load.
-
-        Split out so :mod:`repro.core.engine` can interpose its memoised
-        decision cache without touching the step semantics.
-        """
-        return self._policy.decide(scheduled)
-
     def _run_step(self, step_index: int) -> StepRecord:
         if self._fault_runtime is not None:
             return self._run_step_faulted(step_index)
@@ -187,7 +179,7 @@ class DatacenterSimulator:
         for group, circulation in zip(self._groups, self._circulations):
             raw_utils = step_utils[group]
             scheduled = self._scheduler.schedule(raw_utils)
-            decision = self._decide(scheduled)
+            decision = self._policy.decide(scheduled)
             states.append(circulation.evaluate(scheduled, decision.setting))
         return self._aggregate_step(step_index, step_utils, states)
 
@@ -218,7 +210,7 @@ class DatacenterSimulator:
 
             # Healthy shadow: what the plant would harvest fault-free.
             if active_faults:
-                nominal_decision = self._decide(scheduled)
+                nominal_decision = self._policy.decide(scheduled)
                 nominal_state = circulation.evaluate(
                     scheduled, nominal_decision.setting)
 
@@ -233,7 +225,7 @@ class DatacenterSimulator:
                 setting = conservative_setting(self._policy)
                 degraded += 1
             else:
-                setting = self._decide(
+                setting = self._policy.decide(
                     np.clip(readings, 0.0, 1.0)).setting
 
             # Physical path: the loop delivers what the faults allow.

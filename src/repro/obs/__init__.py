@@ -21,8 +21,8 @@ unaffected when telemetry is off::
     with obs.session(obs.Telemetry()) as telemetry:
         with obs.span("kernel.evaluate"):
             ...
-        obs.add("engine.cache.hits", 12)
-    telemetry.registry.snapshot().counters["engine.cache.hits"]
+        obs.add("engine.kernel.decide_cells", 12)
+    telemetry.registry.snapshot().counters["engine.kernel.decide_cells"]
 """
 
 from .events import Event, EventLog

@@ -30,7 +30,7 @@ _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 def prometheus_name(name: str, suffix: str = "") -> str:
     """Map a dotted metric name onto the Prometheus grammar.
 
-    ``engine.cache.hits`` -> ``repro_engine_cache_hits``; any character
+    ``engine.cache.hit`` -> ``repro_engine_cache_hit``; any character
     outside ``[a-zA-Z0-9_:]`` becomes ``_``.  ``name`` must be a bare
     family name — labels are rendered separately (see
     :func:`prometheus_labels`).

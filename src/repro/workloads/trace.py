@@ -72,23 +72,30 @@ class WorkloadTrace:
         return trace
 
     def _adopt(self, matrix: np.ndarray, interval_s: float,
-               name: str) -> None:
-        """Validate ``matrix`` and make it this trace's read-only plane."""
+               name: str, *, check_cells: bool = True) -> None:
+        """Validate ``matrix`` and make it this trace's read-only plane.
+
+        ``check_cells=False`` checks the shape and interval but reads no
+        cell, for a view of a plane an owning trace already validated.
+        """
         if matrix.ndim != 2:
             raise TraceFormatError(
                 f"utilisation must be 2-D (time x servers), "
                 f"got shape {matrix.shape}")
         if matrix.size == 0:
             raise TraceFormatError("trace must not be empty")
-        # A NaN or an infinity reaches the minimum or the maximum, so two
-        # reductions check the whole plane without a temporary.
-        lo, hi = matrix.min(), matrix.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise TraceFormatError("trace contains NaN or infinite values")
-        if lo < 0 or hi > 1:
-            raise PhysicalRangeError(
-                "all utilisations must be in [0, 1]; offending range "
-                f"[{lo:.3f}, {hi:.3f}]")
+        if check_cells:
+            # A NaN or an infinity reaches the minimum or the maximum,
+            # so two reductions check the whole plane without a
+            # temporary.
+            lo, hi = matrix.min(), matrix.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise TraceFormatError(
+                    "trace contains NaN or infinite values")
+            if lo < 0 or hi > 1:
+                raise PhysicalRangeError(
+                    "all utilisations must be in [0, 1]; offending range "
+                    f"[{lo:.3f}, {hi:.3f}]")
         if interval_s <= 0:
             raise PhysicalRangeError(
                 f"interval must be > 0, got {interval_s}")
@@ -107,14 +114,16 @@ class WorkloadTrace:
                     block=None) -> "WorkloadTrace":
         """Wrap a matrix that lives in shared memory, without copying.
 
-        ``matrix`` must already satisfy the trace invariants (it was
-        validated by the owning process before export); re-validating
-        here would be redundant but harmless, so the normal constructor
-        checks still run.  ``block`` is the ``SharedMemory`` handle the
-        view was created from; the trace holds it so the mapping outlives
-        the caller's local variable.
+        ``matrix`` must already satisfy the trace invariants: it is a
+        window of a plane its owning trace validated before export, so
+        only its shape and the interval are checked and no cell is read
+        again.  ``block`` is the ``SharedMemory`` handle the view was
+        created from; the trace holds it so the mapping outlives the
+        caller's local variable.
         """
-        trace = cls._owning(matrix, interval_s, name=name)
+        trace = cls.__new__(cls)
+        trace._adopt(np.asarray(matrix, dtype=float), interval_s, name,
+                     check_cells=False)
         trace._shared_block = block
         return trace
 

@@ -427,13 +427,13 @@ class TestShardedIntegration:
             module = dataclasses.replace(default_server_module(),
                                          group_count=3)
         decided = []
-        decide = shard_module._decide_cells
+        decide = shard_module._decide_phase
 
         def spy(*args, **kwargs):
             decided.append(args)
             return decide(*args, **kwargs)
 
-        monkeypatch.setattr(shard_module, "_decide_cells", spy)
+        monkeypatch.setattr(shard_module, "_decide_phase", spy)
         simulate_sharded(trace, teg_original(), result_cache=tmp_path,
                          **self.SHARD_KW)
         assert len(decided) == 1

@@ -24,9 +24,11 @@ from repro.core.checkpoint import (
     run_key,
     trace_digest,
 )
-from repro.core.config import SimulationConfig, teg_original
-from repro.core.shard import plan_shards
+from repro.core.config import SimulationConfig, teg_original, teg_static
+from repro.core.shard import plan_shards, simulate_sharded
 from repro.errors import CheckpointError
+from repro.faults import FaultSchedule
+from repro.workloads.synthetic import common_trace
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -231,11 +233,10 @@ class TestShardRoundTrip:
         store = CheckpointStore(tmp_path / "ckpt", make_key(),
                                 n_shards=4)
         payload = {"anything": ["picklable", 1, 2.5]}
-        store.save_shard(1, payload, cache_store={"k": "v"})
+        store.save_shard(1, payload)
         assert store.completed() == [1]
         saved = store.load_shard(1)
-        assert saved["outcome"] == payload
-        assert saved["cache_store"] == {"k": "v"}
+        assert saved == {"outcome": payload}
         assert store.loaded == {1}
         assert store.saved == {1}
 
@@ -285,3 +286,45 @@ class TestWholeJobResults:
         (store.directory / "result.pkl").write_bytes(b"\x80garbage")
         assert store.load_result() is None
         assert not (store.directory / "result.pkl").exists()
+
+
+class TestFaultWindowHandoff:
+    """A saved fault window carries its records and the policy alone."""
+
+    FAULTS = {"seed": 5, "faults": [
+        {"kind": "sensor_noise", "magnitude": 0.15, "start_s": 0},
+        {"kind": "pump_stall", "circulation": 1, "start_s": 21600,
+         "duration_s": 7200}]}
+
+    def run(self, trace, ckpt):
+        return simulate_sharded(
+            trace, teg_static(),
+            faults=FaultSchedule.from_dict(self.FAULTS),
+            shard_steps=12, checkpoint=ckpt)
+
+    def test_static_window_files_do_not_grow_and_resume(self, tmp_path):
+        # Noisy readings give a policy without a memo a new exact
+        # binding at nearly every cell; nothing of them may pile up
+        # from one window file to the next.
+        trace = common_trace(n_servers=40, duration_s=144 * 300.0,
+                             interval_s=300.0, seed=12)
+        ckpt = tmp_path / "ckpt"
+        whole = self.run(trace, ckpt)
+        windows = sorted(ckpt.rglob("shard-*.pkl"))
+        assert len(windows) == 12
+        sizes = [path.stat().st_size for path in windows]
+        assert max(sizes) - min(sizes) < 0.2 * min(sizes), sizes
+        for path in windows[6:]:
+            path.unlink()
+        for path in windows[:6]:
+            # A window file of an older format also held a copy of the
+            # decisions made so far; resuming reads only the policy.
+            payload = pickle.loads(path.read_bytes())
+            payload["cache_store"] = {"stale": "entries"}
+            path.write_bytes(pickle.dumps(payload))
+        resumed = self.run(trace, ckpt)
+        assert resumed.metrics.shards_resumed == 6
+        assert resumed.records == whole.records
+        assert resumed.violations == whole.violations
+        assert (resumed.metrics.cache_hits, resumed.metrics.cache_misses) \
+            == (whole.metrics.cache_hits, whole.metrics.cache_misses)

@@ -33,7 +33,6 @@ from repro.core.config import (
 )
 from repro.core.engine import (
     BatchSimulationEngine,
-    CoolingDecisionCache,
     SimulationJob,
     compare_batch,
     resolve_workers,
@@ -268,64 +267,79 @@ class TestWorkerResolution:
 
 
 class TestCoolingDecisionCache:
-    """The cache must be observationally invisible except for speed."""
+    """The policy's memo is the only decision cache: it must be
+    observationally invisible except for speed, and the engine's hit and
+    miss counts describe it."""
 
-    def test_hit_and_miss_counters(self, lookup_space):
-        policy = LookupSpacePolicy(space=lookup_space, aggregation="max")
-        cache = CoolingDecisionCache()
-        utils = np.array([0.2, 0.5])
-        first = cache.decide(policy, utils)
-        second = cache.decide(policy, utils)
-        assert second is first
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.lookups == 2
-        assert cache.stats.hit_rate == 0.5
-        assert len(cache) == 1
+    def test_hit_and_miss_counters(self):
+        # A lookup is a decision the serial loop makes, one per
+        # circulation and step; a miss is one the policy computed: a
+        # memo bucket met for the first time, or, for a policy without a
+        # memo, every request (one per distinct binding in the kernel).
+        trace = golden_trace()
+        sim = DatacenterSimulator(trace, teg_original())
+        bindings = [float(trace.step(step)[group].max())
+                    for step in range(trace.n_steps)
+                    for group in sim._groups]
+        lookups = len(bindings)
+        buckets = {round(b / sim._policy.cache_resolution)
+                   for b in bindings}
+        static = SimulationConfig(name="static", policy="static")
+        for mode in ("kernel", "loop"):
+            metrics = simulate(trace, teg_original(), mode=mode).metrics
+            assert metrics.cache_misses == len(buckets) < lookups
+            assert metrics.cache_hits + metrics.cache_misses == lookups
+            metrics = simulate(trace, static, mode=mode).metrics
+            assert metrics.cache_hits + metrics.cache_misses == lookups
+            assert metrics.cache_misses == (
+                len(set(bindings)) if mode == "kernel" else lookups)
 
     def test_context_separates_simulations(self, lookup_space):
+        # Each simulator builds its own policy, so one run's memo never
+        # answers another run's decisions.
         hot = LookupSpacePolicy(space=lookup_space,
                                 cold_source_temp_c=25.0)
         cold = LookupSpacePolicy(space=lookup_space,
                                  cold_source_temp_c=15.0)
-        cache = CoolingDecisionCache()
         utils = np.array([0.4, 0.4])
-        a = cache.decide(hot, utils, context=("hot",))
-        b = cache.decide(cold, utils, context=("cold",))
-        assert cache.stats.misses == 2
+        a = hot.decide(utils)
+        b = cold.decide(utils)
+        assert len(hot._cache) == len(cold._cache) == 1
         assert a.predicted_generation_w != b.predicted_generation_w
+        trace = golden_trace()
+        first, second = (
+            simulate(trace, teg_original(cold_source_temp_c=temp)).metrics
+            for temp in (25.0, 15.0))
+        assert second.cache_misses == first.cache_misses > 0
 
     @given(util_vectors)
     @settings(max_examples=30, deadline=None)
     def test_lookup_hit_equals_uncached_decision(self, lookup_space,
                                                  utils):
-        # A cache hit must return exactly what a fresh policy would:
-        # prime with one vector, query with another that lands in the
-        # same quantised-binding bucket, compare against an uncached
-        # policy sharing the same space.
+        # A memo hit must return exactly what a fresh policy would:
+        # prime with one vector, query again, compare against an
+        # unprimed policy sharing the same space.
         cached_policy = LookupSpacePolicy(space=lookup_space)
-        cache = CoolingDecisionCache()
-        cache.decide(cached_policy, utils)
-        hit = cache.decide(cached_policy, utils)
+        cached_policy.decide(utils)
+        hit = cached_policy.decide(utils)
         fresh = LookupSpacePolicy(space=lookup_space)
         assert hit == fresh.decide(utils)
 
     @given(util_vectors)
     @settings(max_examples=30, deadline=None)
     def test_analytic_hit_equals_uncached_decision(self, utils):
-        policy = AnalyticPolicy()
-        cache = CoolingDecisionCache()
-        cache.decide(policy, utils)
-        assert cache.decide(policy, utils) == \
+        # The kernel answers every cell of one exact binding with a
+        # single decide_batch row: it must equal deciding the vector.
+        binding = float(utils.max())
+        assert AnalyticPolicy().decide_batch([binding])[0] == \
             AnalyticPolicy().decide(utils)
 
     @given(util_vectors)
     @settings(max_examples=30, deadline=None)
     def test_static_avg_hit_equals_uncached_decision(self, utils):
         policy = StaticPolicy(aggregation="avg")
-        cache = CoolingDecisionCache()
-        cache.decide(policy, utils)
-        assert cache.decide(policy, utils) == \
+        binding = float(utils.mean())
+        assert policy.decide_batch([binding])[0] == \
             StaticPolicy(aggregation="avg").decide(utils)
 
 

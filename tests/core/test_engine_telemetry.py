@@ -64,9 +64,13 @@ class TestExecutorIndependence:
             metrics = batch.metrics
             assert counters["sim.runs"] == metrics.n_jobs
             assert counters["sim.steps"] == metrics.total_steps
-            assert counters["engine.cache.hits"] == metrics.cache_hits
-            assert counters["engine.cache.misses"] \
-                == metrics.cache_misses
+            # Every decision a computed job makes is a kernel cell; a
+            # miss is a decision its policy computed, at most one per
+            # unique cell.
+            assert counters["engine.kernel.decide_cells"] \
+                == metrics.cache_hits + metrics.cache_misses
+            assert 0 < metrics.cache_misses \
+                <= counters["engine.kernel.unique_decisions"]
             assert sum(counters.family("engine.cache.miss").values()) \
                 == metrics.result_cache_misses
             assert counters["engine.jobs.submitted"] == metrics.n_jobs

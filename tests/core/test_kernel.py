@@ -25,7 +25,6 @@ from repro.core.config import (
 )
 from repro.core.engine import (
     EXECUTION_MODES,
-    CoolingDecisionCache,
     _CachedVectorisedSimulator,
     resolve_mode,
     simulate,
@@ -185,8 +184,7 @@ class TestKernelParity:
             for label, sim in (
                     ("serial", DatacenterSimulator(trace, config)),
                     ("kernel", _CachedVectorisedSimulator(
-                        trace, config, cache=CoolingDecisionCache(),
-                        mode="kernel"))):
+                        trace, config, mode="kernel"))):
                 for circulation in sim._circulations:
                     circulation.tower = replace(circulation.tower,
                                                 max_heat_kw=0.3)
@@ -467,8 +465,13 @@ def oracle_per_circulation(groups, plane, reduce):
     return out
 
 
+def decide_cells(sim, plane):
+    """The decide phase's ``(setting_id, applied_settings)``."""
+    return kernel_module._decide_plane(sim, plane)[:2]
+
+
 def oracle_decide_cells(sim, plane):
-    """``_decide_cells`` as it deduplicated with a 1-D ``np.unique``."""
+    """:func:`decide_cells` as it deduplicated with a 1-D ``np.unique``."""
     groups = sim._groups
     n_steps = plane.shape[0]
     n_circs = len(groups)
@@ -479,39 +482,24 @@ def oracle_decide_cells(sim, plane):
         groups, plane, np.mean if aggregation == "avg" else np.max)
     resolution = getattr(policy, "cache_resolution", None)
     keys = np.rint(bindings / resolution) if resolution else bindings
-    sizes = np.array([group.size for group in groups], dtype=float)
-    first_cell = None
-    if resolution and float(np.abs(keys).max()) < 2.0**31:
-        usizes, size_code = np.unique(sizes.astype(np.int64),
-                                      return_inverse=True)
-        codes = (keys.astype(np.int64) * len(usizes)
-                 + size_code.ravel()).ravel()
-        _, first_cell, inverse = np.unique(
-            codes, return_index=True, return_inverse=True)
-        inverse = inverse.ravel()
-        n_uniq = len(first_cell)
-    if first_cell is None:
-        pairs = np.column_stack((keys.ravel(),
-                                 np.broadcast_to(sizes, (n_steps,
-                                                         n_circs)).ravel()))
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        n_uniq = len(uniq)
-        first_cell = np.full(n_uniq, cells, dtype=np.int64)
-        np.minimum.at(first_cell, inverse, np.arange(cells))
+    _, first_cell, inverse = np.unique(keys.ravel(), return_index=True,
+                                       return_inverse=True)
+    inverse = inverse.ravel()
+    n_uniq = len(first_cell)
+    memo = policy._cache if resolution else None
+    before = len(memo) if memo is not None else 0
     order = np.argsort(first_cell, kind="stable")
     decisions = [None] * n_uniq
     if 0.0 <= plane.min() and plane.max() <= 1.0:
-        cell = first_cell[order]
-        batched = sim._decide_batch(bindings.ravel()[cell],
-                                    sizes[cell % n_circs])
+        batched = policy.decide_batch(bindings.ravel()[first_cell[order]])
         for uid, decision in zip(order, batched):
             decisions[int(uid)] = decision
     else:
         for uid in order:
             step, circ = divmod(int(first_cell[uid]), n_circs)
-            decisions[uid] = sim._decide(plane[step, groups[circ]])
-    sim._cache.stats.hits += cells - n_uniq
+            decisions[uid] = policy.decide(plane[step, groups[circ]])
+    misses = n_uniq if memo is None else len(memo) - before
+    sim.decisions = (cells - misses, misses)
     setting_index: dict = {}
     cdu = sim._circulations[0].cdu
     uid_to_sid = np.array([
@@ -613,11 +601,11 @@ class TestReductionOracles:
             "loadbalance-fine"])
     def test_decide_cells_equals_unique_oracle(self, config, resolution):
         # 47 servers: two circulations of 20 and a ragged one of 7, so
-        # the (bucket, size) keys carry two group sizes.
+        # cells of two group sizes share the policy's keys.
         trace = drastic_trace(n_servers=47, duration_s=24 * 3600.0,
                               interval_s=300.0, seed=11)
         runs = []
-        for decide in (oracle_decide_cells, kernel_module._decide_cells):
+        for decide in (oracle_decide_cells, decide_cells):
             sim = _CachedVectorisedSimulator(trace, config, mode="kernel")
             if resolution is not None:
                 sim._policy = replace(sim._policy,
@@ -628,16 +616,14 @@ class TestReductionOracles:
                 # 288 steps in blocks of 7 rows: a ragged last block.
                 patch.setattr(kernel_module, "ROW_BLOCK_CELLS", 22)
                 setting_id, applied = decide(sim, plane)
-            runs.append((setting_id, applied,
-                         list(sim._cache._store.items()),
-                         (sim._cache.stats.hits, sim._cache.stats.misses),
+            runs.append((setting_id, applied, sim.decisions,
                          list(getattr(sim._policy, "_cache", {}).items())))
         want, got = runs
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
-        assert len(got[2]) > 1
+        assert len(got[1]) > 1
         if resolution is None and config.policy == "lookup":
-            assert got[3][0] > 0  # the code table deduplicated cells
+            assert got[2][0] > 0  # the code table deduplicated cells
         if resolution is not None:
             # Buckets this fine overflow the code table: the row-wise
             # unique answers, and it must agree too.
@@ -653,15 +639,14 @@ class TestReductionOracles:
         plane = trace.utilisation.copy()
         plane[200, 30] = 1.2
         primed = []
-        for decide in (oracle_decide_cells, kernel_module._decide_cells):
+        for decide in (oracle_decide_cells, decide_cells):
             sim = _CachedVectorisedSimulator(trace, teg_original(),
                                              mode="kernel")
             with pytest.raises(PhysicalRangeError):
                 decide(sim, plane)
-            primed.append((list(sim._cache._store),
-                           list(sim._policy._cache)))
+            primed.append(list(sim._policy._cache.items()))
         assert primed[1] == primed[0]
-        assert primed[0][0]
+        assert primed[0]
 
 
 class TestTinyRowBlocks:
@@ -789,8 +774,7 @@ class TestEvaluateOracle:
                                              teg_module, mode="kernel")
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
-                setting_id, applied = kernel_module._decide_cells(
-                    sim, plane)
+                setting_id, applied = decide_cells(sim, plane)
                 if oracle:
                     outputs = oracle_evaluate_blocks(sim, plane, setting_id,
                                                      applied)
@@ -956,8 +940,9 @@ class TestBalancedRoute:
                        for per_server in (False, True)]
         assert np.array_equal(decided[0], want_decided[0])
         assert decided[1:] == want_decided[1:]
-        assert list(sim._cache._store.items()) == list(
-            oracle_sim._cache._store.items())
+        assert sim.decisions == oracle_sim.decisions
+        assert list(getattr(sim._policy, "_cache", {}).items()) == list(
+            getattr(oracle_sim._policy, "_cache", {}).items())
         for name, got_plane, want_plane in zip(
                 ("heat", "generation", "hottest"), got[:3], want[:3]):
             assert_same_bits(got_plane, want_plane, name)
@@ -999,21 +984,29 @@ class TestBalancedRoute:
 
     def test_scalar_decide_gets_full_vectors(self, monkeypatch):
         # Without ``decide_batch`` the balanced route asks the policy
-        # once per novel cell with the circulation's whole vector, so
-        # the decision cache holds the keys (and vector sizes) the
-        # per-server route stores.
+        # once per novel cell with the circulation's whole vector, whose
+        # mean is the per-server route's binding, so both routes fill
+        # the policy memo alike.
         from repro.control.cooling_policy import LookupSpacePolicy
 
         monkeypatch.delattr(LookupSpacePolicy, "decide_batch")
+        decide = LookupSpacePolicy.decide
+        sizes = []
+
+        def sized(policy, utilisations):
+            sizes.append(len(utilisations))
+            return decide(policy, utilisations)
+
+        monkeypatch.setattr(LookupSpacePolicy, "decide", sized)
         trace = trailing_trace()
-        stores = []
+        memos = []
         for per_server in (False, True):
             sim = _CachedVectorisedSimulator(trace, teg_loadbalance(),
                                              mode="kernel")
             run_columns(sim, per_server)
-            stores.append(list(sim._cache._store.items()))
-        assert stores[0] == stores[1]
-        assert {key[2] for key, _ in stores[0]} == {20, 7}
+            memos.append(list(sim._policy._cache.items()))
+        assert memos[0] == memos[1]
+        assert set(sizes) == {20, 7}
         serial = DatacenterSimulator(trace, teg_loadbalance()).run()
         assert simulate(trace, teg_loadbalance(),
                         mode="kernel").records == serial.records

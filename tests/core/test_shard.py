@@ -8,14 +8,17 @@ parity between sharded and unsharded runs lives in
 """
 
 import pickle
+import tracemalloc
 
 import pytest
 
-from repro.core.config import SimulationConfig, teg_original
+from repro.core import kernel
+from repro.core.config import SimulationConfig, teg_loadbalance, teg_original
 from repro.core.engine import (
     BatchSimulationEngine,
     SharedTraceRef,
     SimulationJob,
+    _CachedVectorisedSimulator,
 )
 from repro.core.shard import (
     AUTO_SHARD_MIN_CELLS,
@@ -30,6 +33,7 @@ from repro.core.shard import (
     run_shard,
     simulate_sharded,
 )
+from repro.core.simulator import DatacenterSimulator
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule, FaultSpec
 from repro.workloads.synthetic import drastic_trace
@@ -242,12 +246,15 @@ class TestRunShardValidation:
 
 class TestPrimeDecisions:
     def test_memoising_policy_gets_primed_cache(self):
+        # The prime pass returns the policy's own memo, filled as the
+        # serial loop fills it: {bucket: PolicyDecision}.
         trace = small_trace()
-        cache = prime_decisions(trace, teg_original())
-        assert cache is not None
-        assert len(cache) > 0
-        # Stats are reset: shards account their own lookups.
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
+        memo = prime_decisions(trace, teg_original())
+        assert memo is not None
+        assert len(memo) > 0
+        serial = DatacenterSimulator(trace, teg_original())
+        serial.run()
+        assert list(memo.items()) == list(serial._policy._cache.items())
 
     def test_pure_policies_skip_priming(self):
         trace = small_trace()
@@ -256,23 +263,41 @@ class TestPrimeDecisions:
             assert prime_decisions(trace, config) is None
 
     def test_store_bounded_by_quantisation(self):
-        # Twice the steps must not grow the store past the bucket bound
-        # (#buckets x #distinct group sizes) — the payload-size
-        # independence hinges on this.
+        # Twice the steps must not grow the memo past the bucket bound
+        # (one entry per bucket) — the payload-size independence hinges
+        # on this.
         config = teg_original()
         short = prime_decisions(small_trace(steps=24), config)
         resolution = 0.005  # LookupSpacePolicy default
-        bound = (int(1 / resolution) + 2) * 2  # two group sizes (20, 7)
+        bound = int(1 / resolution) + 2
         assert len(short) <= bound
 
-    def test_clone_cache_shares_store_not_stats(self):
+    def test_balanced_plane_primes_from_its_means(self):
+        # A LoadBalance plane is primed as the kernel decides it, from
+        # its circulation means: the pass never builds a plane-sized
+        # array, and its memo is the per-server route's.
+        trace = small_trace(n_servers=400, steps=1000)
+        tracemalloc.start()
+        try:
+            memo = prime_decisions(trace, teg_loadbalance())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.utilisation.nbytes
+        sim = _CachedVectorisedSimulator(trace, teg_loadbalance(),
+                                         mode="kernel")
+        kernel._decide_plane(sim, kernel._scheduled_plane(
+            sim, trace.utilisation))
+        assert list(memo.items()) == list(sim._policy._cache.items())
+
+    def test_clone_cache_copies_the_memo(self):
         trace = small_trace()
         primed = prime_decisions(trace, teg_original())
         clone = clone_cache(primed)
         assert clone is not primed
-        assert clone._store == primed._store
-        clone.stats.hits += 5
-        assert primed.stats.hits == 0
+        assert clone == primed
+        clone.clear()
+        assert primed
         assert clone_cache(None) is None
 
 

@@ -129,3 +129,47 @@ class TestBatchCheckpoint:
         assert "resumed from checkpoint" not in capsys.readouterr().out
         assert main(self.ARGS + ["--checkpoint", ckpt, "--resume"]) == 0
         assert "resumed from checkpoint" in capsys.readouterr().out
+
+
+class TestBatchCheck:
+    """``batch --check`` recomputes every completed job serially."""
+
+    ARGS = ["batch", "--traces", "common", "--schemes", "original",
+            "loadbalance", "--servers", "40", "--workers", "1",
+            "--mode", "kernel", "--check"]
+
+    def test_every_job_checked_and_mismatch_named(self, capsys,
+                                                  monkeypatch):
+        from repro.core import engine
+
+        run = engine.BatchSimulationEngine.run
+
+        def swapped(self, jobs):
+            # The second job comes back with the first one's records.
+            batch = run(self, jobs)
+            batch.results[1].records = batch.results[0].records
+            return batch
+
+        monkeypatch.setattr(engine.BatchSimulationEngine, "run", swapped)
+        assert main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert "serial check: MISMATCH in TEG_LoadBalance on common" in out
+        assert "TEG_Original on common" not in out.split("MISMATCH")[-1]
+
+    def test_failed_first_job_pairs_results_with_their_jobs(
+            self, capsys, monkeypatch):
+        from repro.core import engine
+
+        whole_trace = engine.run_whole_trace
+
+        def fail_original(sim):
+            if sim.config.name == "TEG_Original":
+                raise RuntimeError("injected failure")
+            return whole_trace(sim)
+
+        monkeypatch.setattr(engine, "run_whole_trace", fail_original)
+        assert main(self.ARGS) == 1  # the batch is not ok
+        out = capsys.readouterr().out
+        assert "FAILED TEG_Original on common" in out
+        assert "serial check: bit-identical" in out
+        assert "MISMATCH" not in out

@@ -110,7 +110,7 @@ class TestTelemetryFlag:
         assert main(BATCH_ARGS + ["--telemetry", str(run_dir)]) == 0
         text = (run_dir / "metrics.prom").read_text()
         assert "repro_sim_steps_total" in text
-        assert "repro_engine_cache_hits_total" in text
+        assert "repro_engine_kernel_decide_cells_total" in text
         assert "# TYPE repro_teg_power_w histogram" in text
 
     def test_env_dir_fallback(self, tmp_path, capsys, monkeypatch):

@@ -208,3 +208,20 @@ class TestAdoptValidation:
         finally:
             tracemalloc.stop()
         assert peak < 0.01 * matrix.nbytes
+
+    def test_shared_window_attaches_without_reading_cells(self):
+        # A window of a plane its owning trace validated is not read
+        # again: a cell the constructor would reject goes unseen, while
+        # the shape and the interval are still checked.
+        matrix = np.linspace(0.0, 0.9, 12).reshape(3, 4)
+        matrix[1, 2] = np.nan
+        window = WorkloadTrace.from_shared(matrix, 300.0, name="w")
+        assert window.utilisation is matrix
+        assert not window.utilisation.flags.writeable
+        assert window._shared_block is None
+        with pytest.raises(TraceFormatError, match="2-D"):
+            WorkloadTrace.from_shared(matrix[0], 300.0)
+        with pytest.raises(TraceFormatError, match="empty"):
+            WorkloadTrace.from_shared(matrix[:0], 300.0)
+        with pytest.raises(PhysicalRangeError, match="interval"):
+            WorkloadTrace.from_shared(matrix, 0.0)
