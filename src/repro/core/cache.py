@@ -13,17 +13,23 @@ recomputing them.
 
 Durability contract (shared with :mod:`repro.core.checkpoint`)
 --------------------------------------------------------------
+Both stores write and read their files through :mod:`repro._durable`:
+
 * **Atomic write-then-rename.**  Every entry is written to a temp file
   in the same directory, fsync'd, then :func:`os.replace`-d into place
   followed by a directory fsync; a crash mid-write leaves at most a
-  stale ``.tmp-*`` file that the next open sweeps away.
-* **Versioned format.**  The directory manifest (``cache.json``) and
-  every entry record :data:`CACHE_SCHEMA` / :data:`CACHE_FORMAT_VERSION`;
-  a newer version than this build understands raises
+  stale ``.tmp-*`` file, which the next open sweeps away once its
+  writer's pid is dead.
+* **One entry codec.**  Each entry pickles its payload inside a header
+  naming :data:`CACHE_SCHEMA`, :data:`CACHE_FORMAT_VERSION`, the
+  content key and the payload's SHA-256.  An entry of an older format
+  reads as a miss and is overwritten; a newer format, in an entry or
+  in the directory manifest (``cache.json``), raises
   :class:`~repro.errors.CacheError` instead of being misread.
-* **Corruption is not fatal.**  An entry that fails to parse, fails its
-  schema check or was truncated is unlinked, counted
-  (``engine.cache.corrupt``) and the result recomputed.
+* **Corruption is not fatal.**  An entry that fails to parse, fails
+  its checksum or was truncated is unlinked, counted
+  (``engine.cache.corrupt``) and the result recomputed, so a flipped
+  bit is never served.
 * **Size-capped LRU.**  When ``REPRO_CACHE_MAX_BYTES`` (or the
   ``max_bytes`` argument) is set, the oldest-used entries are evicted
   after each store until the directory fits; hits refresh an entry's
@@ -32,14 +38,12 @@ Durability contract (shared with :mod:`repro.core.checkpoint`)
 Bit-identity contract
 ---------------------
 A cache hit returns records **byte-equal** to recomputing the run.
-Each entry is one pickle of the versioned header (schema, format
-version, content key) and the whole :class:`~repro.core.results.
-SimulationResult` — the format checkpoints use for results and
-shards — so columnar NumPy steps, list records, violations, engine
-metrics and telemetry snapshots all round-trip exactly.  The key is
-conservative: anything that *could* shape the numbers (mode, shard
-plan, fault schedule) is part of the identity, so a hit can never
-alias two runs that would diverge.
+An entry's payload is the whole :class:`~repro.core.results.
+SimulationResult`, so columnar NumPy steps, list records, violations,
+engine metrics and telemetry snapshots all round-trip exactly.  The
+key is conservative: anything that *could* shape the numbers (mode,
+shard plan, fault schedule) is part of the identity, so a hit can
+never alias two runs that would diverge.
 
 Warm starts
 -----------
@@ -71,15 +75,21 @@ keep the hard bit-identity guarantee.
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .. import _env, obs
-from .._durable import atomic_write, pid_alive
+from .._durable import (
+    CorruptEntry,
+    NewerEntry,
+    read_entry,
+    read_manifest,
+    sweep_temp_files,
+    write_entry,
+    write_manifest,
+)
 from ..errors import CacheError
 from ..workloads.trace import WorkloadTrace
 from .checkpoint import RunKey, fingerprint, run_key, trace_digest
@@ -107,7 +117,7 @@ __all__ = [
 
 #: Identifies the on-disk layout; bump on incompatible changes.
 CACHE_SCHEMA = "repro.core/cache/v1"
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 #: Environment variable enabling the result cache by default.
 CACHE_ENV_VAR = "REPRO_CACHE"
@@ -254,58 +264,6 @@ def _fs_slug(name: str, limit: int = 48) -> str:
 
 
 # ----------------------------------------------------------------------
-# Entries
-# ----------------------------------------------------------------------
-
-def _sweep_stale_temp_files(directory: Path) -> None:
-    """Remove ``.tmp-*`` leftovers of *crashed* writers (best effort).
-
-    Unlike the checkpoint store — whose directory belongs to exactly
-    one run — a cache directory is shared between live engines and
-    direct callers in several processes and threads, any of which may
-    be mid-write while a new one opens the store.  Temps are only swept
-    when the pid embedded in their name is no longer alive (our own pid
-    included: if the name says *us*, another of our threads owns it).
-    """
-    for leftover in directory.glob("*.tmp-*"):
-        pid_word = leftover.name.rsplit(".tmp-", 1)[1].split("-", 1)[0]
-        try:
-            pid = int(pid_word)
-        except ValueError:
-            pid = None
-        if pid is not None and (pid == os.getpid() or pid_alive(pid)):
-            continue  # the writer is still running
-        try:
-            leftover.unlink()
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
-
-
-def _decode_entry(raw: bytes, key: RunKey) -> SimulationResult | None:
-    """The result in one entry payload, or ``None`` for another key's.
-
-    Raises :class:`CacheError` for an entry in a newer format, and
-    anything else (``UnpicklingError``, ``ValueError``, ``KeyError``
-    ...) for corruption — the caller maps those to
-    discard-and-recompute.
-    """
-    entry = pickle.loads(raw)
-    if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
-        raise ValueError("not a result-cache entry")
-    version = int(entry["version"])
-    if version > CACHE_FORMAT_VERSION:
-        raise CacheError(
-            f"cache entry format v{version} is newer than this "
-            f"build understands (v{CACHE_FORMAT_VERSION})")
-    if entry["key"] != key.to_dict():
-        return None
-    result = entry["result"]
-    if not isinstance(result, SimulationResult):
-        raise ValueError("cache entry holds no SimulationResult")
-    return result
-
-
-# ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
 
@@ -345,44 +303,40 @@ class ResultCache:
         self._warm_dir = self.directory / WARM_DIR
         self._results_dir.mkdir(parents=True, exist_ok=True)
         self._warm_dir.mkdir(parents=True, exist_ok=True)
-        self._check_manifest()
+        manifest_path = self.directory / MANIFEST_NAME
+        manifest = read_manifest(manifest_path, CACHE_SCHEMA,
+                                 CACHE_FORMAT_VERSION, CacheError)
+        if manifest is None or manifest["version"] < CACHE_FORMAT_VERSION:
+            # Older entries read as misses and are overwritten in turn.
+            write_manifest(manifest_path,
+                           {"schema": CACHE_SCHEMA,
+                            "version": CACHE_FORMAT_VERSION})
         for folder in (self.directory, self._results_dir,
                        self._warm_dir):
-            _sweep_stale_temp_files(folder)
+            sweep_temp_files(folder)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ResultCache({str(self.directory)!r}, "
                 f"max_bytes={self.max_bytes})")
 
-    # -- manifest ------------------------------------------------------
-
-    def _check_manifest(self) -> None:
-        path = self.directory / MANIFEST_NAME
+    def _read(self, path: Path, key, **labels):
+        """The payload at ``path`` (see :func:`~repro._durable.
+        read_entry`), its LRU timestamp refreshed, or ``None``; a
+        corrupt entry is counted."""
         try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            atomic_write(path, (json.dumps(
-                {"schema": CACHE_SCHEMA,
-                 "version": CACHE_FORMAT_VERSION},
-                indent=2, sort_keys=True) + "\n").encode())
-            return
-        try:
-            manifest = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CacheError(
-                f"cache manifest {str(path)!r} is not valid JSON: "
-                f"{exc}") from exc
-        if (not isinstance(manifest, dict)
-                or manifest.get("schema") != CACHE_SCHEMA
-                or not isinstance(manifest.get("version"), int)):
-            raise CacheError(
-                f"{str(path)!r} is not a result-cache manifest "
-                f"(expected schema {CACHE_SCHEMA!r})")
-        if manifest["version"] > CACHE_FORMAT_VERSION:
-            raise CacheError(
-                f"cache directory {str(self.directory)!r} uses format "
-                f"v{manifest['version']}, newer than this build "
-                f"understands (v{CACHE_FORMAT_VERSION})")
+            payload = read_entry(path, CACHE_SCHEMA, CACHE_FORMAT_VERSION,
+                                 key)
+        except CorruptEntry:
+            self.stats.corrupt += 1
+            obs.add("engine.cache.corrupt", 1, labels=labels)
+            obs.emit("engine.cache.corrupt", path=path.name, **labels)
+            return None
+        if payload is not None:
+            try:
+                os.utime(path)
+            except OSError:  # pragma: no cover - entry evicted under us
+                pass
+        return payload
 
     # -- result entries ------------------------------------------------
 
@@ -396,67 +350,36 @@ class ResultCache:
 
         A hit refreshes the entry's LRU timestamp and flags the
         returned metrics with ``result_cache_hit`` so batch layers can
-        account for served jobs.  Corrupt or truncated entries are
-        unlinked and reported as misses.
+        account for served jobs.  Corrupt entries are unlinked and
+        reported as misses; an entry of an older format, or of another
+        run whose key hashed to the same name, reads as a miss and is
+        kept.
         """
-        path = self.path_for(key)
+        labels = {"scheme": key.scheme, "trace": key.trace_name}
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            self._miss(key)
-            return None
-        try:
-            result = _decode_entry(raw, key)
-        except CacheError:
-            raise
-        except Exception:
-            path.unlink(missing_ok=True)
-            self.stats.corrupt += 1
-            obs.add("engine.cache.corrupt", 1,
-                    labels={"scheme": key.scheme,
-                            "trace": key.trace_name})
-            obs.emit("engine.cache.corrupt", scheme=key.scheme,
-                     trace=key.trace_name, path=path.name)
-            self._miss(key)
-            return None
+            result = self._read(self.path_for(key), key.to_dict(), **labels)
+        except NewerEntry as exc:
+            raise CacheError(f"cache entry {exc}") from exc
         if result is None:
-            # A different run hashed to the same label; astronomically
-            # unlikely (96-bit digests) but must read as a miss, and
-            # the other run's entry must survive.
-            self._miss(key)
+            self.stats.misses += 1
+            obs.add("engine.cache.miss", 1, labels=labels)
+            obs.emit("engine.cache.miss", key=key.short, **labels)
             return None
         self.stats.hits += 1
-        obs.add("engine.cache.hit", 1,
-                labels={"scheme": key.scheme, "trace": key.trace_name})
-        obs.emit("engine.cache.hit", scheme=key.scheme,
-                 trace=key.trace_name, key=key.short)
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - entry evicted under us
-            pass
+        obs.add("engine.cache.hit", 1, labels=labels)
+        obs.emit("engine.cache.hit", key=key.short, **labels)
         if result.metrics is not None:
             result.metrics.result_cache_hit = True
         return result
 
-    def _miss(self, key: RunKey) -> None:
-        self.stats.misses += 1
-        obs.add("engine.cache.miss", 1,
-                labels={"scheme": key.scheme, "trace": key.trace_name})
-        obs.emit("engine.cache.miss", scheme=key.scheme,
-                 trace=key.trace_name, key=key.short)
-
     def store(self, key: RunKey, result: SimulationResult) -> None:
         """Persist ``result`` under ``key`` (atomic), then evict LRU."""
-        data = pickle.dumps({"schema": CACHE_SCHEMA,
-                             "version": CACHE_FORMAT_VERSION,
-                             "key": key.to_dict(), "result": result},
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write(self.path_for(key), data)
+        size = write_entry(self.path_for(key), CACHE_SCHEMA,
+                           CACHE_FORMAT_VERSION, key.to_dict(), result)
         self.stats.stores += 1
-        obs.add("engine.cache.store", 1,
-                labels={"scheme": key.scheme, "trace": key.trace_name})
-        obs.emit("engine.cache.store", scheme=key.scheme,
-                 trace=key.trace_name, key=key.short, bytes=len(data))
+        labels = {"scheme": key.scheme, "trace": key.trace_name}
+        obs.add("engine.cache.store", 1, labels=labels)
+        obs.emit("engine.cache.store", key=key.short, bytes=size, **labels)
         self._evict()
 
     # -- warm-start snapshots ------------------------------------------
@@ -467,46 +390,23 @@ class ResultCache:
     def load_warm(self, w2: str) -> dict | None:
         """The warm snapshot under binding key ``w2``, or ``None``.
 
-        Returns the raw payload dict (``w1``, ``entries``); corrupt
-        files are unlinked, newer-format files are left alone and
-        simply not used.
+        Returns the payload dict (``w1``, ``entries``); corrupt files
+        are unlinked, files of another format are left alone and simply
+        not used.
         """
-        path = self.warm_path(w2)
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
+            payload = self._read(self.warm_path(w2), w2, entry_kind="warm")
+        except NewerEntry:
             return None
-        try:
-            payload = pickle.loads(raw)
-            if (not isinstance(payload, dict)
-                    or payload.get("schema") != CACHE_SCHEMA
-                    or not isinstance(payload.get("entries"), list)):
-                raise ValueError("not a warm-start payload")
-        except Exception:
-            path.unlink(missing_ok=True)
-            self.stats.corrupt += 1
-            obs.add("engine.cache.corrupt", 1)
-            obs.emit("engine.cache.corrupt", path=path.name,
-                     entry_kind="warm")
-            return None
-        if int(payload.get("version", 0)) > CACHE_FORMAT_VERSION:
-            return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - evicted under us
-            pass
-        obs.add("engine.cache.warm_hit", 1)
+        if payload is not None:
+            obs.add("engine.cache.warm_hit", 1)
         return payload
 
     def store_warm(self, w1: str, w2: str, entries: list) -> None:
         """Persist one warm snapshot: the ``(bucket, decision)`` entries
         of a primed policy memo, first-occurrence order preserved."""
-        payload = {"schema": CACHE_SCHEMA,
-                   "version": CACHE_FORMAT_VERSION,
-                   "kind": "warm", "w1": w1, "entries": list(entries)}
-        atomic_write(self.warm_path(w2),
-                     pickle.dumps(payload,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
+        write_entry(self.warm_path(w2), CACHE_SCHEMA, CACHE_FORMAT_VERSION,
+                    w2, {"w1": w1, "entries": list(entries)})
         obs.add("engine.cache.warm_store", 1)
         self._evict()
 

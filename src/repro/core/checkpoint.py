@@ -10,12 +10,15 @@ directory skips every finished shard and still produces results
 
 Durability contract
 -------------------
+Shared with :mod:`repro.core.cache`; both stores write and read their
+files through :mod:`repro._durable`.
+
 * **Atomic write-then-rename.**  Every artefact (shard outcome, run
   manifest, whole-job result) is written to a temporary file in the
   same directory, flushed and fsync'd, then :func:`os.replace`-d into
   place, followed by a directory fsync.  A file either exists complete
   or not at all; a crash mid-write leaves at most a stale ``.tmp-*``
-  file that the next open sweeps away.
+  file, which the next open sweeps away once its writer's pid is dead.
 * **Content-keyed manifests.**  A checkpoint directory is owned by one
   run identity: the :class:`RunKey` digests of the trace plane, the
   full configuration (config + hardware models + fault schedule) and
@@ -24,13 +27,16 @@ Durability contract
   (:class:`~repro.errors.CheckpointError`) — stale state can never
   silently leak into a different run — unless ``resume=False``
   explicitly wipes it.
-* **Versioned format.**  ``checkpoint.json`` records
-  :data:`CHECKPOINT_SCHEMA` / :data:`CHECKPOINT_FORMAT_VERSION`; a
-  reader confronted with a newer (or unknown) version refuses loudly
-  instead of misreading it.
-* **Corruption is not fatal.**  A shard file that fails to unpickle is
-  discarded and its shard recomputed; only a manifest that
-  *structurally* cannot be trusted raises.
+* **Versioned format.**  ``checkpoint.json`` and every shard and result
+  file record :data:`CHECKPOINT_SCHEMA` /
+  :data:`CHECKPOINT_FORMAT_VERSION`; a directory of an older format is
+  recomputed as with ``resume=False``, and a manifest of a newer (or
+  unknown) one is refused loudly instead of misread.
+* **Corruption is not fatal.**  Each shard and result file carries its
+  run key and its payload's SHA-256.  A file that fails to parse or its
+  checksum is unlinked, counted (``engine.checkpoint.corrupt``) and its
+  work recomputed, and a file of another run is recomputed too; only a
+  manifest that *structurally* cannot be trusted raises.
 
 Bit-identity across interruption
 --------------------------------
@@ -41,7 +47,9 @@ path-dependent — each hands its policy instance, memo included, to the
 next — so the saved outcome carries that policy, and resuming restores
 it before the first missing window runs.  The per-outcome decision
 hit/miss counts ride inside the saved outcomes, so even the merged
-counts match the uninterrupted run.
+counts match the uninterrupted run whenever a tile is left to compute:
+a kernel job's misses also count its prime pass, which a fully resumed
+job skips.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -58,7 +65,16 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from .. import obs
-from .._durable import atomic_write, fsync_directory
+from .._durable import (
+    CorruptEntry,
+    NewerEntry,
+    fsync_directory,
+    read_entry,
+    read_manifest,
+    sweep_temp_files,
+    write_entry,
+    write_manifest,
+)
 from ..errors import CheckpointError
 from ..workloads.trace import WorkloadTrace
 
@@ -78,12 +94,12 @@ __all__ = [
 
 #: Identifies the on-disk layout; bump on incompatible changes.
 CHECKPOINT_SCHEMA = "repro.core/checkpoint/v1"
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Manifest file name inside a checkpoint directory.
 MANIFEST_NAME = "checkpoint.json"
 
-#: Subdirectory holding one pickle per completed shard.
+#: Subdirectory holding one entry per completed shard.
 SHARDS_DIR = "shards"
 
 #: Whole-job result file (non-sharded jobs checkpoint at job granularity).
@@ -259,19 +275,6 @@ def run_key(trace: WorkloadTrace, config, cpu_model=None,
     )
 
 
-def _sweep_temp_files(directory: Path) -> None:
-    """Remove ``.tmp-*`` leftovers of crashed writers (best effort).
-
-    A checkpoint directory belongs to one run, so every temp file in it
-    is a leftover, whichever process wrote it.
-    """
-    for leftover in directory.glob("*.tmp-*"):
-        try:
-            leftover.unlink()
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -282,13 +285,14 @@ class CheckpointStore:
     Layout::
 
         DIR/checkpoint.json          # schema, version, RunKey, plan size
-        DIR/shards/shard-00042.pkl   # one pickle per completed shard
+        DIR/shards/shard-00042.pkl   # one entry per completed shard
         DIR/result.pkl               # whole-job runs (n_shards == 0)
 
     Opening semantics (``resume`` flag):
 
-    * no manifest — the directory is (created and) claimed for this
-      run: a fresh manifest is written either way;
+    * no manifest, or one of an older format — the directory is
+      (created, wiped and) claimed for this run: a fresh manifest is
+      written either way;
     * manifest matches ``key`` — ``resume=True`` keeps completed
       shards, ``resume=False`` discards them and starts over;
     * manifest mismatches ``key`` — ``resume=True`` raises
@@ -300,84 +304,49 @@ class CheckpointStore:
     """
 
     def __init__(self, directory: str | os.PathLike, key: RunKey, *,
-                 n_shards: int, kind: str = "kernel",
-                 resume: bool = True) -> None:
+                 n_shards: int, resume: bool = True) -> None:
         self.directory = Path(directory)
         self.key = key
         self.n_shards = int(n_shards)
-        self.kind = kind
         self.directory.mkdir(parents=True, exist_ok=True)
         self._shards_dir = self.directory / SHARDS_DIR
-        manifest = self._read_manifest()
-        if manifest is not None:
+        manifest = read_manifest(self.manifest_path, CHECKPOINT_SCHEMA,
+                                 CHECKPOINT_FORMAT_VERSION, CheckpointError)
+        current = (manifest is not None
+                   and manifest["version"] == CHECKPOINT_FORMAT_VERSION)
+        if current and resume:
             stored = RunKey.from_dict(manifest.get("key", {}))
             if stored != key:
-                if resume:
-                    raise CheckpointError(
-                        f"checkpoint directory {self.directory} belongs "
-                        f"to a different run (stored "
-                        f"{stored.scheme!r}/{stored.trace_name!r}, "
-                        f"requested {key.scheme!r}/{key.trace_name!r} "
-                        f"with different content digests); pass "
-                        f"resume=False to overwrite it or use a fresh "
-                        f"directory")
+                raise CheckpointError(
+                    f"checkpoint directory {self.directory} belongs "
+                    f"to a different run (stored "
+                    f"{stored.scheme!r}/{stored.trace_name!r}, "
+                    f"requested {key.scheme!r}/{key.trace_name!r} "
+                    f"with different content digests); pass "
+                    f"resume=False to overwrite it or use a fresh "
+                    f"directory")
+        else:
+            # A directory of an older format is recomputed, as with
+            # resume=False.
+            if manifest is not None:
                 self._wipe()
-                manifest = None
-            elif not resume:
-                self._wipe()
-                manifest = None
-        if manifest is None:
-            self._write_manifest()
+            write_manifest(self.manifest_path,
+                           {"schema": CHECKPOINT_SCHEMA,
+                            "version": CHECKPOINT_FORMAT_VERSION,
+                            "key": key.to_dict(),
+                            "n_shards": self.n_shards})
         self._shards_dir.mkdir(exist_ok=True)
-        _sweep_temp_files(self.directory)
-        _sweep_temp_files(self._shards_dir)
+        sweep_temp_files(self.directory)
+        sweep_temp_files(self._shards_dir)
         #: Shard indices loaded from disk by this process (telemetry
         #: and tests read it; the engine reports it as shards_resumed).
         self.loaded: set[int] = set()
         #: Shard indices saved by this process.
         self.saved: set[int] = set()
 
-    # -- manifest ------------------------------------------------------
-
     @property
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
-
-    def _read_manifest(self) -> dict | None:
-        try:
-            raw = self.manifest_path.read_text()
-        except FileNotFoundError:
-            return None
-        try:
-            manifest = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"checkpoint manifest {self.manifest_path} is not valid "
-                f"JSON: {exc}") from exc
-        schema = manifest.get("schema")
-        version = manifest.get("version")
-        if schema != CHECKPOINT_SCHEMA or not isinstance(version, int):
-            raise CheckpointError(
-                f"checkpoint manifest {self.manifest_path} has schema "
-                f"{schema!r}; this build reads {CHECKPOINT_SCHEMA!r}")
-        if version > CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version} is newer than "
-                f"this build's {CHECKPOINT_FORMAT_VERSION}; refusing "
-                f"to guess at its layout")
-        return manifest
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "schema": CHECKPOINT_SCHEMA,
-            "version": CHECKPOINT_FORMAT_VERSION,
-            "key": self.key.to_dict(),
-            "kind": self.kind,
-            "n_shards": self.n_shards,
-        }
-        atomic_write(self.manifest_path,
-                     (json.dumps(manifest, indent=2, sort_keys=True)
-                      + "\n").encode())
 
     def _wipe(self) -> None:
         """Discard every artefact; the manifest goes last."""
@@ -387,6 +356,36 @@ class CheckpointStore:
         (self.directory / RESULT_NAME).unlink(missing_ok=True)
         self.manifest_path.unlink(missing_ok=True)
         fsync_directory(self.directory)
+
+    # -- entries -------------------------------------------------------
+
+    def _save(self, path: Path, payload, shard: int) -> None:
+        write_entry(path, CHECKPOINT_SCHEMA, CHECKPOINT_FORMAT_VERSION,
+                    self.key.to_dict(), payload)
+        obs.add("engine.checkpoint.saved", 1)
+        obs.emit("checkpoint.save", scheme=self.key.scheme,
+                 trace=self.key.trace_name, shard=shard)
+
+    def _load(self, path: Path, shard: int):
+        """The payload at ``path``, or ``None`` (missing, another run's
+        or unreadable).
+
+        An unreadable file is counted and its work recomputed: a
+        half-written, stale or bit-flipped entry must never poison a
+        resume.
+        """
+        try:
+            payload = read_entry(path, CHECKPOINT_SCHEMA,
+                                 CHECKPOINT_FORMAT_VERSION,
+                                 self.key.to_dict())
+        except (CorruptEntry, NewerEntry):
+            obs.add("engine.checkpoint.corrupt", 1)
+            obs.emit("checkpoint.corrupt", scheme=self.key.scheme,
+                     trace=self.key.trace_name, shard=shard)
+            return None
+        if payload is not None:
+            obs.add("engine.checkpoint.loaded", 1)
+        return payload
 
     # -- shard outcomes ------------------------------------------------
 
@@ -407,63 +406,22 @@ class CheckpointStore:
 
     def save_shard(self, index: int, outcome: "ShardOutcome") -> None:
         """Persist one completed shard (atomically)."""
-        payload = {"outcome": outcome}
-        atomic_write(self._shard_path(index),
-                     pickle.dumps(payload,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
+        self._save(self._shard_path(index), {"outcome": outcome}, index)
         self.saved.add(index)
-        obs.add("engine.checkpoint.saved", 1)
-        obs.emit("checkpoint.save", scheme=self.key.scheme,
-                 trace=self.key.trace_name, shard=index)
 
     def load_shard(self, index: int) -> dict | None:
-        """One saved shard payload, or ``None`` (missing or corrupt).
-
-        A corrupt file is unlinked so the shard is recomputed — a
-        half-written or stale pickle must never poison a resume.
-        """
-        path = self._shard_path(index)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        try:
-            payload = pickle.loads(raw)
-            if not isinstance(payload, dict) or "outcome" not in payload:
-                raise pickle.UnpicklingError("not a shard payload")
-        except Exception:
-            path.unlink(missing_ok=True)
-            obs.emit("checkpoint.corrupt", scheme=self.key.scheme,
-                     trace=self.key.trace_name, shard=index)
-            return None
-        self.loaded.add(index)
-        obs.add("engine.checkpoint.loaded", 1)
+        """One saved shard payload ``{"outcome": ...}``, or ``None``."""
+        payload = self._load(self._shard_path(index), index)
+        if payload is not None:
+            self.loaded.add(index)
         return payload
 
     # -- whole-job results ---------------------------------------------
 
     def save_result(self, result: "SimulationResult") -> None:
         """Persist one whole (non-sharded) job's result atomically."""
-        atomic_write(self.directory / RESULT_NAME,
-                     pickle.dumps(result,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-        obs.add("engine.checkpoint.saved", 1)
-        obs.emit("checkpoint.save", scheme=self.key.scheme,
-                 trace=self.key.trace_name, shard=-1)
+        self._save(self.directory / RESULT_NAME, result, -1)
 
     def load_result(self) -> "SimulationResult | None":
-        """The saved whole-job result, or ``None`` (missing or corrupt)."""
-        path = self.directory / RESULT_NAME
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        try:
-            result = pickle.loads(raw)
-        except Exception:
-            path.unlink(missing_ok=True)
-            obs.emit("checkpoint.corrupt", scheme=self.key.scheme,
-                     trace=self.key.trace_name, shard=-1)
-            return None
-        obs.add("engine.checkpoint.loaded", 1)
-        return result
+        """The saved whole-job result, or ``None``."""
+        return self._load(self.directory / RESULT_NAME, -1)

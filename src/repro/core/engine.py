@@ -1649,12 +1649,10 @@ class BatchSimulationEngine:
             trace_hash=self._trace_hash(job.trace))
         name = "--".join((_fs_slug(job.config.name),
                           _fs_slug(job.trace.name), key.short))
-        kind = ("fault" if has_faults
-                else "kernel" if specs is not None else "whole")
         return CheckpointStore(
             self.checkpoint / name, key,
             n_shards=len(specs) if specs is not None else 0,
-            kind=kind, resume=self.resume)
+            resume=self.resume)
 
     def _run_sharded_job(self, job: SimulationJob, specs,
                          kind: str, workers: int,

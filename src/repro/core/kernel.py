@@ -817,6 +817,34 @@ def fold_columns(columns: KernelColumns, n_servers: int) -> dict:
     }
 
 
+def _columnar_result(trace, scheme: str, columns: KernelColumns,
+                     step_offset: int = 0) -> SimulationResult:
+    """Phase 4: fold ``columns`` into ``trace``'s columnar result.
+
+    The unsharded kernel and the sharding merge both finish here: the
+    time base, the utilisation mean and max, :func:`fold_columns` and
+    the three fault columns, which are zero on a fault-free run.  The
+    result takes ``columns.violations``.
+    """
+    raw = trace.utilisation
+    n_steps, n_servers = raw.shape
+    records = ColumnarSteps({
+        "time_s": (step_offset + np.arange(n_steps)) * trace.interval_s,
+        "mean_utilisation": raw.mean(axis=1),
+        "max_utilisation": raw.max(axis=1),
+        **fold_columns(columns, n_servers),
+        "safety_violations": columns.violation_counts,
+        "degraded_circulations": np.zeros(n_steps, dtype=np.int64),
+        "lost_harvest_w": np.zeros(n_steps),
+        "active_faults": np.zeros(n_steps, dtype=np.int64),
+    })
+    result = SimulationResult(scheme=scheme, trace_name=trace.name,
+                              n_servers=n_servers,
+                              interval_s=trace.interval_s, records=records)
+    result.violations = columns.violations
+    return result
+
+
 def run_whole_trace(sim) -> SimulationResult:
     """Replay the full trace of a fault-free simulator as NumPy kernels.
 
@@ -829,33 +857,13 @@ def run_whole_trace(sim) -> SimulationResult:
     columns = run_kernel_columns(sim)
     if columns.error is not None:
         raise columns.error.exception
-    trace = sim.trace
-    raw = trace.utilisation
-    n_steps, n_servers = raw.shape
-    interval_s = trace.interval_s
 
     # Phase 4 — fold circulations into per-step cluster aggregates, in
     # circulation order with sequential adds (the serial accumulation).
     clock = time.perf_counter()
     with obs.span("kernel.fold"):
         sim._violation_log = columns.violations
-        records = ColumnarSteps({
-            "time_s": (sim.step_offset + np.arange(n_steps)) * interval_s,
-            "mean_utilisation": raw.mean(axis=1),
-            "max_utilisation": raw.max(axis=1),
-            **fold_columns(columns, n_servers),
-            "safety_violations": columns.violation_counts,
-            "degraded_circulations": np.zeros(n_steps, dtype=np.int64),
-            "lost_harvest_w": np.zeros(n_steps),
-            "active_faults": np.zeros(n_steps, dtype=np.int64),
-        })
-        result = SimulationResult(
-            scheme=sim.config.name,
-            trace_name=trace.name,
-            n_servers=n_servers,
-            interval_s=interval_s,
-            records=records,
-        )
-        result.violations = sim._violation_log
+        result = _columnar_result(sim.trace, sim.config.name, columns,
+                                  sim.step_offset)
     sim.kernel_timings.fold_s = time.perf_counter() - clock
     return result

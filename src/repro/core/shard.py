@@ -101,12 +101,12 @@ from .engine import (
 from .kernel import (
     KernelColumns,
     KernelTimings,
+    _columnar_result,
     _decide_phase,
     _decision_memo,
-    fold_columns,
     run_kernel_columns,
 )
-from .results import ColumnarSteps, SimulationResult
+from .results import SimulationResult
 
 __all__ = [
     "AUTO_SHARD_MIN_CELLS",
@@ -378,7 +378,10 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
         warm = result_cache.load_warm(w2)
     direct = warm is not None and warm.get("w1") == w1
     if warm is None:
-        _decide_phase(sim)
+        # Recording off: the tiles count these cells and the job counts
+        # the memo's growth as its misses (see _drive_shards).
+        with obs.session(None):
+            _decide_phase(sim)
     else:
         for bucket, decision in warm["entries"]:
             if direct:
@@ -790,9 +793,7 @@ class StreamingMerge:
             if self._telemetry is None:
                 self._telemetry = obs.Telemetry()
             self._telemetry.merge_snapshot(outcome.telemetry)
-        # getattr: outcomes unpickled from a pre-streaming checkpoint
-        # lack the newer fields.
-        timings = getattr(outcome, "timings", None)
+        timings = outcome.timings
         if timings is not None:
             if self.timings is None:
                 self.timings = KernelTimings()
@@ -819,8 +820,7 @@ class StreamingMerge:
         else:
             # Zero-copy dispatch: the worker already wrote this tile's
             # planes into the shared block backing ``self._planes``.
-            sizes = getattr(outcome, "sizes", None)
-            counts = getattr(outcome, "violation_counts", None)
+            sizes, counts = outcome.sizes, outcome.violation_counts
             if sizes is None or counts is None:
                 raise ConfigurationError(
                     f"kernel shard {spec.index} carries neither columns "
@@ -875,8 +875,7 @@ class StreamingMerge:
         if self._errors:
             raise min(self._errors, key=lambda e: e.order).exception
         trace, config = self.trace, self.config
-        n_steps, n_servers = trace.n_steps, trace.n_servers
-        interval_s = trace.interval_s
+        n_steps = trace.n_steps
 
         if self.kind == "fault":
             if not self._covered_steps.all():
@@ -894,7 +893,7 @@ class StreamingMerge:
                 violations.extend(outcome.violations)
             result = SimulationResult(
                 scheme=config.name, trace_name=trace.name,
-                n_servers=n_servers, interval_s=interval_s,
+                n_servers=trace.n_servers, interval_s=trace.interval_s,
                 records=records)
             result.violations = violations
             audit_merged_result(trace, config, result)
@@ -907,7 +906,13 @@ class StreamingMerge:
             raise ResultIntegrityError(issue, issues=(issue,))
         clock = time.perf_counter()
         with obs.span("shard.fold"):
-            merged = KernelColumns(
+            # The unsharded kernel emits violations in row-major
+            # (step, server) order; shard violations are already
+            # globally identified, so a sort restores exactly that
+            # order.
+            self._violations.sort(key=lambda v: (v.step_index,
+                                                 v.server_id))
+            result = _columnar_result(trace, config.name, KernelColumns(
                 generation_c=self._planes[0], heat_c=self._planes[1],
                 chiller_power_c=self._planes[2],
                 tower_power_c=self._planes[3],
@@ -915,31 +920,11 @@ class StreamingMerge:
                 inlet_cell=self._planes[6], flow_cell=self._planes[7],
                 sizes=self._sizes,
                 violation_counts=self._violation_counts,
-            )
-            # The unsharded kernel emits violations in row-major
-            # (step, server) order; shard violations are already
-            # globally identified, so a sort restores exactly that
-            # order.
-            self._violations.sort(key=lambda v: (v.step_index,
-                                                 v.server_id))
-            raw = trace.utilisation
-            records = ColumnarSteps({
-                "time_s": np.arange(n_steps) * interval_s,
-                "mean_utilisation": raw.mean(axis=1),
-                "max_utilisation": raw.max(axis=1),
-                **fold_columns(merged, n_servers),
-                "safety_violations": self._violation_counts,
-                "degraded_circulations": np.zeros(n_steps, dtype=np.int64),
-                "lost_harvest_w": np.zeros(n_steps),
-                "active_faults": np.zeros(n_steps, dtype=np.int64),
-            })
+                violations=self._violations,
+            ))
         self._fold_s += time.perf_counter() - clock
         if self.timings is not None:
             self.timings.fold_s = self._fold_s
-        result = SimulationResult(
-            scheme=config.name, trace_name=trace.name,
-            n_servers=n_servers, interval_s=interval_s, records=records)
-        result.violations = self._violations
         audit_merged_result(trace, config, result)
         return result
 
@@ -960,8 +945,7 @@ def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
     """
     if not outcomes:
         raise ConfigurationError("cannot merge zero shard outcomes")
-    kind = ("kernel" if any(o.columns is not None
-                            or getattr(o, "sizes", None) is not None
+    kind = ("kernel" if any(o.columns is not None or o.sizes is not None
                             for o in outcomes) else "fault")
     merge = StreamingMerge(trace, config, kind=kind)
     for outcome in outcomes:
@@ -1000,6 +984,9 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
       raises.  Without a dispatcher the in-process loop runs them.
       The pre-pass is deterministic, so recomputing it on resume hands
       the remaining tiles the memo an uninterrupted run would have.
+      Its policy starts empty, so each memo entry counts as one of the
+      job's misses, once: the pre-pass records no telemetry, and the
+      tiles look each entry up as a hit.
     * A shard that raises is retried up to ``max_retries`` times, with
       the engine's backoff; one that may not be retried again fails the
       job with its error.
@@ -1018,6 +1005,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                            kind="fault" if has_faults else "kernel",
                            plane_block=plane_block,
                            telemetry_sink=telemetry_sink)
+    primed_misses = 0
 
     def resume(spec: ShardSpec) -> dict | None:
         saved = store.load_shard(spec.index) if store is not None else None
@@ -1082,11 +1070,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
             for spec in specs:
                 saved = resume(spec)
                 if saved is not None:
-                    # An older window file also holds a copy of the
-                    # decisions made so far; they are the policy's own,
-                    # so only the policy is read.
-                    if saved["outcome"].policy is not None:
-                        policy = saved["outcome"].policy
+                    policy = saved["outcome"].policy
                     continue
                 _run_local([_Unit(local=partial(run_window, spec),
                                   land=land_window,
@@ -1098,6 +1082,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                         job.teg_module,
                                         result_cache=result_cache,
                                         trace_hash=trace_hash)
+                primed_misses = len(primed or {})
 
                 def run_local(spec: ShardSpec) -> ShardOutcome:
                     tile = trace.window(spec.step_start, spec.step_stop,
@@ -1123,7 +1108,8 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         merge.release_planes()
         plane_block = None
     wall = time.perf_counter() - started
-    hits, misses = merge.cache_hits, merge.cache_misses
+    hits = merge.cache_hits - primed_misses
+    misses = merge.cache_misses + primed_misses
     result.metrics = EngineMetrics(
         wall_time_s=wall,
         step_time_s=wall,
@@ -1228,9 +1214,7 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             run_key(trace, config, cpu_model, teg_module,
                     faults=faults if has_faults else None, specs=specs,
                     trace_hash=trace_hash),
-            n_shards=len(specs),
-            kind="fault" if has_faults else "kernel",
-            resume=resume)
+            n_shards=len(specs), resume=resume)
 
     health = obs.RunHealth()
     health.begin(jobs_total=1, shards_total=len(specs))

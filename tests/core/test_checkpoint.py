@@ -9,6 +9,7 @@ kill-and-resume behaviour lives in ``test_checkpoint_resume.py``.
 import hashlib
 import json
 import pickle
+import subprocess
 import threading
 
 import numpy as np
@@ -221,7 +222,10 @@ class TestStoreLifecycle:
         directory = tmp_path / "ckpt"
         key = make_key()
         CheckpointStore(directory, key, n_shards=2)
-        leftover = directory / "shards" / "shard-00001.pkl.tmp-999"
+        probe = subprocess.Popen(["sleep", "0"])
+        probe.wait()
+        leftover = (directory / "shards"
+                    / f"shard-00001.pkl.tmp-{probe.pid}-140001-0")
         leftover.write_bytes(b"half-written")
         store = CheckpointStore(directory, key, n_shards=2)
         assert not leftover.exists()
@@ -274,14 +278,14 @@ class TestShardRoundTrip:
 class TestWholeJobResults:
     def test_result_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", make_key(),
-                                n_shards=0, kind="whole")
+                                n_shards=0)
         assert store.load_result() is None
         store.save_result({"pretend": "result"})
         assert store.load_result() == {"pretend": "result"}
 
     def test_corrupt_result_discarded(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", make_key(),
-                                n_shards=0, kind="whole")
+                                n_shards=0)
         store.save_result({"pretend": "result"})
         (store.directory / "result.pkl").write_bytes(b"\x80garbage")
         assert store.load_result() is None
@@ -316,12 +320,6 @@ class TestFaultWindowHandoff:
         assert max(sizes) - min(sizes) < 0.2 * min(sizes), sizes
         for path in windows[6:]:
             path.unlink()
-        for path in windows[:6]:
-            # A window file of an older format also held a copy of the
-            # decisions made so far; resuming reads only the policy.
-            payload = pickle.loads(path.read_bytes())
-            payload["cache_store"] = {"stale": "entries"}
-            path.write_bytes(pickle.dumps(payload))
         resumed = self.run(trace, ckpt)
         assert resumed.metrics.shards_resumed == 6
         assert resumed.records == whole.records

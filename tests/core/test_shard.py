@@ -19,6 +19,7 @@ from repro.core.engine import (
     SharedTraceRef,
     SimulationJob,
     _CachedVectorisedSimulator,
+    run_batch,
 )
 from repro.core.shard import (
     AUTO_SHARD_MIN_CELLS,
@@ -289,6 +290,28 @@ class TestPrimeDecisions:
         kernel._decide_plane(sim, kernel._scheduled_plane(
             sim, trace.utilisation))
         assert list(memo.items()) == list(sim._policy._cache.items())
+
+    def test_prime_pass_counts_each_decision_once(self):
+        # The prime pass records no cells, and its memo growth is the
+        # job's misses: a cold sharded job counts what the unsharded
+        # kernel counts, and decide_cells sums to the job's cells.
+        jobs = [SimulationJob(small_trace(n_servers=40, steps=48),
+                              teg_original())]
+        batches = [run_batch(jobs, prefer="serial", mode="kernel",
+                             telemetry=True, **knobs)
+                   for knobs in ({"shard": False},
+                                 {"shard": True, "shard_servers": 20,
+                                  "shard_steps": 12})]
+        for batch in batches:
+            counters = batch.telemetry.registry.snapshot().counters
+            metrics = batch.metrics
+            assert counters["engine.kernel.decide_cells"] == 48 * 2 \
+                == metrics.cache_hits + metrics.cache_misses
+        whole, sharded = (batch.metrics for batch in batches)
+        assert sharded.shards == 8
+        assert (sharded.cache_hits, sharded.cache_misses) \
+            == (whole.cache_hits, whole.cache_misses)
+        assert whole.cache_misses > 0
 
     def test_clone_cache_copies_the_memo(self):
         trace = small_trace()
