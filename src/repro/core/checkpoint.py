@@ -46,10 +46,10 @@ outcome is indistinguishable from recomputing it.  Fault windows are
 path-dependent — each hands its policy instance, memo included, to the
 next — so the saved outcome carries that policy, and resuming restores
 it before the first missing window runs.  The per-outcome decision
-hit/miss counts ride inside the saved outcomes, so even the merged
-counts match the uninterrupted run whenever a tile is left to compute:
-a kernel job's misses also count its prime pass, which a fully resumed
-job skips.
+hit/miss counts ride inside the saved outcomes, and each saved kernel
+tile also records how many decisions the job's prime pass computed, so
+the merged counts match the uninterrupted run even when every tile is
+resumed and nothing is primed.
 """
 
 from __future__ import annotations
@@ -404,13 +404,23 @@ class CheckpointStore:
                 done.append(index)
         return sorted(done)
 
-    def save_shard(self, index: int, outcome: "ShardOutcome") -> None:
-        """Persist one completed shard (atomically)."""
-        self._save(self._shard_path(index), {"outcome": outcome}, index)
+    def save_shard(self, index: int, outcome: "ShardOutcome", *,
+                   primed_misses: int = 0) -> None:
+        """Persist one completed shard (atomically).
+
+        ``primed_misses``, when not 0, is saved next to the outcome: the
+        decisions the job's prime pass computed, which a fully resumed
+        job reads back instead of priming.
+        """
+        payload = {"outcome": outcome}
+        if primed_misses:
+            payload["primed_misses"] = primed_misses
+        self._save(self._shard_path(index), payload, index)
         self.saved.add(index)
 
     def load_shard(self, index: int) -> dict | None:
-        """One saved shard payload ``{"outcome": ...}``, or ``None``."""
+        """One saved shard payload ``{"outcome": ...}`` (and
+        ``"primed_misses"`` when saved), or ``None``."""
         payload = self._load(self._shard_path(index), index)
         if payload is not None:
             self.loaded.add(index)

@@ -76,7 +76,9 @@ from .cache import (
 )
 from .config import SimulationConfig
 from .kernel import (
+    COLUMN_PLANES,
     KernelTimings,
+    _column_planes,
     _decision_counts,
     _decision_memo,
     run_whole_trace,
@@ -1675,7 +1677,7 @@ class BatchSimulationEngine:
         ``straggler_s`` deadline are speculatively re-dispatched
         instead.
         """
-        from .shard import COLUMN_PLANES, ShardColumnRef, _drive_shards
+        from .shard import ShardColumnRef, _drive_shards
 
         has_faults = job.faults is not None and len(job.faults) > 0
         labels = {"scheme": job.config.name, "trace": job.trace.name}
@@ -1685,19 +1687,19 @@ class BatchSimulationEngine:
 
         block = planes = column_ref = None
         if kind == "process" and store is None and not has_faults:
+            n_steps = job.trace.n_steps
             n_circs = -(-job.trace.n_servers
                         // job.config.circulation_size)
-            shape = (len(COLUMN_PLANES), job.trace.n_steps, n_circs)
             try:
                 block = self._shared_traces.scratch_block(
-                    int(np.prod(shape)) * np.dtype(np.float64).itemsize)
+                    len(COLUMN_PLANES) * n_steps * n_circs
+                    * np.dtype(np.float64).itemsize)
             except OSError:  # pragma: no cover - no POSIX shm
                 pass
             else:
-                planes = np.ndarray(shape, dtype=np.float64,
-                                    buffer=block.buf)
+                planes = _column_planes(n_steps, n_circs, block.buf)
                 column_ref = ShardColumnRef(shm_name=block.name,
-                                            n_steps=shape[1],
+                                            n_steps=n_steps,
                                             n_circs=n_circs)
         dispatch = partial(self._dispatch_shards, job, kind, workers,
                            column_ref, straggler_s)

@@ -23,8 +23,8 @@ run the simulation is a pure function of the trace, so the kernel:
 3. **reduces** — the facility split (chiller fraction, tower, pump) as
    per-cell array arithmetic with the serial expression order, the
    earliest capacity / strict-safety error and the violation log;
-4. **folds** — accumulates circulation columns into per-step cluster
-   totals in circulation order (sequential adds, like the serial
+4. **folds** — adds each step's circulation columns into per-step
+   cluster totals in circulation order (sequential adds, like the serial
    ``_aggregate_step``) and emits a columnar result.
 
 Phases 1–3 are exposed separately as :func:`run_kernel_columns` (their
@@ -34,7 +34,8 @@ phase 4 as :func:`fold_columns`, because the fleet-scale sharding layer
 the tiles' columns back into whole-cluster planes, and replays the fold
 once over the full-length columns — the only order that keeps the merge
 bit-identical (float addition is not associative, so summing per-shard
-subtotals would not be).
+subtotals would not be).  The column planes are stored
+circulation-major (:func:`_column_planes`).
 
 Bit-identity
 ------------
@@ -43,15 +44,19 @@ laws keep the scalar operation order; a sum or mean over the last axis
 of a ``(rows, circulations, size)`` view is bit-identical to the serial
 1-D reduction (same pairwise blocking), so a balanced circulation's
 sum repeats its cell's value ``size`` times and takes that same sum,
-never ``size * value``; a maximum is exact and order-free, so it is
-taken slot by slot; with ``R_th >= 0`` the CPU temperature is
-non-decreasing in the power under round-to-nearest, so the law applied
-to the peak power is the hottest CPU's temperature (a setting with
-``R_th < 0`` takes the per-cell maximum); the cluster fold is
-``np.add.accumulate`` along the circulations, a sequential sum; and
-capacity / strict-safety errors are replayed at the earliest offending
-cell in serial evaluation order.  ``tests/core/test_kernel.py`` and the
-golden fixtures enforce this.
+never ``size * value``; a maximum is exact and order-free, so a
+circulation's maximum is one ``np.maximum.reduceat`` segment and a row
+block's peaks are taken slot by slot; with ``R_th >= 0`` the CPU
+temperature is non-decreasing in the power under round-to-nearest, so
+the law applied to the peak power is the hottest CPU's temperature (a
+setting with ``R_th < 0`` takes the per-cell maximum); the cluster fold
+is ``np.add.reduce`` along the circulation axis of a circulation-major
+plane, which NumPy adds one whole column after another (it sums
+pairwise only along the contiguous axis, so a one-step plane, whose
+circulations are that axis, takes ``np.add.accumulate``); and capacity
+/ strict-safety errors are replayed at the earliest offending cell in
+serial evaluation order.  ``tests/core/test_kernel.py`` and the golden
+fixtures enforce this.
 """
 
 from __future__ import annotations
@@ -78,11 +83,22 @@ __all__ = [
     "run_whole_trace",
 ]
 
-#: Cells per row block of the evaluate pass and the circulation maxima
-#: (``max(1, ROW_BLOCK_CELLS // n_servers)`` rows) and of the fold (``//
-#: n_circs`` rows): the block's float64 temporaries stay resident in a
-#: few-MB L2 cache.
+#: Cells per row block of the evaluate pass and of the decide phase's
+#: bucket labels and balanced means (``max(1, ROW_BLOCK_CELLS //
+#: n_servers)`` rows, ``// n_circs`` for the labels): the block's float64
+#: temporaries stay resident in a few-MB L2 cache.
 ROW_BLOCK_CELLS = 32_768
+
+#: Circulations per chunk when the fold scales the inlet and flow planes
+#: by circulation size: one chunk-sized buffer, never a plane-sized one.
+FOLD_CHUNK_CIRCS = 64
+
+#: The plane attributes of :class:`KernelColumns`, in field order, which
+#: is the order they are stacked in a column block
+#: (:func:`_column_planes`).  Sizes and violation counts are not planes.
+COLUMN_PLANES = ("generation_c", "heat_c", "chiller_power_c",
+                 "tower_power_c", "pump_power_c", "max_temp_c",
+                 "inlet_cell", "flow_cell")
 
 
 @dataclass
@@ -141,9 +157,11 @@ class KernelColumns:
     Everything phase 4 needs to fold into per-step cluster aggregates —
     and everything the sharding merge needs to stitch tiles from
     different shards back into whole-cluster planes before that fold.
-    All plane arrays have shape ``(n_steps, n_circs)``; ``sizes`` has
-    one entry per circulation; ``violations`` carry cluster-global
-    server/step identities.
+    All plane arrays have shape ``(n_steps, n_circs)`` and, from
+    :func:`run_kernel_columns`, are circulation-major views of one
+    :func:`_column_planes` block; ``sizes`` has one entry per
+    circulation; ``violations`` carry cluster-global server/step
+    identities.
     """
 
     generation_c: np.ndarray
@@ -219,15 +237,34 @@ def _slot_max(view: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _circulation_max(sim, plane: np.ndarray) -> np.ndarray:
-    """Every circulation's maximum of ``plane``, over cache-sized blocks."""
-    n_steps, n_servers = plane.shape
-    out = np.empty((n_steps, len(sim._groups)))
-    rows = max(1, ROW_BLOCK_CELLS // n_servers)
-    for first in range(0, n_steps, rows):
-        block = slice(first, first + rows)
-        for circs, _, view in _circulations(sim, plane[block]):
-            _slot_max(view, out[block, circs])
-    return out
+    """Every circulation's maximum of ``plane``.
+
+    One ``np.maximum.reduceat`` whose segments are the circulations
+    (the equal-size ones, then any ragged tail).
+    """
+    size = int(sim._groups[0].size)
+    return np.maximum.reduceat(plane, np.arange(0, plane.shape[1], size),
+                               axis=1)
+
+
+def _column_planes(n_steps: int, n_circs: int,
+                   buffer=None) -> np.ndarray:
+    """A ``(len(COLUMN_PLANES), n_steps, n_circs)`` block, circulation-major.
+
+    Indexed like a stack of ``(steps x circulations)`` planes but stored
+    one circulation after another, so the fold adds whole columns and a
+    tile of whole circulations is one contiguous slab.  ``buffer`` (a
+    shared-memory segment) backs the block when given.
+    """
+    shape = (len(COLUMN_PLANES), n_circs, n_steps)
+    block = (np.empty(shape) if buffer is None
+             else np.ndarray(shape, dtype=np.float64, buffer=buffer))
+    return block.transpose(0, 2, 1)
+
+
+def _is_column_block(planes: np.ndarray) -> bool:
+    """Whether ``planes`` has :func:`_column_planes`' layout."""
+    return planes.transpose(0, 2, 1).flags.c_contiguous
 
 
 def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
@@ -706,7 +743,7 @@ def run_kernel_columns(sim) -> KernelColumns:
     # Phase 2 — evaluate the models and reduce each row block at once.
     clock = time.perf_counter()
     with obs.span("kernel.evaluate"):
-        heat_c, generation_c, max_temp_c, counts, over = evaluate(
+        heat_rows, generation_rows, max_temp_rows, counts, over = evaluate(
             sim, plane, setting_id, applied_settings, in_range)
     timings.evaluate_s = time.perf_counter() - clock
 
@@ -726,20 +763,38 @@ def run_kernel_columns(sim) -> KernelColumns:
                               applied.flow_l_per_h, applied.inlet_temp_c)
             for applied in applied_settings])
 
-        chiller_heat = heat_c * fraction_by_sid[setting_id]
-        tower_heat = heat_c - chiller_heat
+        # The column block, named by its memory's ``(circulations x
+        # steps)`` planes, in which every cell expression below runs
+        # contiguously.
+        planes = _column_planes(*setting_id.shape)
+        (generation_t, heat_t, chiller_t, tower_t, pump_t, max_temp_t,
+         inlet_t, flow_t) = planes.transpose(0, 2, 1)
+        # Evaluate writes row blocks; its planes are transposed once,
+        # then freed.
+        np.copyto(generation_t, generation_rows.T)
+        np.copyto(heat_t, heat_rows.T)
+        np.copyto(max_temp_t, max_temp_rows.T)
+        del generation_rows, heat_rows, max_temp_rows
+        sid = np.ascontiguousarray(setting_id.T)
+
+        # The chiller and tower heats, in their power planes until the
+        # earliest error has read them.
+        np.multiply(heat_t, np.take(fraction_by_sid, sid, out=chiller_t),
+                    out=chiller_t)
+        np.subtract(heat_t, chiller_t, out=tower_t)
+        error = _earliest_error(sim, chiller_t.T, tower_t.T, over,
+                                interval_s)
         # Power splits are safe arithmetic even past a capacity breach,
         # so compute them unconditionally; the merge discards them when
         # an error wins.
-        chiller_power_c = chiller_heat / circulations[0].chiller.cop
-        tower_power_c = tower_heat / 1000.0 * tower.fan_power_w_per_kw
+        np.divide(chiller_t, circulations[0].chiller.cop, out=chiller_t)
+        np.divide(tower_t, 1000.0, out=tower_t)
+        np.multiply(tower_t, tower.fan_power_w_per_kw, out=tower_t)
         sizes = np.array([group.size for group in sim._groups])
-        pump_power_c = sizes[None, :] * pump_by_sid[setting_id]
-        inlet_cell = inlet_by_sid[setting_id]
-        flow_cell = flow_by_sid[setting_id]
-
-        error = _earliest_error(sim, chiller_heat, tower_heat, over,
-                                interval_s)
+        np.multiply(sizes[:, None], np.take(pump_by_sid, sid, out=pump_t),
+                    out=pump_t)
+        np.take(inlet_by_sid, sid, out=inlet_t)
+        np.take(flow_by_sid, sid, out=flow_t)
         violations: list[SafetyViolation] = []
         violation_counts = np.zeros(trace.n_steps, dtype=np.int64)
         if error is None:
@@ -754,57 +809,63 @@ def run_kernel_columns(sim) -> KernelColumns:
                 for step, server, temp in zip(*over)]
     timings.reduce_s = time.perf_counter() - clock
 
-    return KernelColumns(
-        generation_c=generation_c,
-        heat_c=heat_c,
-        chiller_power_c=chiller_power_c,
-        tower_power_c=tower_power_c,
-        pump_power_c=pump_power_c,
-        max_temp_c=max_temp_c,
-        inlet_cell=inlet_cell,
-        flow_cell=flow_cell,
-        sizes=sizes,
-        violation_counts=violation_counts,
-        violations=violations,
-        error=error,
-    )
+    return KernelColumns(*planes, sizes=sizes,
+                         violation_counts=violation_counts,
+                         violations=violations, error=error)
+
+
+def _step_totals(cells: np.ndarray, sizes: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Each step's circulations of ``cells`` added one after another.
+
+    On a circulation-major plane ``np.add.reduce`` along the circulations
+    adds whole columns in order; NumPy sums pairwise only along the
+    contiguous axis, so another layout is copied first and a one-step
+    plane takes ``np.add.accumulate``.  ``sizes`` scales each column, in
+    :data:`FOLD_CHUNK_CIRCS` chunks behind the running total, so no
+    plane-sized product is built.  ``+ 0.0`` makes an all ``-0.0`` step
+    the ``+0.0`` a fold from zero gives.
+    """
+    n_steps, n_circs = cells.shape
+    if n_steps == 1:
+        if sizes is not None:
+            cells = cells * sizes
+        return np.add.accumulate(cells, axis=1)[:, -1] + 0.0
+    if cells.strides[0] > cells.strides[1]:
+        cells = np.asfortranarray(cells)
+    if sizes is None:
+        total = np.add.reduce(cells, axis=1)
+        return np.add(total, 0.0, out=total)
+    total = np.zeros(n_steps)
+    chunk = min(FOLD_CHUNK_CIRCS, n_circs)
+    buffer = np.empty((chunk + 1, n_steps)).T
+    for first in range(0, n_circs, chunk):
+        last = min(first + chunk, n_circs)
+        block = buffer[:, :1 + last - first]
+        block[:, 0] = total
+        np.multiply(cells[:, first:last], sizes[first:last],
+                    out=block[:, 1:])
+        np.add.reduce(block, axis=1, out=total)
+    return total
 
 
 def fold_columns(columns: KernelColumns, n_servers: int) -> dict:
     """Phase 4: fold circulation columns into per-step cluster columns.
 
     Sequential adds in circulation order over *full-length* columns —
-    exactly the serial ``_aggregate_step`` accumulation.  The sharding
-    merge calls this once on stitched whole-cluster columns rather than
-    summing per-shard subtotals, because float addition is not
-    associative and only this order reproduces the unsharded fold bit
-    for bit.
-
-    Each row block is summed by ``np.add.accumulate`` along its
-    circulations, which adds them one after another like the serial
-    loop; its last column is the row's total.  ``+ 0.0`` makes an all
-    ``-0.0`` row the ``+0.0`` a fold from zero gives.
+    exactly the serial ``_aggregate_step`` accumulation (see
+    :func:`_step_totals`).  The sharding merge calls this once on
+    stitched whole-cluster columns rather than summing per-shard
+    subtotals, because float addition is not associative and only this
+    order reproduces the unsharded fold bit for bit.
     """
-    n_steps, n_circs = columns.heat_c.shape
-    rows = max(1, ROW_BLOCK_CELLS // n_circs)
-    buffer = np.empty((min(rows, n_steps), n_circs))
-    sums = {name: np.empty(n_steps) for name in (
+    sums = {name: _step_totals(getattr(columns, name)) for name in (
         "generation_c", "heat_c", "chiller_power_c", "tower_power_c",
-        "pump_power_c", "inlet_cell", "flow_cell")}
-    max_cpu_temp = np.empty(n_steps)
-    for first in range(0, n_steps, rows):
-        last = min(first + rows, n_steps)
-        block = slice(first, last)
-        out = buffer[:last - first]
-        for name, total in sums.items():
-            cells = getattr(columns, name)[block]
-            if name in ("inlet_cell", "flow_cell"):
-                # One term per server, so the total / n_servers is a mean.
-                cells = np.multiply(cells, columns.sizes, out=out)
-            np.add.accumulate(cells, axis=1, out=out)
-            np.add(out[:, -1], 0.0, out=total[block])
-        max_cpu_temp[block] = columns.max_temp_c[block].max(
-            axis=1, initial=-np.inf)
+        "pump_power_c")}
+    for name in ("inlet_cell", "flow_cell"):
+        # One term per server, so the total / n_servers is a mean.
+        sums[name] = _step_totals(getattr(columns, name), columns.sizes)
+    max_cpu_temp = columns.max_temp_c.max(axis=1, initial=-np.inf)
     return {
         "generation_per_cpu_w": sums["generation_c"] / n_servers,
         "cpu_power_per_cpu_w": sums["heat_c"] / n_servers,

@@ -99,11 +99,14 @@ from .engine import (
     _Unit,
 )
 from .kernel import (
+    COLUMN_PLANES,
     KernelColumns,
     KernelTimings,
+    _column_planes,
     _columnar_result,
     _decide_phase,
     _decision_memo,
+    _is_column_block,
     run_kernel_columns,
 )
 from .results import SimulationResult
@@ -552,13 +555,6 @@ def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
 # Shared column blocks (zero-copy shard results)
 # ----------------------------------------------------------------------
 
-#: The plane attributes of :class:`~repro.core.kernel.KernelColumns`, in
-#: the order they are stacked inside a shared column block.  Sizes and
-#: violation counts are not planes — they ride back on the outcome.
-COLUMN_PLANES = ("generation_c", "heat_c", "chiller_power_c",
-                 "tower_power_c", "pump_power_c", "max_temp_c",
-                 "inlet_cell", "flow_cell")
-
 
 @dataclass(frozen=True)
 class ShardColumnRef:
@@ -569,8 +565,12 @@ class ShardColumnRef:
     handle with every shard payload; workers write their tile's planes
     straight into the block instead of pickling them back, so a shard's
     return value shrinks from the full tile (megabytes at fleet scale)
-    to the spec plus two small vectors.  The segment is owned (and
-    unlinked after the merge) by the engine that created it.
+    to the spec plus two small vectors.  The block is laid out by
+    :func:`~repro.core.kernel._column_planes`, circulation-major (the
+    :attr:`shape` is its index shape), so a tile of whole circulations
+    writes one contiguous slab of each plane and a worker maps only
+    those pages.  The segment is owned (and unlinked after the merge)
+    by the engine that created it.
     """
 
     shm_name: str
@@ -602,7 +602,7 @@ def _column_block(ref: ShardColumnRef) -> np.ndarray:
             except (OSError, BufferError):  # pragma: no cover - defensive
                 pass
         block = shared_memory.SharedMemory(name=ref.shm_name)
-        planes = np.ndarray(ref.shape, dtype=np.float64, buffer=block.buf)
+        planes = _column_planes(ref.n_steps, ref.n_circs, block.buf)
         entry = _WORKER_COLUMN_BLOCKS[ref.shm_name] = (block, planes)
     return entry[1]
 
@@ -710,10 +710,12 @@ class StreamingMerge:
     stacked planes — the engine passes a shared-memory block here so
     workers can write their tiles into it directly
     (:func:`_publish_columns`) and :meth:`add` folds only the small
-    non-plane remainder.  Outcomes that do carry ``columns`` (serial
-    runs, thread pools, resumed checkpoints, process tiles saved to a
-    checkpoint) are stitched coordinator-side exactly as before; the
-    two kinds mix freely within one merge.
+    non-plane remainder.  Either way the block has
+    :func:`~repro.core.kernel._column_planes`' circulation-major layout,
+    which the fold reads without copying.  Outcomes that do carry
+    ``columns`` (serial runs, thread pools, resumed checkpoints, process
+    tiles saved to a checkpoint) are stitched coordinator-side exactly
+    as before; the two kinds mix freely within one merge.
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig, *,
@@ -751,11 +753,13 @@ class StreamingMerge:
             self._n_circs = n_circs
             shape = (len(COLUMN_PLANES), n_steps, n_circs)
             if plane_block is None:
-                plane_block = np.empty(shape)
-            elif plane_block.shape != shape:
+                plane_block = _column_planes(n_steps, n_circs)
+            elif (plane_block.shape != shape
+                  or not _is_column_block(plane_block)):
                 raise ConfigurationError(
-                    f"plane block has shape {plane_block.shape}, "
-                    f"expected {shape}")
+                    f"plane block has shape {plane_block.shape} and "
+                    f"strides {plane_block.strides}, expected a "
+                    f"circulation-major block of shape {shape}")
             self._planes = plane_block
             self._sizes = np.empty(n_circs, dtype=np.int64)
             self._violation_counts = np.zeros(n_steps, dtype=np.int64)
@@ -986,7 +990,9 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
       the remaining tiles the memo an uninterrupted run would have.
       Its policy starts empty, so each memo entry counts as one of the
       job's misses, once: the pre-pass records no telemetry, and the
-      tiles look each entry up as a hit.
+      tiles look each entry up as a hit.  Every saved tile records that
+      count, so a job resumed whole, which primes nothing, reports the
+      uninterrupted run's decision counts.
     * A shard that raises is retried up to ``max_retries`` times, with
       the engine's backoff; one that may not be retried again fails the
       job with its error.
@@ -1008,15 +1014,18 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
     primed_misses = 0
 
     def resume(spec: ShardSpec) -> dict | None:
+        nonlocal primed_misses
         saved = store.load_shard(spec.index) if store is not None else None
         if saved is not None:
             merge.add(saved["outcome"])
+            primed_misses = saved.get("primed_misses", primed_misses)
             health.shard_done()
         return saved
 
     def land(unit: _Unit, outcome: ShardOutcome) -> None:
         if store is not None:
-            store.save_shard(outcome.spec.index, outcome)
+            store.save_shard(outcome.spec.index, outcome,
+                             primed_misses=primed_misses)
         merge.add(outcome)
         health.shard_done()
 

@@ -43,6 +43,12 @@ class DatacenterSimulator:
         The scheme to evaluate.
     cpu_model / teg_module:
         Shared hardware models (defaults: the paper-calibrated ones).
+
+    Circulations of one size share one :class:`WaterCirculation` model
+    object (a cluster has at most two sizes: the full one and a ragged
+    tail): a circulation's evaluation reads its model and keeps no
+    state of its own, apart from the CDU's last applied setting, which
+    no step reads back.
     """
 
     trace: WorkloadTrace
@@ -72,16 +78,14 @@ class DatacenterSimulator:
         self._policy = self.config.build_policy(self.cpu_model,
                                                 self.teg_module)
         self._groups = self._partition_servers()
-        self._circulations = [
-            WaterCirculation(
-                n_servers=len(group),
-                cpu_model=self.cpu_model,
-                teg_module=self.teg_module,
-                cold_source_temp_c=self.config.cold_source_temp_c,
-                wet_bulb_c=self.config.wet_bulb_c,
-            )
-            for group in self._groups
-        ]
+        models = {size: WaterCirculation(
+            n_servers=size,
+            cpu_model=self.cpu_model,
+            teg_module=self.teg_module,
+            cold_source_temp_c=self.config.cold_source_temp_c,
+            wet_bulb_c=self.config.wet_bulb_c,
+        ) for size in {len(group) for group in self._groups}}
+        self._circulations = [models[len(group)] for group in self._groups]
         self._fault_runtime = (
             None if self.faults is None or not len(self.faults)
             else FaultRuntime(self.faults, self.trace.n_servers,

@@ -519,17 +519,31 @@ FOLD_CELLS = st.one_of(
 class TestReductionOracles:
     """Each rewritten reduction equals the code it replaced, bit for bit."""
 
+    @staticmethod
+    def assert_folds_equal(got, want):
+        assert list(got) == list(want)
+        for name in want:
+            # Where two different NaNs meet (a NaN cell and inf - inf),
+            # IEEE 754 leaves the result's payload to the implementation,
+            # and NumPy's elementwise add and its reduction loops keep
+            # different operands'.  Every other cell, signed zeros
+            # included, is compared bit for bit.
+            nan = np.isnan(want[name])
+            assert np.array_equal(np.isnan(got[name]), nan), name
+            assert np.array_equal(got[name][~nan].view(np.int64),
+                                  want[name][~nan].view(np.int64)), name
+
     @settings(max_examples=60, deadline=None)
     @given(
         n_circs=st.integers(min_value=1, max_value=30),
         size=st.integers(min_value=1, max_value=25),
         tail=st.integers(min_value=1, max_value=25),
         n_steps=st.integers(min_value=1, max_value=12),
-        block_rows=st.integers(min_value=1, max_value=5),
+        chunk_circs=st.integers(min_value=1, max_value=5),
         data=st.data(),
     )
     def test_fold_equals_per_circulation_loop(self, n_circs, size, tail,
-                                              n_steps, block_rows, data):
+                                              n_steps, chunk_circs, data):
         sizes = np.array([size] * (n_circs - 1) + [min(tail, size)])
         planes = [data.draw(arrays(float, (n_steps, n_circs),
                                    elements=FOLD_CELLS))
@@ -541,30 +555,42 @@ class TestReductionOracles:
         negative_zero_row = data.draw(st.integers(0, n_steps - 1))
         for plane in planes:
             plane[negative_zero_row] = -0.0
-        columns = kernel_module.KernelColumns(
-            *planes, sizes=sizes,
-            violation_counts=np.zeros(n_steps, dtype=np.int64))
+        # The same planes row-major (as built here) and in the kernel's
+        # circulation-major column block.
+        block = kernel_module._column_planes(n_steps, n_circs)
+        block[...] = planes
         n_servers = int(sizes.sum())
-        with pytest.MonkeyPatch.context() as patch, \
-                np.errstate(invalid="ignore", over="ignore"):
-            want = oracle_fold_columns(columns, n_servers)
-            # Several row blocks, the last one usually ragged.
-            patch.setattr(kernel_module, "ROW_BLOCK_CELLS",
-                          block_rows * n_circs)
-            got = kernel_module.fold_columns(columns, n_servers)
-        assert list(got) == list(want)
-        for name in want:
-            # Where two different NaNs meet (a NaN cell and inf - inf),
-            # IEEE 754 leaves the result's payload to the implementation,
-            # and NumPy's elementwise add and its accumulate loop keep
-            # different operands'.  Every other cell, signed zeros
-            # included, is compared bit for bit.
-            nan = np.isnan(want[name])
-            assert np.array_equal(np.isnan(got[name]), nan), name
-            assert np.array_equal(got[name][~nan].view(np.int64),
-                                  want[name][~nan].view(np.int64)), name
-        assert got["generation_per_cpu_w"][negative_zero_row] == 0.0
-        assert not np.signbit(got["chiller_power_w"][negative_zero_row])
+        for stack in (planes, block):
+            columns = kernel_module.KernelColumns(
+                *stack, sizes=sizes,
+                violation_counts=np.zeros(n_steps, dtype=np.int64))
+            with pytest.MonkeyPatch.context() as patch, \
+                    np.errstate(invalid="ignore", over="ignore"):
+                want = oracle_fold_columns(columns, n_servers)
+                # Several scaling chunks, the last one usually ragged.
+                patch.setattr(kernel_module, "FOLD_CHUNK_CIRCS", chunk_circs)
+                got = kernel_module.fold_columns(columns, n_servers)
+            self.assert_folds_equal(got, want)
+            assert got["generation_per_cpu_w"][negative_zero_row] == 0.0
+            assert not np.signbit(got["chiller_power_w"][negative_zero_row])
+
+    @pytest.mark.parametrize("n_circs", [8, 9, 31, 64, 200])
+    def test_one_step_fold_adds_in_order(self, n_circs):
+        # A one-step plane's circulations are its contiguous axis, along
+        # which a reduce sums pairwise: random magnitudes round
+        # differently in that order, so this pins the sequential path.
+        rng = np.random.default_rng(n_circs)
+        sizes = rng.integers(1, 21, size=n_circs)
+        for draw in range(30):
+            block = kernel_module._column_planes(1, n_circs)
+            block[...] = (rng.standard_normal(block.shape)
+                          * 10.0 ** rng.integers(-3, 9, size=block.shape))
+            columns = kernel_module.KernelColumns(
+                *block, sizes=sizes,
+                violation_counts=np.zeros(1, dtype=np.int64))
+            self.assert_folds_equal(
+                kernel_module.fold_columns(columns, int(sizes.sum())),
+                oracle_fold_columns(columns, int(sizes.sum())))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -572,24 +598,28 @@ class TestReductionOracles:
         full=st.integers(min_value=1, max_value=6),
         tail=st.integers(min_value=0, max_value=24),
         n_steps=st.integers(min_value=1, max_value=12),
-        block_cells=st.integers(min_value=1, max_value=200),
+        margins=st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
         data=st.data(),
     )
     def test_circulation_max_equals_axis_max(self, size, full, tail,
-                                             n_steps, block_cells, data):
+                                             n_steps, margins, data):
         tail %= size  # 0: no ragged circulation; 1: a 1-wide tail
         n_servers = full * size + tail
-        plane = data.draw(arrays(float, (n_steps, n_servers),
-                                 elements=FOLD_CELLS))
+        top, bottom, left, right = margins
+        wide = data.draw(arrays(float, (top + n_steps + bottom,
+                                        left + n_servers + right),
+                                elements=FOLD_CELLS))
         groups = [np.arange(start, min(start + size, n_servers))
                   for start in range(0, n_servers, size)]
         sim = SimpleNamespace(_groups=groups)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
+        # The plane itself, and a strided window of a wider plane, as a
+        # tile sees its slice of the trace.
+        window = wide[top:top + n_steps, left:left + n_servers]
+        for plane in (window.copy(), window):
             got = kernel_module._circulation_max(sim, plane)
-        assert np.array_equal(
-            got, oracle_per_circulation(groups, plane, np.max),
-            equal_nan=True)
+            assert np.array_equal(
+                got, oracle_per_circulation(groups, plane, np.max),
+                equal_nan=True)
 
     @pytest.mark.parametrize("config,resolution", [
         (teg_original(), None),

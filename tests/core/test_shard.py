@@ -313,6 +313,23 @@ class TestPrimeDecisions:
             == (whole.cache_hits, whole.cache_misses)
         assert whole.cache_misses > 0
 
+    def test_full_resume_reports_the_uninterrupted_counts(self, tmp_path):
+        # A rerun that loads every tile from the checkpoint primes
+        # nothing; the saved tiles carry the prime pass's miss count.
+        trace, config = small_trace(n_servers=40, steps=48), teg_original()
+        unsharded = simulate(trace, config, mode="kernel").metrics
+        runs = [simulate_sharded(trace, config, shard_servers=20,
+                                 shard_steps=12, checkpoint=tmp_path)
+                for _ in range(2)]
+        first, resumed = (run.metrics for run in runs)
+        assert (first.n_shards, first.shards_resumed) == (8, 0)
+        assert (resumed.n_shards, resumed.shards_resumed) == (8, 8)
+        assert runs[1].records == runs[0].records
+        assert unsharded.cache_misses > 0
+        for metrics in (first, resumed):
+            assert (metrics.cache_hits, metrics.cache_misses) \
+                == (unsharded.cache_hits, unsharded.cache_misses)
+
     def test_clone_cache_copies_the_memo(self):
         trace = small_trace()
         primed = prime_decisions(trace, teg_original())
@@ -452,6 +469,50 @@ class TestStreamingMerge:
         with pytest.raises(ConfigurationError, match="kind"):
             StreamingMerge(trace, config, kind="speculative")
 
+    def test_fold_reads_circulation_major_planes(self, monkeypatch):
+        # The kernel and the merge hand the fold circulation-major
+        # planes, which it reduces in place: a row-major plane would be
+        # copied first.
+        layouts = []
+        fold = kernel.fold_columns
+
+        def spy(columns, n_servers):
+            layouts.append([getattr(columns, name).flags.f_contiguous
+                            for name in COLUMN_PLANES])
+            return fold(columns, n_servers)
+
+        monkeypatch.setattr(kernel, "fold_columns", spy)
+        trace, config, _, outcomes = self.setup_run()
+        assert all(getattr(outcome.columns, name).flags.f_contiguous
+                   for outcome in outcomes for name in COLUMN_PLANES)
+        merge = StreamingMerge(trace, config, kind="kernel")
+        for outcome in outcomes:
+            merge.add(outcome)
+        merged = merge.result()
+        reference = simulate(trace, config, mode="kernel")
+        assert merged.records == reference.records
+        assert layouts == [[True] * len(COLUMN_PLANES)] * 2
+
+    def test_row_major_outcomes_still_merge(self):
+        # An outcome saved before the column planes were circulation-
+        # major resumes into the same bits.
+        trace, config, _, outcomes = self.setup_run()
+        merge = StreamingMerge(trace, config, kind="kernel")
+        for outcome in outcomes:
+            for name in COLUMN_PLANES:
+                setattr(outcome.columns, name, np.ascontiguousarray(
+                    getattr(outcome.columns, name)))
+            merge.add(outcome)
+        reference = simulate(trace, config, mode="kernel")
+        assert merge.result().records == reference.records
+
+    def test_row_major_plane_block_rejected(self):
+        trace, config = small_trace(), teg_original()
+        n_circs = -(-trace.n_servers // config.circulation_size)
+        with pytest.raises(ConfigurationError, match="circulation-major"):
+            StreamingMerge(trace, config, kind="kernel", plane_block=np.empty(
+                (len(COLUMN_PLANES), trace.n_steps, n_circs)))
+
     def test_phase_timings_aggregate_across_shards(self):
         trace, config, specs, outcomes = self.setup_run()
         merge = StreamingMerge(trace, config, kind="kernel")
@@ -528,10 +589,11 @@ class TestZeroCopyColumns:
         block = shared_memory.SharedMemory(
             create=True, size=int(np.prod(shape)) * 8)
         try:
-            planes = np.ndarray(shape, dtype=np.float64, buffer=block.buf)
+            planes = kernel._column_planes(trace.n_steps, n_circs,
+                                           block.buf)
             ref = ShardColumnRef(shm_name=block.name,
                                  n_steps=trace.n_steps, n_circs=n_circs)
-            assert ref.shape == shape
+            assert ref.shape == planes.shape == shape
             # Publish every other outcome through the worker path; the
             # rest stay fat (the thread-pool / resume shape).  Both
             # kinds must mix freely within one merge.

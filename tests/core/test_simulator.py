@@ -32,6 +32,17 @@ class TestConstruction:
                                   SimulationConfig(circulation_size=20))
         assert sim.n_circulations == 2
 
+    def test_one_circulation_model_per_size(self):
+        # 20 + 20 + 7: the two full circulations share one model object
+        # and the ragged tail has its own.
+        sim = DatacenterSimulator(flat_trace(servers=47),
+                                  SimulationConfig(circulation_size=20))
+        models = sim._circulations
+        assert len(models) == sim.n_circulations == 3
+        assert len({id(model) for model in models}) == 2
+        assert models[0] is models[1]
+        assert [model.n_servers for model in models] == [20, 20, 7]
+
 
 class TestTraceWidthGuard:
     def test_narrower_trace_raises_configuration_error(self):
