@@ -1,43 +1,33 @@
-"""Compare engine throughput against the committed baselines.
+"""Compare fresh engine benchmark measurements against ``baseline.json``.
 
-Usage (from the repository root)::
+Usage (from the repository root, with ``PYTHONPATH=src:benchmarks``)::
 
-    PYTHONPATH=src:benchmarks python benchmarks/check_engine_baseline.py
-    PYTHONPATH=src:benchmarks python benchmarks/check_engine_baseline.py --all
-    PYTHONPATH=src:benchmarks python benchmarks/check_engine_baseline.py --update
+    python benchmarks/check_engine_baseline.py              # every scenario
+    python benchmarks/check_engine_baseline.py fleet cache  # two of them
+    python benchmarks/check_engine_baseline.py --update     # re-baseline
 
-Without ``--update`` the script re-measures a scenario and fails
-(exit 1) if any checked figure drops below ``TOLERANCE`` x its
-committed baseline.  The tolerance is deliberately generous — CI
-runners are noisy and heterogeneous; the check exists to catch large,
-real regressions (an accidentally quadratic loop, a lost fast path),
-not small scheduling jitter.  With ``--update`` it rewrites the
-selected baseline(s) from a fresh measurement instead.
-
-Scenarios (``--all`` runs every one in a single invocation — the CI
-entry point):
-
-* default (``BENCH_engine.json``): kernel and serial-loop throughput
-  on the pinned 1,000-step x 200-server trace.
-* ``--fleet`` (``BENCH_fleet.json``): the fleet-scale sharded scenario
-  (12,500 servers x 8,900 steps); the measurement itself asserts
-  shard/unshard bit-parity and the bounded worker payload, and the
-  check enforces the checkpoint-off envelope — with no checkpoint
-  directory configured the sharded path must stay within 3 % of its
-  committed baseline (machine-normalised against the unsharded
-  kernel, which carries no checkpoint plumbing).
-* ``--cache`` (``BENCH_cache.json``): the result-cache scenario (the
-  same fleet trace through ``simulate_sharded``): the warm-hit speedup
-  floor and the cache-off envelope, normalised the same way.
-* ``--pipeline`` (``BENCH_pipeline.json``): the batched-decision A/B —
-  the kernel's decide phase with the vectorised path on versus the
-  scalar loop a policy without ``decide_batch`` takes, enforcing the
-  committed speedup floor.
-
-``--report-dir DIR`` additionally writes each scenario's fresh
-measurement as ``DIR/BENCH_<scenario>.json`` so CI can archive the
+The script measures the named scenarios (every one when none is
+named), prints each figure beside its committed baseline and fails
+(exit 1) when a row of :data:`RULES` does not hold.  With ``--update``
+it writes the fresh measurement into ``baseline.json`` instead of
+checking it.  ``--report-dir DIR`` also writes the measurement as
+``DIR/report.json``, in the baseline's shape, so CI can archive the
 numbers (the ``bench-history`` artifact) without touching the
-committed baselines.
+committed baseline.
+
+``baseline.json`` holds one section per scenario:
+
+* ``engine``: kernel and serial-loop throughput on the pinned
+  1,000-step x 200-server trace (``test_bench_engine.py``);
+* ``fleet``: the sharded and unsharded kernel on the 12,500-server x
+  8,900-step fleet trace (``test_bench_fleet_scale.py``);
+* ``cache``: the result cache on the same fleet trace
+  (``test_bench_cache.py``);
+* ``pipeline``: the kernel's decide phase with the batched decision
+  path on and forced off (``test_bench_pipeline.py``).
+
+Every measurement asserts its own bit-parity before it returns a
+number, so a fast but wrong path never posts a good figure.
 """
 
 from __future__ import annotations
@@ -46,56 +36,100 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-#: A checked figure fails below this fraction of its baseline.
+#: The committed baselines, one section per scenario.
+BASELINE = Path(__file__).parent / "baseline.json"
+
+#: A ``relative`` figure fails below this fraction of its baseline.
+#: Deliberately generous: CI runners are noisy and heterogeneous, and
+#: the check exists to catch large, real regressions (an accidentally
+#: quadratic loop, a lost fast path), not scheduling jitter.
 TOLERANCE = 0.25
 
-#: The default scenario's figures: the serial cached loop, kernel with
-#: telemetry off, and kernel under a live repro.obs session (so a
-#: telemetry-hook regression is caught even though the default path
-#: has telemetry disabled).
-CHECKED_FIELDS = ("loop_steps_per_s", "kernel_steps_per_s",
-                  "kernel_telemetry_steps_per_s")
+#: An ``envelope`` figure may fall at most this fraction below its
+#: baseline, after :func:`envelope` has normalised it.
+ENVELOPE = 0.03
 
-#: The fleet (``--fleet``) figures, from ``BENCH_fleet.json``: the
-#: sharded engine on the 12,500 x 8,900 synthetic-Google scenario.
-FLEET_CHECKED_FIELDS = ("sharded_cells_per_s", "unsharded_cells_per_s")
 
-#: The result-cache (``--cache``) figures, from ``BENCH_cache.json``:
-#: the cache-off recompute, the kernel normaliser and the warm hit.
-CACHE_CHECKED_FIELDS = ("direct_cells_per_s", "kernel_cells_per_s",
-                        "warm_cells_per_s")
+def envelope(base: dict, now: dict, figure: str, normaliser: str) -> float:
+    """The kinder of ``figure``'s now/baseline ratio and that ratio
+    divided by ``normaliser``'s.
 
-#: The pipeline (``--pipeline``) figures, from ``BENCH_pipeline.json``:
-#: the decide phase with the batch path on and forced off.
-PIPELINE_CHECKED_FIELDS = ("batched_decide_steps_per_s",
-                           "scalar_decide_steps_per_s")
+    The direct ratio is right on the machine that wrote the baseline;
+    the normalised one cancels a uniformly slower runner.  A slowdown
+    of the figure's own path, which the normaliser does not share,
+    fails both.
+    """
+    direct = now[figure] / base[figure]
+    return max(direct, direct / (now[normaliser] / base[normaliser]))
 
-#: With the result cache *disabled* (``result_cache=False``), the
-#: sharded path must stay within this fraction of its committed
-#: baseline — same envelope and same kernel normalisation as the
-#: checkpoint-off guard (the kernel path shares the cache branches'
-#: host but not their cost, so only a cache-plumbing slowdown trips
-#: it).
-CACHE_OFF_TOLERANCE = 0.03
 
-#: The committed warm-hit speedup may degrade to no less than this
-#: floor (the ISSUE 8 acceptance criterion).
-CACHE_WARM_SPEEDUP_FLOOR = 20.0
+class Rule(NamedTuple):
+    """One bound on one figure of one scenario's measurement.
 
-#: With checkpointing *disabled* (the default), the sharded path must
-#: stay within this fraction of its committed baseline — the same 3 %
-#: envelope the telemetry-off guard uses.  The ratio is normalised by
-#: the unsharded kernel figure measured in the same run: the kernel
-#: path carries no checkpoint plumbing, so a uniformly slower runner
-#: cancels out and only a sharded-path-specific slowdown (the
-#: checkpoint branches) can trip the guard.
-FLEET_CHECKPOINT_OFF_TOLERANCE = 0.03
+    ``relative``: the figure is at least ``bound`` x its baseline.
+    ``envelope``: :func:`envelope` of the figure over ``normaliser`` is
+    at least ``1 - bound``.  ``floor``: the figure is at least
+    ``bound``.
+    """
 
-#: The batched decide path must stay at least this many times faster
-#: than the scalar loop (the ISSUE 9 acceptance criterion).  Phase
-#: times come from the same run, so runner speed cancels out.
-PIPELINE_DECIDE_SPEEDUP_FLOOR = 3.0
+    scenario: str
+    figure: str
+    kind: str
+    bound: float
+    normaliser: str | None = None
+
+    def check(self, base: dict, now: dict) -> tuple[float, float, bool]:
+        """``(reading, least, reading >= least)`` for one measurement."""
+        if self.kind == "relative":
+            reading, least = now[self.figure], base[self.figure] * self.bound
+        elif self.kind == "envelope":
+            reading = envelope(base, now, self.figure, self.normaliser)
+            least = 1.0 - self.bound
+        else:
+            reading, least = now[self.figure], self.bound
+        return reading, least, reading >= least
+
+
+#: Every bound the engine benchmarks are held to, in scenario order.
+RULES = (
+    # The serial cached loop, the kernel with telemetry off, and the
+    # kernel under a live repro.obs session (so a telemetry-hook
+    # regression is caught although the default path runs without).
+    Rule("engine", "loop_steps_per_s", "relative", TOLERANCE),
+    Rule("engine", "kernel_steps_per_s", "relative", TOLERANCE),
+    Rule("engine", "kernel_telemetry_steps_per_s", "relative", TOLERANCE),
+    Rule("fleet", "sharded_cells_per_s", "relative", TOLERANCE),
+    Rule("fleet", "unsharded_cells_per_s", "relative", TOLERANCE),
+    # With no checkpoint directory the sharded path stays within the
+    # envelope.  The unsharded kernel carries no checkpoint plumbing,
+    # so only a slowdown in the checkpoint branches can trip it.
+    Rule("fleet", "sharded_cells_per_s", "envelope", ENVELOPE,
+         "unsharded_cells_per_s"),
+    Rule("cache", "direct_cells_per_s", "relative", TOLERANCE),
+    Rule("cache", "kernel_cells_per_s", "relative", TOLERANCE),
+    Rule("cache", "warm_cells_per_s", "relative", TOLERANCE),
+    # The same envelope with the result cache off (``result_cache=
+    # False``); the kernel carries no cache plumbing either.
+    Rule("cache", "direct_cells_per_s", "envelope", ENVELOPE,
+         "kernel_cells_per_s"),
+    # A fleet run answered from the cache (a ~1 MB entry) is at least
+    # this many times faster than recomputing its ~111 M plane cells.
+    Rule("cache", "warm_speedup", "floor", 20.0),
+    Rule("pipeline", "batched_decide_steps_per_s", "relative", TOLERANCE),
+    Rule("pipeline", "scalar_decide_steps_per_s", "relative", TOLERANCE),
+    # The batched decide phase is at least this many times faster than
+    # the scalar loop, with room for slow CI runners; both phase times
+    # come from one run, so runner speed cancels out.
+    Rule("pipeline", "decide_speedup", "floor", 3.0),
+)
+
+
+def floor(scenario: str, figure: str) -> float:
+    """The bound of the ``floor`` rule on ``scenario``'s ``figure``."""
+    return next(rule.bound for rule in RULES
+                if rule[:3] == (scenario, figure, "floor"))
 
 
 def _measure(scenario: str) -> dict:
@@ -118,187 +152,82 @@ def _measure(scenario: str) -> dict:
     return measure_kernel_throughput()
 
 
-SCENARIOS = {
-    "engine": (Path(__file__).parent / "BENCH_engine.json",
-               CHECKED_FIELDS),
-    "fleet": (Path(__file__).parent / "BENCH_fleet.json",
-              FLEET_CHECKED_FIELDS),
-    "cache": (Path(__file__).parent / "BENCH_cache.json",
-              CACHE_CHECKED_FIELDS),
-    "pipeline": (Path(__file__).parent / "BENCH_pipeline.json",
-                 PIPELINE_CHECKED_FIELDS),
-}
+def _figures(section: dict, prefix: str = ""):
+    """``(dotted name, value)`` of every figure in ``section``."""
+    for name, value in sorted(section.items()):
+        if isinstance(value, dict):
+            yield from _figures(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
 
 
-def _check_fleet(baseline: dict, report: dict) -> bool:
-    failed = False
-    print(f"{'shards':<20} baseline "
-          f"{baseline.get('n_shards', 0):>10}  "
-          f"now {report['n_shards']:>10}")
-    print(f"{'payload bytes':<20} baseline "
-          f"{baseline.get('payload_bytes', 0):>10}  "
-          f"now {report['payload_bytes']:>10}")
-    print(f"{'sharded/unsharded':<20} baseline "
-          f"{baseline.get('sharded_vs_unsharded', float('nan')):>10.2f}  "
-          f"now {report['sharded_vs_unsharded']:>10.2f}")
-    if all(baseline.get(f) for f in FLEET_CHECKED_FIELDS):
-        direct = (report["sharded_cells_per_s"]
-                  / baseline["sharded_cells_per_s"])
-        machine = (report["unsharded_cells_per_s"]
-                   / baseline["unsharded_cells_per_s"])
-        # Take the kinder of the direct and machine-normalised
-        # ratios (see FLEET_CHECKPOINT_OFF_TOLERANCE).
-        ratio = max(direct, direct / machine)
-        ok = ratio >= 1.0 - FLEET_CHECKPOINT_OFF_TOLERANCE
-        failed = failed or not ok
-        print(f"{'ckpt-off overhead':<20} sharded at {ratio:>9.2f}x "
-              f"baseline (floor "
-              f"{1.0 - FLEET_CHECKPOINT_OFF_TOLERANCE:.0%})  "
-              f"[{'ok' if ok else 'REGRESSION'}]")
-    return failed
-
-
-def _check_cache(baseline: dict, report: dict) -> bool:
-    failed = False
-    print(f"{'entry bytes':<20} baseline "
-          f"{baseline.get('entry_bytes', 0):>10}  "
-          f"now {report['entry_bytes']:>10}")
-    speedup_ok = report["warm_speedup"] >= CACHE_WARM_SPEEDUP_FLOOR
-    failed = failed or not speedup_ok
-    print(f"{'warm speedup':<20} baseline "
-          f"{baseline.get('warm_speedup', float('nan')):>9.1f}x "
-          f"now {report['warm_speedup']:>9.1f}x (floor "
-          f"{CACHE_WARM_SPEEDUP_FLOOR:.0f}x)  "
-          f"[{'ok' if speedup_ok else 'REGRESSION'}]")
-    if all(baseline.get(f) for f in ("direct_cells_per_s",
-                                     "kernel_cells_per_s")):
-        direct = (report["direct_cells_per_s"]
-                  / baseline["direct_cells_per_s"])
-        machine = (report["kernel_cells_per_s"]
-                   / baseline["kernel_cells_per_s"])
-        # Take the kinder of the direct and machine-normalised
-        # ratios (see CACHE_OFF_TOLERANCE).
-        ratio = max(direct, direct / machine)
-        ok = ratio >= 1.0 - CACHE_OFF_TOLERANCE
-        failed = failed or not ok
-        print(f"{'cache-off overhead':<20} direct at {ratio:>9.2f}x "
-              f"baseline (floor {1.0 - CACHE_OFF_TOLERANCE:.0%})  "
-              f"[{'ok' if ok else 'REGRESSION'}]")
-    return failed
-
-
-def _check_pipeline(baseline: dict, report: dict) -> bool:
-    speedup_ok = (report["decide_speedup"]
-                  >= PIPELINE_DECIDE_SPEEDUP_FLOOR)
-    print(f"{'decide speedup':<20} baseline "
-          f"{baseline.get('decide_speedup', float('nan')):>9.2f}x "
-          f"now {report['decide_speedup']:>9.2f}x (floor "
-          f"{PIPELINE_DECIDE_SPEEDUP_FLOOR:.0f}x)  "
-          f"[{'ok' if speedup_ok else 'REGRESSION'}]")
-    return not speedup_ok
-
-
-def _check_engine(baseline: dict, report: dict) -> bool:
-    print(f"{'speedup':<20} baseline {baseline['speedup']:>10.2f}  "
-          f"now {report['speedup']:>10.2f}")
-    print(f"{'telemetry overhead':<20} baseline "
-          f"{baseline.get('telemetry_overhead', float('nan')):>10.2%}  "
-          f"now {report['telemetry_overhead']:>10.2%}")
-    return False
-
-
-def run_scenario(scenario: str, baseline_path: Path, *,
-                 update: bool = False,
-                 report_dir: Path | None = None) -> int:
-    """Measure one scenario; check (or ``--update``) its baseline."""
-    checked_fields = SCENARIOS[scenario][1]
-    print(f"--- {scenario} ({baseline_path.name}) ---")
-    report = _measure(scenario)
-    if report_dir is not None:
-        report_dir.mkdir(parents=True, exist_ok=True)
-        out = report_dir / f"BENCH_{scenario}.json"
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"measurement written to {out}")
-    if update:
-        baseline_path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"baseline written to {baseline_path}")
-        return 0
-
-    baseline = json.loads(baseline_path.read_text())
-    if baseline.get("trace") != report["trace"]:
-        print(f"baseline scenario {baseline.get('trace')} does not match "
-              f"current scenario {report['trace']}; re-run with --update")
-        return 1
-
-    failed = False
-    for field in checked_fields:
-        if field not in baseline:
-            print(f"{field:<20} missing from baseline; re-run with "
-                  f"--update")
-            failed = True
+def compare(scenario: str, base: dict, now: dict) -> bool:
+    """Print ``now`` beside ``base``; return whether every rule holds."""
+    print(f"--- {scenario} ---")
+    if base.get("trace") != now["trace"]:
+        print(f"baseline trace {base.get('trace')} does not match the "
+              f"measured {now['trace']}; re-run with --update")
+        return False
+    committed = dict(_figures(base))
+    for name, value in _figures(now):
+        print(f"{name:<32} baseline {committed.get(name, '-')!s:>14}  "
+              f"now {value!s:>14}")
+    ok = True
+    for rule in RULES:
+        if rule.scenario != scenario:
             continue
-        floor = baseline[field] * TOLERANCE
-        ratio = report[field] / baseline[field]
-        verdict = "ok" if report[field] >= floor else "REGRESSION"
-        failed = failed or report[field] < floor
-        print(f"{field:<20} baseline {baseline[field]:>10.1f}  "
-              f"now {report[field]:>10.1f}  ({ratio:>5.2f}x, floor "
-              f"{TOLERANCE:.0%})  [{verdict}]")
-    extra = {"engine": _check_engine, "fleet": _check_fleet,
-             "cache": _check_cache, "pipeline": _check_pipeline}
-    failed = extra[scenario](baseline, report) or failed
-    return 1 if failed else 0
+        missing = [name for name in (rule.figure, rule.normaliser)
+                   if name and name not in base]
+        if missing:
+            print(f"{rule.kind} {rule.figure}: {', '.join(missing)} "
+                  f"missing from the baseline; re-run with --update")
+            ok = False
+            continue
+        reading, least, holds = rule.check(base, now)
+        ok = ok and holds
+        print(f"{rule.kind:<9} {rule.figure:<32} {reading:>14.6g} >= "
+              f"{least:<14.6g} [{'ok' if holds else 'REGRESSION'}]")
+    return ok
+
+
+def _write(path: Path, data: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"measurement written to {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
+    names = list(dict.fromkeys(rule.scenario for rule in RULES))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scenarios", nargs="*", metavar="SCENARIO",
+                        help=f"scenarios to measure, of {', '.join(names)} "
+                             f"(default: every one)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline(s) instead of checking")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file (default: the selected "
-                             "scenario's committed BENCH_*.json; "
-                             "incompatible with --all)")
-    parser.add_argument("--fleet", action="store_true",
-                        help="check the fleet-scale sharded scenario "
-                             "(12,500 x 8,900) instead of the kernel one")
-    parser.add_argument("--cache", action="store_true",
-                        help="check the result-cache scenario (fleet "
-                             "trace; warm hits and cache-off envelope)")
-    parser.add_argument("--pipeline", action="store_true",
-                        help="check the batched-decision pipeline "
-                             "scenario (decide-phase A/B speedup)")
-    parser.add_argument("--all", action="store_true",
-                        help="check every committed BENCH_*.json in one "
-                             "invocation (the CI entry point)")
+                        help="write the measurement into baseline.json "
+                             "instead of checking it")
     parser.add_argument("--report-dir", type=Path, default=None,
                         metavar="DIR",
-                        help="also write each fresh measurement as "
-                             "DIR/BENCH_<scenario>.json (for the CI "
-                             "bench-history artifact)")
+                        help="also write the measurement as "
+                             "DIR/report.json (for the CI bench-history "
+                             "artifact)")
     args = parser.parse_args(argv)
-    selected = [name for name, flag in (("fleet", args.fleet),
-                                        ("cache", args.cache),
-                                        ("pipeline", args.pipeline))
-                if flag]
-    if len(selected) > 1:
-        parser.error("--fleet, --cache and --pipeline are mutually "
-                     "exclusive")
-    if args.all and (selected or args.baseline):
-        parser.error("--all is incompatible with --fleet/--cache/"
-                     "--pipeline/--baseline")
-
-    if args.all:
-        code = 0
-        for scenario, (baseline_path, _) in SCENARIOS.items():
-            code = max(code, run_scenario(
-                scenario, baseline_path, update=args.update,
-                report_dir=args.report_dir))
-        return code
-    scenario = selected[0] if selected else "engine"
-    baseline_path = args.baseline or SCENARIOS[scenario][0]
-    return run_scenario(scenario, baseline_path, update=args.update,
-                        report_dir=args.report_dir)
+    unknown = sorted(set(args.scenarios) - set(names))
+    if unknown:
+        parser.error(f"unknown scenario(s) {', '.join(unknown)}; "
+                     f"choose from {', '.join(names)}")
+    baseline = json.loads(BASELINE.read_text())
+    report = {}
+    ok = True
+    for scenario in args.scenarios or names:
+        report[scenario] = _measure(scenario)
+        if not args.update:
+            ok = compare(scenario, baseline.get(scenario, {}),
+                         report[scenario]) and ok
+    if args.report_dir is not None:
+        _write(args.report_dir / "report.json", report)
+    if args.update:
+        _write(BASELINE, baseline | report)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

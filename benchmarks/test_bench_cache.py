@@ -6,7 +6,7 @@ The acceptance scenario is the fleet-scale trace from
 
 * **direct** — result cache explicitly off (``result_cache=False``):
   the recompute reference, and the figure the cache-off overhead
-  envelope in ``check_engine_baseline.py --cache`` guards;
+  envelope in ``check_engine_baseline.py``'s rule table guards;
 * **kernel** — the unsharded whole-trace kernel, measured in the same
   process as a machine normaliser (it carries no cache plumbing, so a
   uniformly slow runner cancels out of the envelope ratio);
@@ -16,8 +16,8 @@ The acceptance scenario is the fleet-scale trace from
   :data:`MIN_WARM_SPEEDUP` x faster than computing.
 
 ``measure_cache_throughput`` is shared with
-``benchmarks/check_engine_baseline.py --cache``, which compares fresh
-numbers against the committed ``BENCH_cache.json`` baseline in CI.
+``benchmarks/check_engine_baseline.py``, which compares fresh numbers
+against the ``cache`` section of the committed ``baseline.json`` in CI.
 """
 
 import tempfile
@@ -32,13 +32,13 @@ from repro.core.shard import simulate_sharded
 from repro.workloads.synthetic import common_trace
 
 from bench_utils import print_table
+from check_engine_baseline import floor
 from test_bench_fleet_scale import FLEET_TRACE_KWARGS
 
 #: A repeated fleet-scale run answered from the cache must be at least
-#: this many times faster than recomputing it (the ISSUE 8 acceptance
-#: floor; measured ~100x+ — the entry is a ~1 MB pickled result while
-#: the recompute chews through ~111 M plane cells).
-MIN_WARM_SPEEDUP = 20.0
+#: this many times faster than recomputing it: the rule table's warm
+#: floor.
+MIN_WARM_SPEEDUP = floor("cache", "warm_speedup")
 
 
 def measure_cache_throughput(rounds: int = 2) -> dict:

@@ -5,7 +5,8 @@ cost model:
 
 * **plain** — ``simulate_sharded`` with no checkpoint directory: the
   reference throughput (checkpoint-off overhead at fleet scale is
-  guarded separately by ``check_engine_baseline.py --fleet``);
+  guarded separately by the ``fleet`` envelope rule of
+  ``check_engine_baseline.py``);
 * **checkpointed** — the same run persisting every shard as it
   completes (atomic write + fsync per shard), bounded to at most
   :data:`MAX_CHECKPOINT_OVERHEAD` of the plain wall time;

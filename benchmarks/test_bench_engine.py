@@ -12,7 +12,8 @@ A second benchmark pins the whole-trace kernel pipeline: on a
 least :data:`KERNEL_SPEEDUP_FLOOR` x the serial cached loop's
 (``"loop"``) throughput.  ``measure_kernel_throughput`` is shared with
 ``benchmarks/check_engine_baseline.py``, which compares fresh numbers
-against the committed ``BENCH_engine.json`` baseline in CI.
+against the ``engine`` section of the committed ``baseline.json`` in
+CI.
 """
 
 import time

@@ -15,8 +15,9 @@ asserts three things:
   shared-memory segment, they never receive trace data by value.
 
 ``measure_fleet_throughput`` is shared with
-``benchmarks/check_engine_baseline.py --fleet``, which compares fresh
-numbers against the committed ``BENCH_fleet.json`` baseline in CI.
+``benchmarks/check_engine_baseline.py``, which compares fresh numbers
+against the ``fleet`` section of the committed ``baseline.json`` in
+CI.
 """
 
 import pickle

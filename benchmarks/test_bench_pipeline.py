@@ -11,10 +11,9 @@ asserted before any timing is trusted: a fast-but-different batch path
 can never look good.
 
 ``measure_pipeline_throughput`` is shared with
-``benchmarks/check_engine_baseline.py --pipeline`` (and ``--all``),
-which compares fresh numbers against the committed
-``BENCH_pipeline.json`` baseline in CI and enforces
-:data:`PIPELINE_DECIDE_SPEEDUP_FLOOR`.
+``benchmarks/check_engine_baseline.py``, which compares fresh numbers
+against the ``pipeline`` section of the committed ``baseline.json`` in
+CI and enforces :data:`PIPELINE_DECIDE_SPEEDUP_FLOOR`.
 """
 
 import pytest
@@ -25,6 +24,7 @@ from repro.core.engine import simulate
 from repro.workloads.synthetic import common_trace
 
 from bench_utils import print_table
+from check_engine_baseline import floor
 
 ROUNDS = 3
 
@@ -32,9 +32,9 @@ ROUNDS = 3
 PIPELINE_TRACE_KWARGS = dict(n_servers=200, duration_s=1000 * 300.0,
                              interval_s=300.0, seed=7)
 
-#: Minimum batched-vs-scalar decide-phase speedup.  Measured ~4.5x on
-#: a developer container; 3x leaves room for slow CI runners.
-PIPELINE_DECIDE_SPEEDUP_FLOOR = 3.0
+#: Minimum batched-vs-scalar decide-phase speedup: the rule table's
+#: decide floor.
+PIPELINE_DECIDE_SPEEDUP_FLOOR = floor("pipeline", "decide_speedup")
 
 
 def measure_pipeline_throughput(rounds: int = ROUNDS) -> dict:

@@ -291,7 +291,8 @@ class SimulationJob:
     paper-calibrated hardware when omitted; heterogeneous-fleet sweeps
     pass per-slice models.  ``faults`` attaches an optional
     :class:`~repro.faults.FaultSchedule`; jobs without one keep the
-    bit-exact nominal path.
+    bit-exact nominal path.  An empty schedule is stored as ``None``,
+    so every path treats it as no schedule at all.
     """
 
     trace: WorkloadTrace
@@ -299,6 +300,9 @@ class SimulationJob:
     cpu_model: CpuThermalModel | None = None
     teg_module: TegModule | None = None
     faults: FaultSchedule | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "faults", self.faults or None)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -385,8 +389,8 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     counts, kernel-phase timings).  ``mode`` picks the execution path (see
     :data:`EXECUTION_MODES`; default ``"kernel"``).  Attaching a
     ``faults`` schedule switches stepping to the simulator's
-    fault-aware serial loop; without one the output is unchanged down
-    to the bit.
+    fault-aware serial loop; without one (or with an empty one) the
+    output is unchanged down to the bit.
 
     ``telemetry`` (explicit, else ``REPRO_TELEMETRY``) records the run
     into a *private* :class:`repro.obs.Telemetry` session and attaches
@@ -404,13 +408,14 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     coordinator answers and stores their jobs.
     """
     started = time.perf_counter()
+    faults = faults or None
     store = resolve_result_cache(result_cache)
     key = None
-    has_faults = faults is not None and len(faults) > 0
     if store is not None and type(trace) is WorkloadTrace:
         key = result_key(trace, config, cpu_model, teg_module,
-                         faults=faults if has_faults else None,
-                         mode="loop" if has_faults else resolve_mode(mode))
+                         faults=faults,
+                         mode=("loop" if faults is not None
+                               else resolve_mode(mode)))
         cached = store.load(key)
         if cached is not None:
             return cached
@@ -1552,8 +1557,7 @@ class BatchSimulationEngine:
             # window views would strip it, exactly like the kernel and
             # the zero-copy dispatch, so such jobs run whole.
             return None
-        has_faults = job.faults is not None and len(job.faults) > 0
-        if not has_faults and self.mode != "kernel":
+        if job.faults is None and self.mode != "kernel":
             # "loop" exists to cross-check the kernel; sharding only
             # accelerates the kernel and fault paths.
             return None
@@ -1579,7 +1583,7 @@ class BatchSimulationEngine:
                    else min(DEFAULT_SHARD_SERVERS, trace.n_servers))
         steps = (shard_steps if shard_steps is not None
                  else min(DEFAULT_SHARD_STEPS, trace.n_steps))
-        if has_faults:
+        if job.faults is not None:
             servers = None  # masks span the cluster: time-only shards
         specs = plan_shards(trace.n_steps, trace.n_servers,
                             job.config.circulation_size,
@@ -1616,18 +1620,16 @@ class BatchSimulationEngine:
         object identity — good enough for within-batch dedup, never
         persisted.
         """
-        has_faults = job.faults is not None and len(job.faults) > 0
         if type(job.trace) is WorkloadTrace:
             trace_hash = self._trace_hash(job.trace)
         else:
             trace_hash = f"id:{id(job.trace)}"
-        if has_faults:
+        if job.faults is not None:
             mode = "loop"
         else:
             mode = "kernel" if specs is not None else self.mode
         return result_key(job.trace, job.config, job.cpu_model,
-                          job.teg_module,
-                          faults=job.faults if has_faults else None,
+                          job.teg_module, faults=job.faults,
                           mode=mode, specs=specs,
                           trace_hash=trace_hash)
 
@@ -1642,11 +1644,9 @@ class BatchSimulationEngine:
         """
         from .checkpoint import CheckpointStore, run_key
 
-        has_faults = job.faults is not None and len(job.faults) > 0
         key = run_key(
             job.trace, job.config, job.cpu_model, job.teg_module,
-            faults=job.faults if has_faults else None,
-            specs=specs,
+            faults=job.faults, specs=specs,
             extra=() if specs is not None else (("mode", self.mode),),
             trace_hash=self._trace_hash(job.trace))
         name = "--".join((_fs_slug(job.config.name),
@@ -1679,14 +1679,13 @@ class BatchSimulationEngine:
         """
         from .shard import ShardColumnRef, _drive_shards
 
-        has_faults = job.faults is not None and len(job.faults) > 0
         labels = {"scheme": job.config.name, "trace": job.trace.name}
         obs.emit("shard.dispatch", **labels, shards=len(specs),
-                 executor="sequential" if has_faults else kind)
+                 executor="sequential" if job.faults is not None else kind)
         obs.add("engine.shards.dispatched", len(specs), labels=labels)
 
         block = planes = column_ref = None
-        if kind == "process" and store is None and not has_faults:
+        if kind == "process" and store is None and job.faults is None:
             n_steps = job.trace.n_steps
             n_circs = -(-job.trace.n_servers
                         // job.config.circulation_size)

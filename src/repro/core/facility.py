@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..economics.metrics import (
     energy_reuse_effectiveness,
     power_usage_effectiveness,
@@ -83,19 +81,25 @@ class FacilityModel:
             raise PhysicalRangeError("lighting_fraction must be >= 0")
 
     def assess(self, result: SimulationResult) -> FacilityReport:
-        """Roll a simulation result up into facility energy flows."""
+        """Roll a simulation result up into facility energy flows.
+
+        Reads the result's step columns, so a kernel result
+        materialises no per-step record; an empty result assesses to
+        zero energy throughout.
+        """
+        if not len(result.records):
+            return FacilityReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        series = result._series
         hours = result.interval_s / 3600.0
-        cpu_kw = (np.array([r.cpu_power_per_cpu_w for r in result.records])
-                  * result.n_servers / 1000.0)
+        cpu_kw = (series("cpu_power_per_cpu_w") * result.n_servers
+                  / 1000.0)
         it_kw = cpu_kw * self.server_overhead_factor
-        cooling_kw = np.array([
-            (r.chiller_power_w + r.tower_power_w + r.pump_power_w) / 1000.0
-            for r in result.records])
+        cooling_kw = (series("chiller_power_w") + series("tower_power_w")
+                      + series("pump_power_w")) / 1000.0
         delivery_kw = (it_kw + cooling_kw) * self.power_delivery_loss
         lighting_kw = it_kw * self.lighting_fraction
-        reuse_kw = (np.array([r.generation_per_cpu_w
-                              for r in result.records])
-                    * result.n_servers / 1000.0)
+        reuse_kw = (series("generation_per_cpu_w") * result.n_servers
+                    / 1000.0)
         return FacilityReport(
             it_kwh=float(it_kw.sum() * hours),
             cooling_kwh=float(cooling_kw.sum() * hours),

@@ -134,9 +134,10 @@ class KernelTimings:
 class KernelError:
     """The earliest error of a kernel run, in serial evaluation order.
 
-    ``step`` / ``circ`` are *local* indices into the kernel's own trace;
-    the sharding merge translates them into the global frame to pick the
-    globally-earliest error across shards.  ``phase`` encodes the serial
+    ``step`` / ``circ`` index the kernel's own trace; a shard tile
+    reports a copy shifted into the global frame (a fault window builds
+    one there directly), so the sharding merge raises the least
+    ``(step, phase, circ)`` across shards.  ``phase`` encodes the serial
     intra-step ordering: every circulation's *evaluation* (capacity
     checks, phase 0) runs before the step's *aggregation* (strict-safety
     check, phase 1), so on equal steps the lower phase raised first.

@@ -101,6 +101,7 @@ from .engine import (
 from .kernel import (
     COLUMN_PLANES,
     KernelColumns,
+    KernelError,
     KernelTimings,
     _column_planes,
     _columnar_result,
@@ -119,7 +120,6 @@ __all__ = [
     "SHARD_SERVERS_ENV_VAR",
     "SHARD_STEPS_ENV_VAR",
     "ShardColumnRef",
-    "ShardError",
     "ShardOutcome",
     "ShardSpec",
     "StreamingMerge",
@@ -188,27 +188,6 @@ class ShardSpec:
         return self.n_steps * self.n_servers
 
 
-@dataclass(frozen=True)
-class ShardError:
-    """The earliest error one shard would have raised, in global frame.
-
-    ``order`` reproduces the serial raise order across shards: earliest
-    step first; within a step every circulation's evaluation (capacity
-    checks, phase 0) precedes the aggregation (strict safety, phase 1);
-    within a phase, circulations raise in index order.
-    """
-
-    exception: Exception
-    phase: int
-    step: int
-    circ: int
-
-    @property
-    def order(self) -> tuple[int, int, int]:
-        """Sort key ``(step, phase, circ)`` of the serial raise order."""
-        return (self.step, self.phase, self.circ)
-
-
 @dataclass
 class ShardOutcome:
     """What one executed shard ships back to the merge.
@@ -224,7 +203,7 @@ class ShardOutcome:
     columns: KernelColumns | None = None
     records: list = field(default_factory=list)
     violations: list = field(default_factory=list)
-    error: ShardError | None = None
+    error: KernelError | None = None
     cache_hits: int = 0
     cache_misses: int = 0
     n_cells: int = 0
@@ -430,7 +409,8 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
     :mod:`repro.core.kernel` with the simulator's global offsets set, so
     violations and errors come back already in cluster coordinates.
     Fault tiles must span the full server width (masks are drawn over
-    the whole cluster) and step the fault-aware serial loop.
+    the whole cluster) and step the fault-aware serial loop; an empty
+    ``faults`` schedule is no schedule, so its tile runs the kernel.
 
     ``cache`` is the :func:`prime_decisions` memo a kernel tile's policy
     starts from (required for bit-identity under memoising policies);
@@ -448,6 +428,7 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
         raise ConfigurationError(
             f"tile is {tile.n_steps} x {tile.n_servers} but shard "
             f"{spec.index} expects {spec.n_steps} x {spec.n_servers}")
+    faults = faults or None
     if faults is not None and spec.server_start != 0:
         raise ConfigurationError(
             "fault-carrying runs shard by time only: fault masks are "
@@ -513,12 +494,9 @@ def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, memo,
     outcome.violations = columns.violations
     outcome.timings = sim.kernel_timings
     if columns.error is not None:
-        outcome.error = ShardError(
-            exception=columns.error.exception,
-            phase=columns.error.phase,
-            step=spec.step_start + columns.error.step,
-            circ=spec.circ_start + columns.error.circ,
-        )
+        outcome.error = replace(columns.error,
+                                step=spec.step_start + columns.error.step,
+                                circ=spec.circ_start + columns.error.circ)
 
 
 def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
@@ -538,13 +516,13 @@ def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
         # step_index is already global (the simulator applied its
         # offset); windows are disjoint in time, so this key orders
         # correctly against every other shard's error.
-        outcome.error = ShardError(exception=exc, phase=1,
-                                   step=exc.step_index, circ=0)
+        outcome.error = KernelError(exception=exc, phase=1,
+                                    step=exc.step_index, circ=0)
     except PhysicalRangeError as exc:
         # Capacity breaches carry no step; the window start preserves
         # the across-window order (one error per disjoint window).
-        outcome.error = ShardError(exception=exc, phase=0,
-                                   step=spec.step_start, circ=0)
+        outcome.error = KernelError(exception=exc, phase=0,
+                                    step=spec.step_start, circ=0)
     else:
         outcome.records = list(result.records)
         outcome.violations = list(result.violations)
@@ -736,7 +714,7 @@ class StreamingMerge:
         #: summed across shards, fold is the merge's own fold time.
         self.timings: KernelTimings | None = None
         self._fold_s = 0.0
-        self._errors: list[ShardError] = []
+        self._errors: list[KernelError] = []
         #: Shard telemetry destination.  Private by default (snapshotted
         #: into ``result.telemetry`` at the end); a caller-supplied
         #: ``telemetry_sink`` — the live-scrape path — receives every
@@ -869,15 +847,17 @@ class StreamingMerge:
     def result(self) -> SimulationResult:
         """The merged whole-cluster result; every tile must have landed.
 
-        Raises the globally earliest shard error (serial raise order)
-        when any added shard reported one, and
+        Raises the globally earliest shard error (serial raise order:
+        the least ``(step, phase, circ)``) when any added shard
+        reported one, and
         :class:`ResultIntegrityError` when coverage is incomplete or
         the final :func:`audit_merged_result` finds an inconsistency.
         """
         if self.n_added == 0:
             raise ConfigurationError("cannot merge zero shard outcomes")
         if self._errors:
-            raise min(self._errors, key=lambda e: e.order).exception
+            raise min(self._errors,
+                      key=lambda e: (e.step, e.phase, e.circ)).exception
         trace, config = self.trace, self.config
         n_steps = trace.n_steps
 
@@ -1006,9 +986,8 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
     """
     started = time.perf_counter()
     trace, config = job.trace, job.config
-    has_faults = job.faults is not None and len(job.faults) > 0
     merge = StreamingMerge(trace, config,
-                           kind="fault" if has_faults else "kernel",
+                           kind="kernel" if job.faults is None else "fault",
                            plane_block=plane_block,
                            telemetry_sink=telemetry_sink)
     primed_misses = 0
@@ -1061,7 +1040,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         return True
 
     try:
-        if has_faults:
+        if job.faults is not None:
             policy = None
 
             def run_window(spec: ShardSpec) -> ShardOutcome:
@@ -1127,7 +1106,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         cache_hits=hits,
         cache_misses=misses,
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-        mode="loop" if has_faults else "kernel",
+        mode="kernel" if job.faults is None else "loop",
         kernel=merge.timings,
         n_shards=merge.n_added,
         shards_resumed=len(store.loaded) if store is not None else 0,
@@ -1190,8 +1169,8 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             f"circulation needs {config.circulation_size}")
     shard_servers = resolve_shard_size(shard_servers, SHARD_SERVERS_ENV_VAR)
     shard_steps = resolve_shard_size(shard_steps, SHARD_STEPS_ENV_VAR)
-    has_faults = faults is not None and len(faults) > 0
-    if has_faults:
+    faults = faults or None
+    if faults is not None:
         shard_servers = None  # masks span the cluster: time-only shards
     record = obs.telemetry_enabled(telemetry)
     specs = plan_shards(trace.n_steps, trace.n_servers,
@@ -1208,8 +1187,8 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     cache_key = None
     if results_store is not None and type(trace) is WorkloadTrace:
         cache_key = result_key(trace, config, cpu_model, teg_module,
-                               faults=faults if has_faults else None,
-                               mode="loop" if has_faults else "kernel",
+                               faults=faults,
+                               mode="kernel" if faults is None else "loop",
                                specs=specs, trace_hash=trace_hash)
         cached = results_store.load(cache_key)
         if cached is not None:
@@ -1221,8 +1200,7 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
         store = CheckpointStore(
             checkpoint,
             run_key(trace, config, cpu_model, teg_module,
-                    faults=faults if has_faults else None, specs=specs,
-                    trace_hash=trace_hash),
+                    faults=faults, specs=specs, trace_hash=trace_hash),
             n_shards=len(specs), resume=resume)
 
     health = obs.RunHealth()

@@ -77,6 +77,27 @@ class TestAssessment:
         assert report.ere_gain > 0.03
 
 
+class TestColumnarAssessment:
+    def test_kernel_result_assesses_like_serial_without_records(
+            self, tiny_traces):
+        from repro.core.config import teg_original
+        from repro.core.engine import simulate
+        from repro.core.results import ColumnarSteps
+        from repro.core.simulator import DatacenterSimulator
+
+        trace = tiny_traces["drastic"]
+        serial = DatacenterSimulator(trace, teg_original()).run()
+        kernel = simulate(trace, teg_original(), mode="kernel")
+        assert isinstance(kernel.records, ColumnarSteps)
+        model = FacilityModel()
+        assert model.assess(kernel) == model.assess(serial)
+        assert kernel.records._cache == {}
+
+    def test_empty_result_assesses_to_zero(self):
+        report = FacilityModel().assess(make_result(steps=0))
+        assert report == FacilityReport(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 class TestReportArithmetic:
     def test_report_is_frozen(self):
         report = FacilityReport(it_kwh=10.0, cooling_kwh=1.0,

@@ -406,6 +406,29 @@ def sharded_outcomes(trace, config, specs):
     return outcomes
 
 
+class TestEmptyFaultSchedule:
+    @pytest.mark.parametrize("shard_servers", [20, None])
+    def test_empty_schedule_runs_the_kernel_tile(self, shard_servers):
+        # An empty schedule is no schedule: a server-split tile must not
+        # refuse it, and a full-width one must not take the serial loop.
+        trace, config = small_trace(), teg_original()
+        specs = plan_shards(trace.n_steps, trace.n_servers,
+                            config.circulation_size,
+                            shard_servers=shard_servers, shard_steps=8)
+        for spec in specs:
+            tile = trace.window(spec.step_start, spec.step_stop,
+                                spec.server_start, spec.server_stop)
+            bare = run_shard(tile, spec, config)
+            empty = run_shard(tile, spec, config, faults=FaultSchedule())
+            assert empty.columns is not None and not empty.records
+            for name in (*COLUMN_PLANES, "sizes", "violation_counts"):
+                assert np.array_equal(getattr(empty.columns, name),
+                                      getattr(bare.columns, name)), name
+            assert empty.violations == bare.violations
+        assert SimulationJob(trace, config,
+                             faults=FaultSchedule()).faults is None
+
+
 class TestStreamingMerge:
     """Fold-as-they-land merge: order-free bit-identity and auditing."""
 
