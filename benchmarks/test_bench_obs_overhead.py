@@ -101,8 +101,7 @@ def measure_live_endpoint_overhead(rounds: int = 3) -> dict:
                                            {"metrics_port": 0})):
         best = None
         with BatchSimulationEngine(n_workers=1, prefer="serial",
-                                   mode="kernel", telemetry=True,
-                                   **extra) as engine:
+                                   telemetry=True, **extra) as engine:
             for _ in range(rounds):
                 batch = engine.run([SimulationJob(trace=trace,
                                                   config=teg_original())])

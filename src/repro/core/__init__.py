@@ -42,7 +42,6 @@ from .shard import (
     ShardOutcome,
     ShardSpec,
     audit_merged_result,
-    merge_shard_outcomes,
     plan_shards,
     run_shard,
     simulate_sharded,
@@ -77,7 +76,6 @@ __all__ = [
     "ShardOutcome",
     "plan_shards",
     "run_shard",
-    "merge_shard_outcomes",
     "audit_merged_result",
     "simulate_sharded",
     "CheckpointStore",

@@ -91,6 +91,8 @@ from .._durable import (
     write_manifest,
 )
 from ..errors import CacheError
+from ..teg.module import default_server_module
+from ..thermal.cpu_model import CpuThermalModel
 from ..workloads.trace import WorkloadTrace
 from .checkpoint import RunKey, fingerprint, run_key, trace_digest
 from .results import SimulationResult
@@ -217,10 +219,32 @@ def result_key(trace: WorkloadTrace, config, cpu_model=None,
                trace_hash: str | None = None) -> RunKey:
     """The cache identity of one run: :func:`~repro.core.checkpoint.
     run_key` extended with the execution mode (and shard plan via
-    ``specs``) so a hit can never alias runs that could diverge."""
-    return run_key(trace, config, cpu_model, teg_module, faults=faults,
-                   specs=specs, extra=(("mode", mode),),
+    ``specs``) so a hit can never alias runs that could diverge.
+
+    The key names the run as it executes: a run with a fault schedule
+    steps through the serial loop whatever ``mode`` asks, so it keys as
+    ``"loop"``, and a model equal to the default the simulator builds
+    for an omitted one keys as omitted.
+    """
+    if faults is not None:
+        mode = "loop"
+    return run_key(trace, config,
+                   _unless_default(cpu_model, CpuThermalModel),
+                   _unless_default(teg_module, default_server_module),
+                   faults=faults, specs=specs, extra=(("mode", mode),),
                    trace_hash=trace_hash)
+
+
+def _unless_default(model, default):
+    """``None`` when ``model`` fingerprints like ``default()``, the model
+    the simulator builds when a run omits it; else ``model`` itself.
+
+    Only a run that names its model pays for the comparison, so a plain
+    batch job keys at no extra cost.
+    """
+    if model is not None and fingerprint(model) == fingerprint(default()):
+        return None
+    return model
 
 
 def warm_keys(trace: WorkloadTrace, config, cpu_model=None,

@@ -11,6 +11,8 @@ scheme per trace.  This module turns that hot path into a batch API:
   environment override;
 * inside each job the whole-trace kernel (:mod:`repro.core.kernel`)
   replaces the step loop and asks the policy once per distinct binding;
+  a job with a fault schedule, or on a ``WorkloadTrace`` subclass,
+  steps through the simulator's serial loop instead;
 * :class:`EngineMetrics` (wall time per phase, steps/sec, decision hit
   rate) is attached to every :class:`~repro.core.results.SimulationResult`
   so benchmarks can assert speedups.
@@ -107,14 +109,15 @@ SHARD_STRAGGLER_ENV_VAR = "REPRO_SHARD_STRAGGLER"
 #: timeouts and pool breakage.
 _POLL_INTERVAL_S = 0.05
 
-#: Execution modes of one job, fastest first.  Both are bit-identical:
+#: Execution modes of :func:`simulate`, fastest first.  Both are
+#: bit-identical:
 #:
 #: * ``"kernel"`` — whole-trace NumPy pipeline (no per-step Python loop);
 #: * ``"loop"``   — the serial simulator's own per-circulation loop.
 #:
-#: Jobs carrying a fault schedule, and jobs on a ``WorkloadTrace``
-#: subclass, always step through the simulator's serial loop, whatever
-#: mode was requested.
+#: Batch jobs always ask for the kernel.  A run carrying a fault
+#: schedule, or on a ``WorkloadTrace`` subclass, steps through the
+#: simulator's serial loop whatever mode was requested.
 EXECUTION_MODES = ("kernel", "loop")
 
 
@@ -148,8 +151,9 @@ class EngineMetrics:
         loop makes, a miss one the policy computed (its memo's growth,
         or every request to a policy without a memo), a hit the rest.
     mode:
-        Execution mode actually used (see :data:`EXECUTION_MODES`;
-        fault-carrying jobs report ``"loop"``).
+        The execution path this run actually took (see
+        :data:`EXECUTION_MODES`): fault-carrying runs and runs on a
+        ``WorkloadTrace`` subclass report ``"loop"``.
     kernel:
         Per-phase wall times of the whole-trace kernel
         (decide/evaluate/reduce/fold); ``None`` outside kernel mode.
@@ -387,8 +391,9 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     ``DatacenterSimulator(trace, config, ...).run()`` but carries
     :class:`EngineMetrics` (phase wall times, steps/sec, decision
     counts, kernel-phase timings).  ``mode`` picks the execution path (see
-    :data:`EXECUTION_MODES`; default ``"kernel"``).  Attaching a
-    ``faults`` schedule switches stepping to the simulator's
+    :data:`EXECUTION_MODES`; default ``"kernel"``); this is the one entry
+    point that takes it, since batches always ask for the kernel.
+    Attaching a ``faults`` schedule switches stepping to the simulator's
     fault-aware serial loop; without one (or with an empty one) the
     output is unchanged down to the bit.
 
@@ -413,9 +418,7 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     key = None
     if store is not None and type(trace) is WorkloadTrace:
         key = result_key(trace, config, cpu_model, teg_module,
-                         faults=faults,
-                         mode=("loop" if faults is not None
-                               else resolve_mode(mode)))
+                         faults=faults, mode=resolve_mode(mode))
         cached = store.load(key)
         if cached is not None:
             return cached
@@ -777,7 +780,6 @@ class _JobPayload:
     cpu_model: CpuThermalModel | None
     teg_module: TegModule | None
     faults: FaultSchedule | None
-    mode: str
     trace: WorkloadTrace | None = None
     #: Resolved by the engine before dispatch so worker processes need
     #: no environment propagation to agree on whether to record.
@@ -791,8 +793,7 @@ def _execute_payload(payload: _JobPayload) -> SimulationResult:
     else:
         trace = _trace_from_ref(payload.trace_ref)
     return simulate(trace, payload.config, payload.cpu_model,
-                    payload.teg_module, mode=payload.mode,
-                    faults=payload.faults,
+                    payload.teg_module, faults=payload.faults,
                     telemetry=payload.telemetry,
                     result_cache=False)
 
@@ -1040,9 +1041,6 @@ class BatchSimulationEngine:
     n_workers:
         Parallel workers; ``None`` defers to ``REPRO_WORKERS`` or the
         CPU count.  ``1`` runs serially in-process.
-    mode:
-        Execution mode inside each job — ``"kernel"`` (default) or
-        ``"loop"``; see :data:`EXECUTION_MODES`.
     prefer:
         ``"process"`` (default), ``"thread"`` or ``"serial"``.  Process
         pools that cannot start (sandboxes, exotic platforms) degrade
@@ -1113,7 +1111,6 @@ class BatchSimulationEngine:
     """
 
     def __init__(self, n_workers: int | None = None, *,
-                 mode: str | None = None,
                  prefer: str = "process",
                  max_retries: int = 0,
                  retry_backoff_s: float = 0.1,
@@ -1154,7 +1151,6 @@ class BatchSimulationEngine:
         #: Trace plane digests keyed by object identity (strong ref kept
         #: alongside, so an id can never be recycled while cached).
         self._trace_digests: dict[int, tuple[WorkloadTrace, str]] = {}
-        self.mode = resolve_mode(mode)
         self.prefer = prefer
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -1288,7 +1284,6 @@ class BatchSimulationEngine:
             cpu_model=job.cpu_model,
             teg_module=job.teg_module,
             faults=job.faults,
-            mode=self.mode,
             trace=trace,
             telemetry=self.telemetry,
         )
@@ -1333,7 +1328,7 @@ class BatchSimulationEngine:
         job = answer.job
         return _Unit(
             local=partial(simulate, job.trace, job.config, job.cpu_model,
-                          job.teg_module, mode=self.mode, faults=job.faults,
+                          job.teg_module, faults=job.faults,
                           telemetry=self.telemetry, result_cache=False),
             remote=((_execute_payload, self._payload(job))
                     if kind == "process" else None),
@@ -1557,10 +1552,6 @@ class BatchSimulationEngine:
             # window views would strip it, exactly like the kernel and
             # the zero-copy dispatch, so such jobs run whole.
             return None
-        if job.faults is None and self.mode != "kernel":
-            # "loop" exists to cross-check the kernel; sharding only
-            # accelerates the kernel and fault paths.
-            return None
         if trace.n_servers < job.config.circulation_size:
             # The unsharded path raises the proper ConfigurationError.
             return None
@@ -1614,23 +1605,17 @@ class BatchSimulationEngine:
         """The result-cache / dedup identity of one job.
 
         A whole job's key matches the one :func:`simulate` derives for
-        a direct call in the same mode, so a result a direct call
-        stored answers the batch and vice versa.  Trace subclasses can
-        carry behaviour the plane digest cannot see, so they key on
-        object identity — good enough for within-batch dedup, never
-        persisted.
+        a direct call, so a result a direct call stored answers the
+        batch and vice versa.  Trace subclasses can carry behaviour the
+        plane digest cannot see, so they key on object identity — good
+        enough for within-batch dedup, never persisted.
         """
         if type(job.trace) is WorkloadTrace:
             trace_hash = self._trace_hash(job.trace)
         else:
             trace_hash = f"id:{id(job.trace)}"
-        if job.faults is not None:
-            mode = "loop"
-        else:
-            mode = "kernel" if specs is not None else self.mode
         return result_key(job.trace, job.config, job.cpu_model,
-                          job.teg_module, faults=job.faults,
-                          mode=mode, specs=specs,
+                          job.teg_module, faults=job.faults, specs=specs,
                           trace_hash=trace_hash)
 
     def _job_store(self, job: SimulationJob, specs):
@@ -1644,11 +1629,9 @@ class BatchSimulationEngine:
         """
         from .checkpoint import CheckpointStore, run_key
 
-        key = run_key(
-            job.trace, job.config, job.cpu_model, job.teg_module,
-            faults=job.faults, specs=specs,
-            extra=() if specs is not None else (("mode", self.mode),),
-            trace_hash=self._trace_hash(job.trace))
+        key = run_key(job.trace, job.config, job.cpu_model, job.teg_module,
+                      faults=job.faults, specs=specs,
+                      trace_hash=self._trace_hash(job.trace))
         name = "--".join((_fs_slug(job.config.name),
                           _fs_slug(job.trace.name), key.short))
         return CheckpointStore(
@@ -1912,9 +1895,8 @@ class BatchSimulationEngine:
         for _ in having("resumed", "cached"):
             self._health.job_done()
         workers = resolve_workers(workers, n_units)
-        obs.emit("batch.start", n_jobs=len(jobs), mode=self.mode,
-                 workers=workers, prefer=self.prefer,
-                 shards=total_shards, resumed=n_resumed,
+        obs.emit("batch.start", n_jobs=len(jobs), workers=workers,
+                 prefer=self.prefer, shards=total_shards, resumed=n_resumed,
                  deduped=len(duplicates), cache_hits=len(having("cached")))
         started = time.perf_counter()
         # The executor is chosen once, before anything runs, and only
@@ -2009,42 +1991,18 @@ class BatchSimulationEngine:
 
 
 def run_batch(jobs: Iterable[SimulationJob],
-              n_workers: int | None = None, *,
-              mode: str | None = None,
-              prefer: str = "process",
-              max_retries: int = 0,
-              retry_backoff_s: float = 0.1,
-              job_timeout_s: float | None = None,
-              telemetry: bool | None = None,
-              shard: bool | None = None,
-              shard_servers: int | None = None,
-              shard_steps: int | None = None,
-              shard_straggler_s: float | None = None,
-              checkpoint: "str | os.PathLike | None" = None,
-              resume: bool = True,
-              cache=None,
-              metrics_port: int | None = None) -> BatchResult:
+              n_workers: int | None = None, **options) -> BatchResult:
     """One-call convenience wrapper around :class:`BatchSimulationEngine`.
 
-    The engine (and with it the persistent executor and any shared-memory
-    trace segments) is torn down before returning; hold a
-    :class:`BatchSimulationEngine` yourself to amortise pool start-up
-    across several batches.  With ``telemetry`` on, the merged session
-    survives on ``BatchResult.telemetry``.
+    ``options`` are the engine's keyword parameters, with its names and
+    defaults (see :class:`BatchSimulationEngine`); an unknown one raises
+    :class:`TypeError`.  The engine (and with it the persistent executor
+    and any shared-memory trace segments) is torn down before returning;
+    hold a :class:`BatchSimulationEngine` yourself to amortise pool
+    start-up across several batches.  With ``telemetry`` on, the merged
+    session survives on ``BatchResult.telemetry``.
     """
-    engine = BatchSimulationEngine(n_workers, mode=mode,
-                                   prefer=prefer, max_retries=max_retries,
-                                   retry_backoff_s=retry_backoff_s,
-                                   job_timeout_s=job_timeout_s,
-                                   telemetry=telemetry,
-                                   shard=shard,
-                                   shard_servers=shard_servers,
-                                   shard_steps=shard_steps,
-                                   shard_straggler_s=shard_straggler_s,
-                                   checkpoint=checkpoint,
-                                   resume=resume,
-                                   cache=cache,
-                                   metrics_port=metrics_port)
+    engine = BatchSimulationEngine(n_workers, **options)
     try:
         return engine.run(jobs)
     finally:
@@ -2056,7 +2014,6 @@ def compare_batch(traces: Sequence[WorkloadTrace],
                   n_workers: int | None = None, *,
                   cpu_model: CpuThermalModel | None = None,
                   teg_module: TegModule | None = None,
-                  mode: str | None = None,
                   prefer: str = "process",
                   cache=None,
                   metrics_port: int | None = None) -> BatchResult:
@@ -2064,8 +2021,8 @@ def compare_batch(traces: Sequence[WorkloadTrace],
     jobs = [SimulationJob(trace=trace, config=config, cpu_model=cpu_model,
                           teg_module=teg_module)
             for trace in traces for config in configs]
-    return run_batch(jobs, n_workers, mode=mode, prefer=prefer,
-                     cache=cache, metrics_port=metrics_port)
+    return run_batch(jobs, n_workers, prefer=prefer, cache=cache,
+                     metrics_port=metrics_port)
 
 
 __all__ = [

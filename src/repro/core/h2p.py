@@ -80,8 +80,12 @@ class H2PSystem:
                 result_cache=None) -> SchemeComparison:
         """The paper's headline comparison on one trace (Fig. 14).
 
-        ``result_cache`` forwards to :func:`~repro.core.simulator.
-        compare_schemes` (see :mod:`repro.core.cache`).
+        Runs :func:`~repro.core.simulator.compare_schemes`: each scheme
+        is one :func:`~repro.core.engine.simulate` call with this
+        system's models, bit-identical to the serial simulator.
+        ``result_cache`` stores both runs under the same keys as a
+        direct ``simulate`` call or a batch job (see
+        :mod:`repro.core.cache`).
         """
         return compare_schemes(
             trace,

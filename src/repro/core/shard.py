@@ -11,8 +11,10 @@ circulations times bounded time windows.  This module
   on circulation boundaries, time windows may be ragged at the end),
 * runs kernel phases 1–3 on one tile (:func:`run_shard`, returning a
   :class:`ShardOutcome` of per-circulation columns), and
-* stitches the tiles back into whole-cluster columns and replays the
-  phase-4 fold once over them (:func:`merge_shard_outcomes`), and
+* stitches the tiles back into whole-cluster columns as they land and
+  replays the phase-4 fold once over them (:class:`StreamingMerge`,
+  whose :meth:`~StreamingMerge.result` runs
+  :func:`audit_merged_result` before it returns), and
 * runs a whole plan — checkpoint resume, priming, the fault-window
   loop, the streaming merge and the run metrics — in one private
   function, :func:`_drive_shards`, which :func:`simulate_sharded` runs
@@ -125,7 +127,6 @@ __all__ = [
     "StreamingMerge",
     "audit_merged_result",
     "clone_cache",
-    "merge_shard_outcomes",
     "plan_shards",
     "prime_decisions",
     "primed_or_warm",
@@ -913,30 +914,6 @@ class StreamingMerge:
         return result
 
 
-def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
-                         outcomes: Sequence[ShardOutcome]
-                         ) -> SimulationResult:
-    """Stitch shard outcomes back into one whole-cluster result.
-
-    A barriered veneer over :class:`StreamingMerge` (fold every outcome,
-    then finalise) for callers that already hold the full outcome list.
-    Raises the globally earliest shard error (serial raise order) when
-    any shard reported one.  Kernel outcomes are stitched column-wise
-    and folded once; fault outcomes (time windows) are concatenated in
-    window order.  Either way the result is bit-identical to running
-    the trace unsharded, and the merged result must pass
-    :func:`audit_merged_result` before it is returned.
-    """
-    if not outcomes:
-        raise ConfigurationError("cannot merge zero shard outcomes")
-    kind = ("kernel" if any(o.columns is not None or o.sizes is not None
-                            for o in outcomes) else "fault")
-    merge = StreamingMerge(trace, config, kind=kind)
-    for outcome in outcomes:
-        merge.add(outcome)
-    return merge.result()
-
-
 def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                   telemetry: bool,
                   health: "obs.RunHealth", store=None,
@@ -1187,9 +1164,8 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     cache_key = None
     if results_store is not None and type(trace) is WorkloadTrace:
         cache_key = result_key(trace, config, cpu_model, teg_module,
-                               faults=faults,
-                               mode="kernel" if faults is None else "loop",
-                               specs=specs, trace_hash=trace_hash)
+                               faults=faults, specs=specs,
+                               trace_hash=trace_hash)
         cached = results_store.load(cache_key)
         if cached is not None:
             return cached

@@ -329,52 +329,22 @@ def compare_schemes(trace: WorkloadTrace, baseline: SimulationConfig,
                     optimised: SimulationConfig,
                     cpu_model: CpuThermalModel | None = None,
                     teg_module: TegModule | None = None,
-                    mode: str | None = None,
                     result_cache=None):
     """Run two schemes on the same trace and return a comparison.
 
-    Convenience wrapper used by the Fig. 14/15 benchmarks.  ``mode``
-    selects the execution path: ``None`` (default) runs the serial
-    :class:`DatacenterSimulator`; ``"kernel"`` or ``"loop"`` route
-    through :func:`repro.core.engine.simulate` with that engine mode.
-    Every path is bit-identical, so the comparison is too.
-
-    ``result_cache`` (see :mod:`repro.core.cache`) memoises each
-    scheme's result on disk: repeating a comparison — or sharing one
-    scheme between comparisons — serves the finished runs from the
-    cache.  The serial path keys its entries with ``mode="serial"``, so
-    a serial-cached entry (which carries no engine metrics) is never
-    served to an engine caller or vice versa.
+    Convenience wrapper used by the Fig. 14/15 benchmarks: one
+    :func:`repro.core.engine.simulate` call per scheme, so each result
+    is bit-identical to :class:`DatacenterSimulator` and carries engine
+    metrics.  ``result_cache`` (see :mod:`repro.core.cache`) memoises
+    each scheme's result on disk under the same key as a direct
+    ``simulate`` call or a batch job of that run, so the three serve
+    each other.
     """
-    from .cache import resolve_result_cache, result_key
+    from .engine import simulate
     from .results import SchemeComparison
 
-    cpu_model = cpu_model or CpuThermalModel()
-    teg_module = teg_module or default_server_module()
-    if mode is None:
-        store = resolve_result_cache(result_cache)
-
-        def run_serial(config: SimulationConfig):
-            key = None
-            if store is not None and type(trace) is WorkloadTrace:
-                key = result_key(trace, config, cpu_model, teg_module,
-                                 mode="serial")
-                cached = store.load(key)
-                if cached is not None:
-                    return cached
-            result = DatacenterSimulator(
-                trace, config, cpu_model, teg_module).run()
-            if key is not None:
-                store.store(key, result)
-            return result
-
-        base_result = run_serial(baseline)
-        opt_result = run_serial(optimised)
-    else:
-        from .engine import simulate
-
-        base_result = simulate(trace, baseline, cpu_model, teg_module,
-                               mode=mode, result_cache=result_cache)
-        opt_result = simulate(trace, optimised, cpu_model, teg_module,
-                              mode=mode, result_cache=result_cache)
+    base_result = simulate(trace, baseline, cpu_model, teg_module,
+                           result_cache=result_cache)
+    opt_result = simulate(trace, optimised, cpu_model, teg_module,
+                          result_cache=result_cache)
     return SchemeComparison(baseline=base_result, optimised=opt_result)

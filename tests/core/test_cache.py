@@ -37,6 +37,7 @@ from repro.core.engine import (
     run_batch,
     simulate,
 )
+from repro.core.h2p import H2PSystem
 from repro.core.results import (
     ColumnarSteps,
     SafetyViolation,
@@ -48,7 +49,9 @@ from repro.core.results import (
 )
 from repro.core.shard import plan_shards, simulate_sharded
 from repro.errors import CacheError, ConfigurationError
+from repro.faults import FaultSchedule, FaultSpec
 from repro.teg.module import default_server_module
+from repro.thermal.cpu_model import CpuThermalModel
 from repro.workloads.synthetic import common_trace, drastic_trace
 from repro.workloads.trace import WorkloadTrace
 
@@ -147,6 +150,20 @@ class TestKeySensitivity:
         assert result_key(trace, teg_loadbalance()) != base
         assert result_key(make_trace(seed=9), teg_original()) != base
         assert result_key(trace, teg_original(), mode="loop") != base
+        # The default models key alike, named or omitted (the simulator
+        # builds them for an omitted one); any other model is another
+        # run.
+        assert result_key(trace, teg_original(), CpuThermalModel(),
+                          default_server_module()) == base
+        module = dataclasses.replace(default_server_module(),
+                                     group_count=3)
+        assert result_key(trace, teg_original(), None, module) != base
+        # A fault schedule runs the serial loop whatever mode is asked.
+        faults = FaultSchedule(specs=(FaultSpec(kind="pump_derate",
+                                                magnitude=0.5),))
+        assert result_key(trace, teg_original(), faults=faults) \
+            == result_key(trace, teg_original(), faults=faults,
+                          mode="loop")
         specs = plan_shards(24, 40, 20, shard_steps=12)
         assert result_key(trace, teg_original(), specs=specs) != base
         other = plan_shards(24, 40, 20, shard_steps=8)
@@ -521,6 +538,37 @@ class TestOneDigestPerCall:
                                   shard_servers=40, shard_steps=16)
         assert not result.metrics.result_cache_hit
         assert len(digests) == 1
+
+
+class TestOneNamespace:
+    """A comparison, a direct call and a batch job of one run share one
+    entry, whether or not the caller names the default models."""
+
+    def test_compare_simulate_and_batch_share_entries(self, tmp_path):
+        trace = common_trace(n_servers=40, duration_s=30 * 300.0,
+                             seed=9)
+        system = H2PSystem()
+        configs = (teg_original(), teg_loadbalance())
+
+        def entries():
+            return len(list((tmp_path / "results").glob("*.pkl")))
+
+        comparison = system.compare(trace, result_cache=tmp_path)
+        assert entries() == 2
+        computed = (comparison.baseline, comparison.optimised)
+        for config, cold in zip(configs, computed):
+            hit = simulate(trace, config, system.cpu_model,
+                           system.teg_module, result_cache=tmp_path)
+            assert hit.metrics.result_cache_hit, config.name
+            assert_identical(hit, cold)
+        batch = run_batch([SimulationJob(trace, config)
+                           for config in configs], 1, prefer="serial",
+                          cache=tmp_path)
+        assert batch.metrics.result_cache_hits == 2
+        assert batch.metrics.result_cache_misses == 0
+        for result, cold in zip(batch.results, computed):
+            assert_identical(result, cold)
+        assert entries() == 2
 
 
 class TestBatchIntegration:

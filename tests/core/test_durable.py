@@ -211,9 +211,8 @@ class TestFlippedBitIsRecomputed:
         jobs = [SimulationJob(trace(), teg_original())]
 
         def run():
-            return run_batch(jobs, prefer="serial", mode="kernel",
-                             shard=False, checkpoint=tmp_path,
-                             telemetry=True)
+            return run_batch(jobs, prefer="serial", shard=False,
+                             checkpoint=tmp_path, telemetry=True)
 
         cold = run()
         (result_file,) = tmp_path.rglob("result.pkl")
@@ -286,8 +285,8 @@ class TestEarlierFormats:
         jobs = [SimulationJob(trace(), teg_original())]
 
         def run():
-            return run_batch(jobs, prefer="serial", mode="kernel",
-                             shard=False, checkpoint=tmp_path)
+            return run_batch(jobs, prefer="serial", shard=False,
+                             checkpoint=tmp_path)
 
         cold = run()
         (result_file,) = tmp_path.rglob("result.pkl")

@@ -505,8 +505,7 @@ class TestOneAnswerPerJob:
                              name=trace.name)
         a = SimulationJob(trace, teg_original())
         b = SimulationJob(trace, teg_loadbalance())
-        kwargs = dict(n_workers=2, prefer="thread", mode="kernel",
-                      **self.LAYOUTS[layout])
+        kwargs = dict(n_workers=2, prefer="thread", **self.LAYOUTS[layout])
         if state == "resumed":
             kwargs["checkpoint"] = tmp_path / "ckpt"
         else:
@@ -545,7 +544,7 @@ class TestOneAnswerPerJob:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_cache_hit_leaves_checkpoint_alone(self, layout, tmp_path):
         jobs = [SimulationJob(golden_trace(), teg_original())]
-        kwargs = dict(n_workers=1, mode="kernel", cache=tmp_path / "cache",
+        kwargs = dict(n_workers=1, cache=tmp_path / "cache",
                       **self.LAYOUTS[layout])
         checkpoint = tmp_path / "ckpt"
 
@@ -588,7 +587,7 @@ class TestKnobsResolveFirst:
                      "REPRO_SHARD_STRAGGLER"):
             monkeypatch.delenv(name, raising=False)
         jobs = [SimulationJob(common_trace(n_servers=40), teg_original())]
-        kwargs = dict(prefer="thread", mode="kernel", shard=True,
+        kwargs = dict(prefer="thread", shard=True,
                       shard_servers=20, shard_steps=13,
                       checkpoint=tmp_path / "ckpt")
         assert run_batch(jobs, n_workers=2, **kwargs).ok
@@ -609,5 +608,4 @@ class TestKnobsResolveFirst:
         jobs = [SimulationJob(golden_trace(), teg_original())]
         with pytest.raises(ConfigurationError,
                            match="REPRO_SHARD_STRAGGLER"):
-            run_batch(jobs, n_workers=2, prefer=prefer, mode="kernel",
-                      **kwargs)
+            run_batch(jobs, n_workers=2, prefer=prefer, **kwargs)

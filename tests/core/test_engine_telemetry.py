@@ -31,8 +31,8 @@ def _jobs():
 
 
 def _run(prefer: str, cache=None):
-    return run_batch(_jobs(), 2, mode="kernel", prefer=prefer,
-                     telemetry=True, cache=cache)
+    return run_batch(_jobs(), 2, prefer=prefer, telemetry=True,
+                     cache=cache)
 
 
 class TestExecutorIndependence:
@@ -109,9 +109,8 @@ class TestExecutorIndependence:
 class TestObservationalPurity:
     def test_records_bit_identical_with_telemetry(self):
         jobs = _jobs()[:2]
-        plain = run_batch(jobs, 1, mode="kernel", prefer="serial")
-        observed = run_batch(jobs, 1, mode="kernel", prefer="serial",
-                             telemetry=True)
+        plain = run_batch(jobs, 1, prefer="serial")
+        observed = run_batch(jobs, 1, prefer="serial", telemetry=True)
         for a, b in zip(plain.results, observed.results):
             assert a.records == b.records
         assert plain.telemetry is None
@@ -142,8 +141,7 @@ class TestFaultTelemetry:
             seed=3)
         job = SimulationJob(trace=common_trace(seed=12, **TRACE_KWARGS),
                             config=teg_original(), faults=schedule)
-        batch = run_batch([job], 1, mode="kernel", prefer="serial",
-                          telemetry=True)
+        batch = run_batch([job], 1, prefer="serial", telemetry=True)
         counters = batch.telemetry.registry.snapshot().counters
         assert counters["faults.activations"] == 1
         events = batch.telemetry.events.of_kind("fault.activation")
@@ -157,7 +155,7 @@ class TestFaultTelemetry:
 class TestEnvironmentFlag:
     def test_env_enables_batch_telemetry(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        batch = run_batch(_jobs()[:1], 1, mode="kernel", prefer="serial")
+        batch = run_batch(_jobs()[:1], 1, prefer="serial")
         assert batch.telemetry is not None
         assert batch.telemetry.registry.snapshot().counters["sim.runs"] \
             == 1
@@ -165,10 +163,9 @@ class TestEnvironmentFlag:
     def test_malformed_env_fails_before_any_job(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "sometimes")
         with pytest.raises(ConfigurationError, match="REPRO_TELEMETRY"):
-            run_batch(_jobs()[:1], 1, mode="kernel", prefer="serial")
+            run_batch(_jobs()[:1], 1, prefer="serial")
 
     def test_explicit_false_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        batch = run_batch(_jobs()[:1], 1, mode="kernel",
-                          prefer="serial", telemetry=False)
+        batch = run_batch(_jobs()[:1], 1, prefer="serial", telemetry=False)
         assert batch.telemetry is None

@@ -126,17 +126,14 @@ class TestKernelParity:
 
     def test_compare_schemes_parity_across_paths(self):
         trace = trailing_trace()
-        reference = compare_schemes(trace, teg_original(),
-                                    teg_loadbalance())
-        for mode in EXECUTION_MODES:
-            comparison = compare_schemes(trace, teg_original(),
-                                         teg_loadbalance(), mode=mode)
-            assert comparison.baseline.records == \
-                reference.baseline.records, mode
-            assert comparison.optimised.records == \
-                reference.optimised.records, mode
-            assert comparison.generation_improvement == \
-                reference.generation_improvement, mode
+        comparison = compare_schemes(trace, teg_original(),
+                                     teg_loadbalance())
+        for result, config in ((comparison.baseline, teg_original()),
+                               (comparison.optimised, teg_loadbalance())):
+            serial = DatacenterSimulator(trace, config).run()
+            assert result.records == serial.records, config.name
+            assert result.violations == serial.violations, config.name
+            assert result.metrics.mode == "kernel", config.name
 
     def test_violation_log_parity(self):
         # A deliberately hot static setting produces violations the

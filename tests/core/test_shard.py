@@ -297,8 +297,7 @@ class TestPrimeDecisions:
         # kernel counts, and decide_cells sums to the job's cells.
         jobs = [SimulationJob(small_trace(n_servers=40, steps=48),
                               teg_original())]
-        batches = [run_batch(jobs, prefer="serial", mode="kernel",
-                             telemetry=True, **knobs)
+        batches = [run_batch(jobs, prefer="serial", telemetry=True, **knobs)
                    for knobs in ({"shard": False},
                                  {"shard": True, "shard_servers": 20,
                                   "shard_steps": 12})]
@@ -389,7 +388,6 @@ from repro.core.shard import (  # noqa: E402
     _WORKER_COLUMN_BLOCKS,
     _column_block,
     _publish_columns,
-    merge_shard_outcomes,
 )
 from repro.errors import ResultIntegrityError  # noqa: E402
 
@@ -454,16 +452,6 @@ class TestStreamingMerge:
             assert result.violations == reference.violations
         assert merge.n_added == len(specs)
 
-    def test_barriered_wrapper_matches_streaming(self):
-        trace, config, _, outcomes = self.setup_run()
-        merge = StreamingMerge(trace, config, kind="kernel")
-        for outcome in outcomes:
-            merge.add(outcome)
-        streamed = merge.result()
-        stitched = merge_shard_outcomes(trace, config, outcomes)
-        assert stitched.records == streamed.records
-        assert stitched.violations == streamed.violations
-
     def test_overlap_rejected_at_add_time(self):
         trace, config, _, outcomes = self.setup_run()
         merge = StreamingMerge(trace, config, kind="kernel")
@@ -482,10 +470,9 @@ class TestStreamingMerge:
 
     def test_zero_outcomes_rejected(self):
         trace, config = small_trace(), teg_original()
-        with pytest.raises(ConfigurationError, match="zero shard"):
-            StreamingMerge(trace, config, kind="kernel").result()
-        with pytest.raises(ConfigurationError, match="zero shard"):
-            merge_shard_outcomes(trace, config, [])
+        for kind in ("kernel", "fault"):
+            with pytest.raises(ConfigurationError, match="zero shard"):
+                StreamingMerge(trace, config, kind=kind).result()
 
     def test_unknown_kind_rejected(self):
         trace, config = small_trace(), teg_original()

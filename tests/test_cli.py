@@ -25,9 +25,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate", "--trace", "bursty"])
 
-    def test_batch_mode_is_kernel_or_loop(self):
+    def test_batch_has_no_mode_flag(self):
+        # Batches always ask for the kernel, so no flag picks a mode.
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch", "--mode", "step"])
+            main(["batch", "--mode", "kernel"])
         assert excinfo.value.code == 2
 
 
@@ -111,8 +112,8 @@ class TestHotspot:
 
 class TestBatchCheckpoint:
     ARGS = ["batch", "--traces", "common", "--schemes", "original",
-            "--servers", "40", "--workers", "1", "--mode", "kernel",
-            "--shard", "--shard-steps", "12"]
+            "--servers", "40", "--workers", "1", "--shard",
+            "--shard-steps", "12"]
 
     def test_resume_requires_checkpoint(self):
         from repro.errors import ConfigurationError
@@ -136,7 +137,7 @@ class TestBatchCheck:
 
     ARGS = ["batch", "--traces", "common", "--schemes", "original",
             "loadbalance", "--servers", "40", "--workers", "1",
-            "--mode", "kernel", "--check"]
+            "--check"]
 
     def test_every_job_checked_and_mismatch_named(self, capsys,
                                                   monkeypatch):

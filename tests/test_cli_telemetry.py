@@ -8,8 +8,7 @@ from repro.cli import main
 from repro.obs import EventLog, Reporter
 
 BATCH_ARGS = ["batch", "--traces", "common", "--schemes", "original",
-              "loadbalance", "--servers", "40", "--workers", "1",
-              "--mode", "kernel"]
+              "loadbalance", "--servers", "40", "--workers", "1"]
 
 
 class TestReporter:
