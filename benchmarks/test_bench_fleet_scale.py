@@ -77,7 +77,7 @@ def fleet_payload_bytes(trace, config, primed):
                          col_stop=spec.server_stop)
     payload = _ShardPayload(trace_ref=ref, spec=spec, config=config,
                             cpu_model=None, teg_module=None,
-                            faults=None, decisions=primed)
+                            decisions=primed)
     return len(pickle.dumps(payload)), len(specs)
 
 

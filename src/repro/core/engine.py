@@ -9,10 +9,12 @@ scheme per trace.  This module turns that hot path into a batch API:
   pool (``concurrent.futures``), degrading gracefully to threads or a
   serial loop when processes are unavailable, with a ``REPRO_WORKERS``
   environment override;
-* inside each job the whole-trace kernel (:mod:`repro.core.kernel`)
-  replaces the step loop and asks the policy once per distinct binding;
-  a job with a fault schedule, or on a ``WorkloadTrace`` subclass,
-  steps through the simulator's serial loop instead;
+* each job is one :func:`simulate` call, which builds a plain
+  :class:`~repro.core.simulator.DatacenterSimulator` and replays it
+  with the whole-trace kernel (:mod:`repro.core.kernel`), which asks
+  the policy once per distinct binding; a job with a fault schedule,
+  or on a ``WorkloadTrace`` subclass, steps through the simulator's
+  serial loop instead;
 * :class:`EngineMetrics` (wall time per phase, steps/sec, decision hit
   rate) is attached to every :class:`~repro.core.results.SimulationResult`
   so benchmarks can assert speedups.
@@ -26,9 +28,10 @@ Engine results are **bit-identical** to the serial
   power, TEG power) are elementwise NumPy computations, so evaluating a
   gathered multi-circulation batch yields exactly the per-circulation
   values;
-* per-circulation sums and the cluster-level accumulation reuse the
-  simulator's own :meth:`DatacenterSimulator._aggregate_step`, in the
-  same circulation order;
+* the cluster-level fold (:func:`~repro.core.kernel.fold_columns`)
+  adds the circulations in the order and with the sequential float
+  adds of the simulator's own
+  :meth:`DatacenterSimulator._aggregate_step`;
 * every cooling decision comes from the simulator's own policy, in the
   serial loop's first-occurrence order, so a memoising policy ends up
   with the memo the serial loop gives it.
@@ -314,67 +317,23 @@ class SimulationJob:
         return (self.config.name, self.trace.name)
 
 
-class _CachedVectorisedSimulator(DatacenterSimulator):
-    """A :class:`DatacenterSimulator` that can skip the step loop.
+def _run_loop(sim: DatacenterSimulator) -> SimulationResult:
+    """``sim.run()``, storing its decisions' ``(hits, misses)`` on
+    ``sim.decisions`` as the kernel does (see :class:`EngineMetrics`).
 
-    The scheduler, policy, partitioning and aggregation all come from
-    the parent class; ``"kernel"`` runs the whole-trace pipeline of
-    :mod:`repro.core.kernel` instead of the step loop, and ``"loop"`` is
-    the parent's serial loop.  After a run, ``decisions`` holds its
-    ``(hits, misses)`` (see :class:`EngineMetrics`).
+    The serial loop decides every circulation of every step, a faulted
+    step's healthy shadow too, but not a degraded circulation, which
+    takes the conservative setting.
     """
-
-    def __init__(self, trace: WorkloadTrace, config: SimulationConfig,
-                 cpu_model: CpuThermalModel | None = None,
-                 teg_module: TegModule | None = None,
-                 mode: str | None = None,
-                 faults: FaultSchedule | None = None,
-                 step_offset: int = 0,
-                 server_offset: int = 0) -> None:
-        kwargs = {}
-        if cpu_model is not None:
-            kwargs["cpu_model"] = cpu_model
-        if teg_module is not None:
-            kwargs["teg_module"] = teg_module
-        super().__init__(trace, config, faults=faults,
-                         step_offset=step_offset,
-                         server_offset=server_offset, **kwargs)
-        self._mode = resolve_mode(mode)
-        if self._fault_runtime is not None or type(trace) is not WorkloadTrace:
-            # Fault injection needs the parent's fault-aware serial step
-            # (degraded fallback, shadow accounting), and a trace
-            # subclass may override step(), which the kernel would
-            # silently bypass by reading the plane: both run the serial
-            # loop.
-            self._mode = "loop"
-        self.kernel_timings: KernelTimings | None = None
-        self.decisions = (0, 0)
-
-    @property
-    def mode(self) -> str:
-        """Execution mode actually in effect (fault jobs force "loop")."""
-        return self._mode
-
-    def run(self) -> SimulationResult:
-        if self._mode != "kernel":
-            memo = _decision_memo(self._policy)
-            before = len(memo) if memo is not None else 0
-            result = super().run()
-            # The serial loop decides every circulation of every step, a
-            # faulted step's healthy shadow too, but not a degraded
-            # circulation, which takes the conservative setting.
-            lookups = int(len(self._groups) * (
-                len(result.records) + np.count_nonzero(
-                    result._series("active_faults")))
-                - result._series("degraded_circulations").sum())
-            self.decisions = _decision_counts(memo, before, lookups,
-                                              lookups)
-            return result
-        self._check_trace_width()
-        self._violation_log = []
-        result = run_whole_trace(self)
-        self._record_telemetry(result)
-        return result
+    memo = _decision_memo(sim._policy)
+    before = len(memo) if memo is not None else 0
+    result = sim.run()
+    lookups = int(sim.n_circulations * (
+        len(result.records) + np.count_nonzero(
+            result._series("active_faults")))
+        - result._series("degraded_circulations").sum())
+    sim.decisions = _decision_counts(memo, before, lookups, lookups)
+    return result
 
 
 def simulate(trace: WorkloadTrace, config: SimulationConfig,
@@ -390,12 +349,15 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     Returns a :class:`SimulationResult` that is bit-identical to
     ``DatacenterSimulator(trace, config, ...).run()`` but carries
     :class:`EngineMetrics` (phase wall times, steps/sec, decision
-    counts, kernel-phase timings).  ``mode`` picks the execution path (see
-    :data:`EXECUTION_MODES`; default ``"kernel"``); this is the one entry
-    point that takes it, since batches always ask for the kernel.
-    Attaching a ``faults`` schedule switches stepping to the simulator's
-    fault-aware serial loop; without one (or with an empty one) the
-    output is unchanged down to the bit.
+    counts, kernel-phase timings).  This is the one place that chooses
+    how a run executes: it builds a plain :class:`DatacenterSimulator`
+    and replays it with :func:`~repro.core.kernel.run_whole_trace` or
+    the simulator's own ``run``.  ``mode`` asks for one (see
+    :data:`EXECUTION_MODES`; default ``"kernel"``); batches always ask
+    for the kernel.  A ``faults`` schedule or a ``WorkloadTrace``
+    subclass runs the serial loop whatever ``mode`` asks, and the run's
+    cache key and ``metrics.mode`` say ``"loop"``.  Without a schedule
+    (or with an empty one) the output is unchanged down to the bit.
 
     ``telemetry`` (explicit, else ``REPRO_TELEMETRY``) records the run
     into a *private* :class:`repro.obs.Telemetry` session and attaches
@@ -413,12 +375,19 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     coordinator answers and stores their jobs.
     """
     started = time.perf_counter()
+    mode = resolve_mode(mode)
     faults = faults or None
+    if faults is not None or type(trace) is not WorkloadTrace:
+        # Fault injection needs the simulator's fault-aware serial step
+        # (degraded fallback, shadow accounting), and a trace subclass
+        # may override step(), which the kernel would silently bypass by
+        # reading the plane: both run the serial loop.
+        mode = "loop"
     store = resolve_result_cache(result_cache)
     key = None
     if store is not None and type(trace) is WorkloadTrace:
         key = result_key(trace, config, cpu_model, teg_module,
-                         faults=faults, mode=resolve_mode(mode))
+                         faults=faults, mode=mode)
         cached = store.load(key)
         if cached is not None:
             return cached
@@ -427,14 +396,16 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     with context:
         with obs.span("engine.simulate"):
             with obs.span("engine.setup"):
-                simulator = _CachedVectorisedSimulator(
-                    trace, config, cpu_model, teg_module, mode=mode,
-                    faults=faults)
+                sim = DatacenterSimulator(trace, config, cpu_model,
+                                          teg_module, faults=faults)
             setup_done = time.perf_counter()
-            result = simulator.run()
+            if mode == "kernel":
+                result = run_whole_trace(sim)
+            else:
+                result = _run_loop(sim)
             finished = time.perf_counter()
     step_time = finished - setup_done
-    hits, misses = simulator.decisions
+    hits, misses = sim.decisions
     result.metrics = EngineMetrics(
         setup_time_s=setup_done - started,
         step_time_s=step_time,
@@ -444,8 +415,8 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         cache_hits=hits,
         cache_misses=misses,
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-        mode=simulator.mode,
-        kernel=simulator.kernel_timings,
+        mode=mode,
+        kernel=sim.kernel_timings if mode == "kernel" else None,
     )
     if local is not None:
         result.telemetry = local.snapshot()
@@ -1738,7 +1709,7 @@ class BatchSimulationEngine:
                                       col_start=spec.server_start,
                                       col_stop=spec.server_stop),
                     spec=spec, config=job.config, cpu_model=job.cpu_model,
-                    teg_module=job.teg_module, faults=None,
+                    teg_module=job.teg_module,
                     decisions=primed, telemetry=self.telemetry,
                     column_ref=column_ref))
             if straggler_s is not None:

@@ -18,8 +18,9 @@ from ..teg.module import TegModule, default_server_module
 from ..thermal.cpu_model import CoolingSetting, CpuThermalModel
 from ..workloads.trace import WorkloadTrace
 from .config import SimulationConfig, teg_loadbalance, teg_original
+from .engine import simulate
 from .results import SchemeComparison, SimulationResult
-from .simulator import DatacenterSimulator, compare_schemes
+from .simulator import compare_schemes
 
 
 @dataclass
@@ -68,11 +69,16 @@ class H2PSystem:
 
     def evaluate(self, trace: WorkloadTrace,
                  config: SimulationConfig | None = None) -> SimulationResult:
-        """Run one scheme over a trace (defaults to *TEG_Original*)."""
-        config = config or teg_original()
-        simulator = DatacenterSimulator(trace, config, self.cpu_model,
-                                        self.teg_module)
-        return simulator.run()
+        """Run one scheme over a trace (defaults to *TEG_Original*).
+
+        One :func:`~repro.core.engine.simulate` call with this system's
+        models: bit-identical to the serial simulator, with engine
+        metrics attached.  Like :meth:`compare`, it reuses and fills
+        the result cache that ``REPRO_CACHE`` names and records
+        telemetry under ``REPRO_TELEMETRY``.
+        """
+        return simulate(trace, config or teg_original(), self.cpu_model,
+                        self.teg_module)
 
     def compare(self, trace: WorkloadTrace,
                 baseline: SimulationConfig | None = None,

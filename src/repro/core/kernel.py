@@ -914,8 +914,13 @@ def run_whole_trace(sim) -> SimulationResult:
     partitioning and circulations are reused so the output — including
     the exception raised on a chiller / tower capacity breach or a
     strict-safety violation — is bit-identical to ``sim.run()``'s serial
-    loop.  Phase timings are stored on ``sim.kernel_timings``.
+    loop.  Like ``sim.run()``, it first checks the trace still matches
+    the partitioning and folds the finished run into the current
+    telemetry session.  Phase timings are stored on
+    ``sim.kernel_timings`` and the decisions' ``(hits, misses)`` on
+    ``sim.decisions``.
     """
+    sim._check_trace_width()
     columns = run_kernel_columns(sim)
     if columns.error is not None:
         raise columns.error.exception
@@ -928,4 +933,5 @@ def run_whole_trace(sim) -> SimulationResult:
         result = _columnar_result(sim.trace, sim.config.name, columns,
                                   sim.step_offset)
     sim.kernel_timings.fold_s = time.perf_counter() - clock
+    sim._record_telemetry(result)
     return result

@@ -20,9 +20,9 @@ from ..environment import ColdSourceProfile, WetBulbProfile
 from ..errors import PhysicalRangeError
 from ..workloads.trace import WorkloadTrace
 from .config import SimulationConfig, teg_loadbalance
+from .engine import simulate
 from .facility import FacilityModel, FacilityReport
 from .results import SimulationResult
-from .simulator import DatacenterSimulator
 
 _SECONDS_PER_DAY = 86_400.0
 _MONTH_STARTS_DOY = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304,
@@ -82,6 +82,11 @@ class SeasonalStudy:
     def run(self) -> list[MonthOutcome]:
         """Evaluate all twelve months.
 
+        Each month is one :func:`~repro.core.engine.simulate` call with
+        the month's config: bit-identical to the serial simulator, with
+        engine metrics attached, and following ``REPRO_CACHE`` and
+        ``REPRO_TELEMETRY`` as ``simulate`` does.
+
         Returns
         -------
         list of MonthOutcome
@@ -92,7 +97,7 @@ class SeasonalStudy:
             cold, wet_bulb = self.month_conditions(month_index)
             config = replace(self.config, cold_source_temp_c=cold,
                              wet_bulb_c=wet_bulb)
-            result = DatacenterSimulator(self.trace, config).run()
+            result = simulate(self.trace, config)
             outcomes.append(MonthOutcome(
                 month=month_name,
                 cold_source_c=cold,

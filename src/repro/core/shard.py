@@ -95,8 +95,8 @@ from .engine import (
     EngineMetrics,
     SharedTraceRef,
     SimulationJob,
-    _CachedVectorisedSimulator,
     _run_local,
+    _run_loop,
     _trace_from_ref,
     _Unit,
 )
@@ -113,6 +113,7 @@ from .kernel import (
     run_kernel_columns,
 )
 from .results import SimulationResult
+from .simulator import DatacenterSimulator
 
 __all__ = [
     "AUTO_SHARD_MIN_CELLS",
@@ -346,8 +347,7 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
     cost.  Without a ``result_cache`` this is exactly
     :func:`prime_decisions`.
     """
-    sim = _CachedVectorisedSimulator(trace, config, cpu_model, teg_module,
-                                     mode="kernel")
+    sim = DatacenterSimulator(trace, config, cpu_model, teg_module)
     policy = sim._policy
     memo = _decision_memo(policy)
     if memo is None:
@@ -406,11 +406,13 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
 
     ``tile`` is the windowed trace (``trace.window(...)`` on the
     coordinator, or a sliced shared-memory view in a worker); ``spec``
-    places it in the global plane.  Kernel tiles run phases 1–3 of
-    :mod:`repro.core.kernel` with the simulator's global offsets set, so
+    places it in the global plane.  Each tile builds a plain
+    :class:`~repro.core.simulator.DatacenterSimulator` with its global
+    offsets set (an omitted model is the simulator's default), so
     violations and errors come back already in cluster coordinates.
+    Kernel tiles run phases 1–3 of :mod:`repro.core.kernel` on it.
     Fault tiles must span the full server width (masks are drawn over
-    the whole cluster) and step the fault-aware serial loop; an empty
+    the whole cluster) and step its fault-aware serial loop; an empty
     ``faults`` schedule is no schedule, so its tile runs the kernel.
 
     ``cache`` is the :func:`prime_decisions` memo a kernel tile's policy
@@ -484,8 +486,8 @@ def run_shard(tile: WorkloadTrace, spec: ShardSpec,
 def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, memo,
                       outcome) -> None:
     """Kernel phases 1–3 over one tile, offsets in the global frame."""
-    sim = _CachedVectorisedSimulator(
-        tile, config, cpu_model, teg_module, mode="kernel",
+    sim = DatacenterSimulator(
+        tile, config, cpu_model, teg_module,
         step_offset=spec.step_start, server_offset=spec.server_start)
     if memo is not None:
         _decision_memo(sim._policy).update(memo)
@@ -503,16 +505,15 @@ def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, memo,
 def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
                      policy, outcome) -> None:
     """The fault-aware serial loop over one full-width time window."""
-    sim = _CachedVectorisedSimulator(
-        tile, config, cpu_model, teg_module, mode="loop",
-        faults=faults, step_offset=spec.step_start)
+    sim = DatacenterSimulator(tile, config, cpu_model, teg_module,
+                              faults=faults, step_offset=spec.step_start)
     if policy is not None:
         # Sequential fault windows share one policy so a memoising
         # policy's buckets are primed in the serial call order.
         sim._policy = policy
     outcome.policy = sim._policy
     try:
-        result = sim.run()
+        result = _run_loop(sim)
     except CoolingFailureError as exc:
         # step_index is already global (the simulator applied its
         # offset); windows are disjoint in time, so this key orders
@@ -1099,7 +1100,6 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                      shard_steps: int | None = None,
                      faults: FaultSchedule | None = None,
                      telemetry: bool | None = None,
-                     metrics_port: int | None = None,
                      checkpoint: "str | os.PathLike | None" = None,
                      resume: bool = True,
                      result_cache=None) -> SimulationResult:
@@ -1127,17 +1127,10 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     merged result for next time.  Warm-start snapshots accelerate the
     decision pre-pass either way.
 
-    ``metrics_port`` (explicit, else ``REPRO_METRICS_PORT``) attaches a
-    live scrape endpoint for the duration of the run: ``GET /metrics``
-    serves the labelled series of every shard folded so far and
-    ``GET /healthz`` reports shard progress.  Setting a port implies
-    telemetry on; the endpoint is strictly observational (records are
-    bit-identical with it attached or not) and is shut down before the
-    function returns.
+    ``telemetry`` (explicit, else ``REPRO_TELEMETRY``) records every
+    shard into a private session and attaches their merged snapshot to
+    ``result.telemetry``.
     """
-    live_port = obs.resolve_metrics_port(metrics_port)
-    if live_port is not None and telemetry is None:
-        telemetry = True
     if trace.n_servers < config.circulation_size:
         # Same failure the unsharded simulator raises at construction;
         # sharding must not silently "fix" an invalid cluster.
@@ -1179,33 +1172,12 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                     faults=faults, specs=specs, trace_hash=trace_hash),
             n_shards=len(specs), resume=resume)
 
-    health = obs.RunHealth()
-    health.begin(jobs_total=1, shards_total=len(specs))
-    live_server = None
-    live_sink = None
-    if live_port is not None:
-        live_server = obs.LiveTelemetryServer(port=live_port)
-        if record:
-            # Shard outcomes fold straight into this session, so a
-            # mid-run scrape sees every completed shard's series.
-            live_sink = obs.Telemetry()
-        live_server.bind(live_sink, health)
-    try:
-        result = _drive_shards(
-            SimulationJob(trace, config, cpu_model, teg_module, faults),
-            specs, telemetry=record, health=health, store=store,
-            telemetry_sink=live_sink, result_cache=results_store,
-            trace_hash=trace_hash)
-        if live_sink is not None:
-            # The sink is private to this call, so its snapshot is
-            # exactly the per-run telemetry the non-live path attaches.
-            result.telemetry = live_sink.snapshot()
-        if cache_key is not None:
-            results_store.store(cache_key, result)
-        health.finish()
-    finally:
-        if live_server is not None:
-            live_server.close()
+    result = _drive_shards(
+        SimulationJob(trace, config, cpu_model, teg_module, faults),
+        specs, telemetry=record, health=obs.RunHealth(), store=store,
+        result_cache=results_store, trace_hash=trace_hash)
+    if cache_key is not None:
+        results_store.store(cache_key, result)
     return result
 
 
@@ -1228,7 +1200,6 @@ class _ShardPayload:
     config: SimulationConfig
     cpu_model: CpuThermalModel | None
     teg_module: TegModule | None
-    faults: FaultSchedule | None
     decisions: dict | None = None
     telemetry: bool = False
     #: With a column ref, the worker publishes its plane tiles into the
@@ -1242,7 +1213,6 @@ def _execute_shard_payload(payload: _ShardPayload) -> ShardOutcome:
     tile = _trace_from_ref(payload.trace_ref)
     outcome = run_shard(tile, payload.spec, payload.config,
                         payload.cpu_model, payload.teg_module,
-                        faults=payload.faults,
                         cache=payload.decisions,
                         telemetry=payload.telemetry)
     if payload.column_ref is not None and outcome.columns is not None:

@@ -42,7 +42,8 @@ class DatacenterSimulator:
     config:
         The scheme to evaluate.
     cpu_model / teg_module:
-        Shared hardware models (defaults: the paper-calibrated ones).
+        Shared hardware models (defaults: the paper-calibrated ones,
+        also built for a model passed as ``None``).
 
     Circulations of one size share one :class:`WaterCirculation` model
     object (a cluster has at most two sizes: the full one and a ragged
@@ -70,6 +71,10 @@ class DatacenterSimulator:
     server_offset: int = 0
 
     def __post_init__(self) -> None:
+        if self.cpu_model is None:
+            self.cpu_model = CpuThermalModel()
+        if self.teg_module is None:
+            self.teg_module = default_server_module()
         if self.trace.n_servers < self.config.circulation_size:
             raise ConfigurationError(
                 f"trace has {self.trace.n_servers} servers but a single "

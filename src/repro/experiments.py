@@ -249,7 +249,7 @@ def _run_faults(n_servers: int = 60) -> ExperimentOutcome:
     stall on circulation 0) is scaled from intensity 0 (healthy) to 1
     (severe) and replayed over the common trace.  The healthy point
     doubles as a regression anchor: it must match the fault-free run
-    bit for bit.
+    bit for bit.  A failed job raises its ``JobExecutionError``.
     """
     from .core.config import teg_loadbalance
     from .core.engine import SimulationJob, run_batch
@@ -279,6 +279,10 @@ def _run_faults(n_servers: int = 60) -> ExperimentOutcome:
                           faults=schedule(intensity))
             for intensity in intensities]
     batch = run_batch(jobs, n_workers=1)
+    if not batch.ok:
+        # Results leave failed jobs out: pairing them with the
+        # intensities would shift every later one.
+        raise batch.failures[0].to_error()
     healthy = batch.results[0]
     metrics: dict = {
         "healthy_generation_w": healthy.average_generation_w,

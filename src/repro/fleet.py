@@ -161,7 +161,8 @@ class FleetMix:
         :class:`~repro.core.engine.BatchSimulationEngine` batch (one job
         per CPU model, parallel across slices, bit-identical to serial
         per-slice simulation); ``n_workers`` defers to ``REPRO_WORKERS``
-        and then the CPU count when omitted.
+        and then the CPU count when omitted.  A slice whose job fails
+        raises its :class:`~repro.errors.JobExecutionError`.
         """
         jobs = []
         specs = []
@@ -191,6 +192,10 @@ class FleetMix:
             specs.append(spec)
             start = stop
         batch = run_batch(jobs, n_workers)
+        if not batch.ok:
+            # Results leave failed jobs out, so pairing them with the
+            # slices would shift every later one onto the wrong spec.
+            raise batch.failures[0].to_error()
         return [FleetShareResult(spec=spec, n_servers=job.trace.n_servers,
                                  result=result)
                 for spec, job, result in zip(specs, jobs, batch.results)]

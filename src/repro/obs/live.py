@@ -19,11 +19,10 @@ strictly observational: simulation records are bit-identical with the
 endpoint attached or not.
 
 Attachment points: ``BatchSimulationEngine(metrics_port=N)`` /
-``run_batch(metrics_port=N)``, ``simulate_sharded(metrics_port=N)``,
-``h2p batch --metrics-port N``, or the ``REPRO_METRICS_PORT``
-environment variable (validated; port ``0`` binds an ephemeral port and
-the bound address is reported).  The engine shuts the server down in
-``close()``.
+``run_batch(metrics_port=N)``, ``h2p batch --metrics-port N``, or the
+``REPRO_METRICS_PORT`` environment variable, which an engine reads
+(validated; port ``0`` binds an ephemeral port and the bound address is
+reported).  The engine shuts the server down in ``close()``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.config import SimulationConfig, teg_loadbalance, teg_original
 from repro.core.h2p import H2PSystem
+from repro.core.simulator import DatacenterSimulator
 from repro.thermal.cpu_model import CoolingSetting
+from repro.workloads.synthetic import drastic_trace
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,21 @@ class TestTraceWorkflows:
         result = system.evaluate(tiny_traces["common"])
         assert result.scheme == "TEG_Original"
         assert result.average_generation_w > 0.0
+
+    @pytest.mark.parametrize("config", [
+        teg_original(), teg_loadbalance(),
+        SimulationConfig(name="static", policy="static")],
+        ids=lambda config: config.name)
+    def test_evaluate_runs_the_kernel_bit_for_bit(self, system, config):
+        # 47 servers: circulations of 20, 20 and a ragged 7.
+        trace = drastic_trace(n_servers=47, duration_s=4 * 3600.0,
+                              interval_s=300.0, seed=7)
+        result = system.evaluate(trace, config)
+        serial = DatacenterSimulator(trace, config, system.cpu_model,
+                                     system.teg_module).run()
+        assert result.records == serial.records
+        assert result.violations == serial.violations
+        assert result.metrics.mode == "kernel"
 
     def test_compare_defaults(self, system, tiny_traces):
         comparison = system.compare(tiny_traces["common"])

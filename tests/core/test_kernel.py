@@ -23,12 +23,7 @@ from repro.core.config import (
     teg_loadbalance,
     teg_original,
 )
-from repro.core.engine import (
-    EXECUTION_MODES,
-    _CachedVectorisedSimulator,
-    resolve_mode,
-    simulate,
-)
+from repro.core.engine import EXECUTION_MODES, resolve_mode, simulate
 from repro.core.results import ColumnarSteps, StepRecord
 from repro.core.shard import simulate_sharded
 from repro.core.simulator import DatacenterSimulator, compare_schemes
@@ -96,6 +91,14 @@ class TestModeResolution:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_mode("warp")
+        # simulate checks the mode before a fault schedule sends the
+        # run to the loop, so a faulted run rejects it too.
+        never = FaultSchedule(specs=(
+            FaultSpec(kind="pump_stall", start_s=1e9,
+                      duration_s=60.0),), seed=3)
+        with pytest.raises(ConfigurationError):
+            simulate(trailing_trace(), teg_original(), mode="warp",
+                     faults=never)
 
 
 class TestKernelParity:
@@ -178,15 +181,15 @@ class TestKernelParity:
         for idle_steps in IDLE_STEPS:
             trace = trailing_trace(idle_steps)
             errors = {}
-            for label, sim in (
-                    ("serial", DatacenterSimulator(trace, config)),
-                    ("kernel", _CachedVectorisedSimulator(
-                        trace, config, mode="kernel"))):
+            for label, run in (
+                    ("serial", DatacenterSimulator.run),
+                    ("kernel", kernel_module.run_whole_trace)):
+                sim = DatacenterSimulator(trace, config)
                 for circulation in sim._circulations:
                     circulation.tower = replace(circulation.tower,
                                                 max_heat_kw=0.3)
                 with pytest.raises(PhysicalRangeError) as excinfo:
-                    sim.run()
+                    run(sim)
                 errors[label] = str(excinfo.value)
             assert errors["serial"] == errors["kernel"], idle_steps
 
@@ -633,7 +636,7 @@ class TestReductionOracles:
                               interval_s=300.0, seed=11)
         runs = []
         for decide in (oracle_decide_cells, decide_cells):
-            sim = _CachedVectorisedSimulator(trace, config, mode="kernel")
+            sim = DatacenterSimulator(trace, config)
             if resolution is not None:
                 sim._policy = replace(sim._policy,
                                       cache_resolution=resolution,
@@ -667,8 +670,7 @@ class TestReductionOracles:
         plane[200, 30] = 1.2
         primed = []
         for decide in (oracle_decide_cells, decide_cells):
-            sim = _CachedVectorisedSimulator(trace, teg_original(),
-                                             mode="kernel")
+            sim = DatacenterSimulator(trace, teg_original())
             with pytest.raises(PhysicalRangeError):
                 decide(sim, plane)
             primed.append(list(sim._policy._cache.items()))
@@ -797,8 +799,7 @@ class TestEvaluateOracle:
         trace = WorkloadTrace(plane, 300.0)
         runs = []
         for oracle in (True, False):
-            sim = _CachedVectorisedSimulator(trace, config, cpu_model,
-                                             teg_module, mode="kernel")
+            sim = DatacenterSimulator(trace, config, cpu_model, teg_module)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
                 setting_id, applied = decide_cells(sim, plane)
@@ -949,8 +950,7 @@ class TestBalancedRoute:
         trace = WorkloadTrace(raw, 300.0)
 
         def simulator():
-            return _CachedVectorisedSimulator(trace, config, cpu_model,
-                                              teg_module, mode="kernel")
+            return DatacenterSimulator(trace, config, cpu_model, teg_module)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel_module, "ROW_BLOCK_CELLS", block_cells)
@@ -1028,8 +1028,7 @@ class TestBalancedRoute:
         trace = trailing_trace()
         memos = []
         for per_server in (False, True):
-            sim = _CachedVectorisedSimulator(trace, teg_loadbalance(),
-                                             mode="kernel")
+            sim = DatacenterSimulator(trace, teg_loadbalance())
             run_columns(sim, per_server)
             memos.append(list(sim._policy._cache.items()))
         assert memos[0] == memos[1]

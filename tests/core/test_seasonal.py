@@ -1,5 +1,7 @@
 """Seasonal study tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.seasonal import (
@@ -7,6 +9,7 @@ from repro.core.seasonal import (
     SeasonalStudy,
     annual_summary,
 )
+from repro.core.simulator import DatacenterSimulator
 from repro.environment import ColdSourceProfile, WetBulbProfile
 from repro.errors import PhysicalRangeError
 from repro.workloads.synthetic import common_trace
@@ -35,6 +38,19 @@ class TestConditions:
 
 
 class TestRun:
+    def test_each_month_is_its_serial_run(self):
+        # 47 servers: circulations of 20, 20 and a ragged 7.
+        study = SeasonalStudy(trace=common_trace(
+            n_servers=47, duration_s=2 * 3600.0, seed=6))
+        for index, outcome in enumerate(study.run()):
+            cold, wet_bulb = study.month_conditions(index)
+            serial = DatacenterSimulator(study.trace, replace(
+                study.config, cold_source_temp_c=cold,
+                wet_bulb_c=wet_bulb)).run()
+            assert outcome.result.records == serial.records, outcome.month
+            assert outcome.result.violations == serial.violations
+            assert outcome.result.metrics.mode == "kernel"
+
     def test_twelve_months(self, outcomes):
         assert [outcome.month for outcome in outcomes] == list(MONTH_NAMES)
 

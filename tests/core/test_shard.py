@@ -18,7 +18,6 @@ from repro.core.engine import (
     BatchSimulationEngine,
     SharedTraceRef,
     SimulationJob,
-    _CachedVectorisedSimulator,
     run_batch,
 )
 from repro.core.shard import (
@@ -285,8 +284,7 @@ class TestPrimeDecisions:
         finally:
             tracemalloc.stop()
         assert peak < trace.utilisation.nbytes
-        sim = _CachedVectorisedSimulator(trace, teg_loadbalance(),
-                                         mode="kernel")
+        sim = DatacenterSimulator(trace, teg_loadbalance())
         kernel._decide_plane(sim, kernel._scheduled_plane(
             sim, trace.utilisation))
         assert list(memo.items()) == list(sim._policy._cache.items())
@@ -358,7 +356,7 @@ class TestPayloadSizeIndependence:
                          circ_start=0, circ_stop=3)
         return _ShardPayload(
             trace_ref=ref, spec=spec, config=teg_original(),
-            cpu_model=None, teg_module=None, faults=None,
+            cpu_model=None, teg_module=None,
             decisions=prime_decisions(trace, teg_original()))
 
     def test_pickled_size_independent_of_trace_length(self):

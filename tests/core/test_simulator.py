@@ -32,6 +32,15 @@ class TestConstruction:
                                   SimulationConfig(circulation_size=20))
         assert sim.n_circulations == 2
 
+    def test_none_models_build_the_defaults(self):
+        trace = WorkloadTrace(np.random.default_rng(3).random((6, 47)),
+                              300.0)
+        config = teg_loadbalance()
+        omitted = DatacenterSimulator(trace, config).run()
+        passed_none = DatacenterSimulator(trace, config, None, None).run()
+        assert passed_none.records == omitted.records
+        assert passed_none.violations == omitted.violations
+
     def test_one_circulation_model_per_size(self):
         # 20 + 20 + 7: the two full circulations share one model object
         # and the ragged tail has its own.

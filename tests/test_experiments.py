@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, JobExecutionError
 from repro.experiments import (
     ExperimentOutcome,
     list_experiments,
@@ -56,6 +56,25 @@ class TestOutcomes:
         text = outcome.describe()
         assert "E-F9" in text
         assert "delta_max_c" in text
+
+    def test_fault_sweep_raises_on_a_failed_job(self, monkeypatch):
+        # Results leave a failed job out: the healthy point and every
+        # intensity after it would be paired with the wrong run.
+        from repro.core import engine
+
+        run_batch = engine.run_batch
+
+        def first_job_fails(jobs, n_workers=None, **options):
+            batch = run_batch(jobs, n_workers, **options)
+            lost = batch.results.pop(0)
+            batch.failures.append(engine.FailedJob(
+                scheme=lost.scheme, trace_name=lost.trace_name,
+                error_type="RuntimeError", message="injected failure"))
+            return batch
+
+        monkeypatch.setattr(engine, "run_batch", first_job_fails)
+        with pytest.raises(JobExecutionError, match="injected failure"):
+            run_experiment("E-FAULTS")
 
     def test_outcome_is_frozen(self):
         outcome = ExperimentOutcome(experiment_id="X", title="t",

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.config import teg_loadbalance
-from repro.errors import ConfigurationError, PhysicalRangeError
+from repro.errors import (
+    ConfigurationError,
+    JobExecutionError,
+    PhysicalRangeError,
+)
 from repro.fleet import (
     CPU_SPECS,
     CpuSpec,
@@ -103,6 +107,27 @@ class TestFleetMix:
         outcomes = mix.run(trace)
         assert len(outcomes) == 1
         assert outcomes[0].n_servers == trace.n_servers
+
+    def test_failed_slice_raises_instead_of_shifting_results(
+            self, trace, monkeypatch):
+        # Results leave a failed job out: zipping them with the slices
+        # would hand the first slice the second slice's result.
+        import repro.fleet as fleet_module
+        from repro.core.engine import FailedJob
+
+        run_batch = fleet_module.run_batch
+
+        def first_job_fails(jobs, n_workers=None, **options):
+            batch = run_batch(jobs, n_workers, **options)
+            lost = batch.results.pop(0)
+            batch.failures.append(FailedJob(
+                scheme=lost.scheme, trace_name=lost.trace_name,
+                error_type="RuntimeError", message="injected failure"))
+            return batch
+
+        monkeypatch.setattr(fleet_module, "run_batch", first_job_fails)
+        with pytest.raises(JobExecutionError, match="injected failure"):
+            FleetMix().run(trace)
 
     def test_too_narrow_trace_rejected(self):
         tiny = common_trace(n_servers=2, duration_s=3600.0, seed=2)
