@@ -72,6 +72,7 @@ from ..errors import CoolingFailureError, PhysicalRangeError
 from ..teg.module import _check_coupling, flow_coupling
 from ..thermal.cpu_model import SettingTerms, _check_utilisation
 from ..thermal.hydraulics import loop_pump_power_w
+from .checkpoint import _fan_out, _row_bands
 from .results import ColumnarSteps, SafetyViolation, SimulationResult
 
 __all__ = [
@@ -216,11 +217,38 @@ def _copies(values: np.ndarray, size: int, buffer: np.ndarray) -> np.ndarray:
     return copies
 
 
-def _per_circulation(sim, plane: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(..., axis=2)`` of every circulation's columns of ``plane``."""
+def _rowwise(reduce, plane: np.ndarray, *outs: np.ndarray,
+             fan_out: bool = False) -> None:
+    """``reduce(plane, *outs)``; with ``fan_out``, per band of whole rows.
+
+    ``reduce`` reduces each row of its first argument into the matching
+    rows of the others.  ``fan_out`` runs one band per usable CPU on
+    its own thread (:func:`~repro.core.checkpoint._fan_out`); only the
+    coordinator asks for it.  Each row is reduced whole, so the bits do
+    not depend on the bands, as long as each row is contiguous: NumPy
+    sums the rows of another layout column by column, and a one-row
+    band pairwise, so such a plane runs as one band.
+    """
+    if fan_out and plane.strides[1] == plane.itemsize:
+        _fan_out(lambda band: reduce(plane[band],
+                                     *(out[band] for out in outs)),
+                 _row_bands(len(plane)))
+    else:
+        reduce(plane, *outs)
+
+
+def _per_circulation(sim, plane: np.ndarray, reduce,
+                     fan_out: bool = False) -> np.ndarray:
+    """``reduce(..., axis=2)`` of every circulation's columns of ``plane``.
+
+    ``fan_out`` is as for :func:`_rowwise`.
+    """
+    def rows(band, out):
+        for circs, _, view in _circulations(sim, band):
+            reduce(view, axis=2, out=out[:, circs])
+
     out = np.empty((plane.shape[0], len(sim._groups)))
-    for circs, _, view in _circulations(sim, plane):
-        out[:, circs] = reduce(view, axis=2)
+    _rowwise(rows, plane, out, fan_out=fan_out)
     return out
 
 
@@ -237,15 +265,19 @@ def _slot_max(view: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _circulation_max(sim, plane: np.ndarray) -> np.ndarray:
+def _circulation_max(sim, plane: np.ndarray,
+                     fan_out: bool = False) -> np.ndarray:
     """Every circulation's maximum of ``plane``.
 
     One ``np.maximum.reduceat`` whose segments are the circulations
-    (the equal-size ones, then any ragged tail).
+    (the equal-size ones, then any ragged tail); ``fan_out`` is as for
+    :func:`_rowwise`.
     """
-    size = int(sim._groups[0].size)
-    return np.maximum.reduceat(plane, np.arange(0, plane.shape[1], size),
-                               axis=1)
+    starts = np.arange(0, plane.shape[1], int(sim._groups[0].size))
+    out = np.empty((plane.shape[0], len(starts)))
+    _rowwise(lambda rows, peaks: np.maximum.reduceat(
+        rows, starts, axis=1, out=peaks), plane, out, fan_out=fan_out)
+    return out
 
 
 def _column_planes(n_steps: int, n_circs: int,
@@ -306,6 +338,11 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
       path raises on the first offending *vector*, inside the policy,
       so the scalar loop must run to reproduce that exact error.
 
+    Only a scheduled or balanced plane is scanned for that range: the
+    trace's own plane (``NoScheduler``'s) was proved finite and within
+    ``[0, 1]`` when the trace was built, or, for a ``from_shared``
+    window, when the plane it views was, and it is read-only since.
+
     The representative binding for each unique cell is read back from
     the precomputed ``bindings``: a last-axis reduction of a circulation
     view is bit-equal to reducing the cell's 1-D vector, so the policy
@@ -316,13 +353,14 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
         return None
     if plane.size == 0:
         return None
-    lo = plane.min()
-    # The circulations partition the servers, so the largest maximum
-    # binding is the plane's maximum, NaN and inf included.
-    hi = (plane.max() if getattr(policy, "aggregation", "max") == "avg"
-          else bindings.max())
-    if not (lo >= 0.0 and hi <= 1.0):  # NaN compares false: falls back
-        return None
+    if plane is not sim.trace.utilisation:
+        lo = plane.min()
+        # The circulations partition the servers, so the largest maximum
+        # binding is the plane's maximum, NaN and inf included.
+        hi = (plane.max() if getattr(policy, "aggregation", "max") == "avg"
+              else bindings.max())
+        if not (lo >= 0.0 and hi <= 1.0):  # NaN compares false: falls back
+            return None
     with obs.span("kernel.decide_batch"):
         decisions = policy.decide_batch(bindings.ravel()[cells])
     obs.add("engine.kernel.batched_decisions", len(decisions))
@@ -362,21 +400,22 @@ def _decision_counts(memo: dict | None, before: int, lookups: int,
     return lookups - misses, misses
 
 
-def _decide_plane(sim, plane: np.ndarray):
+def _decide_plane(sim, plane: np.ndarray, fan_out: bool = False):
     """Cooling decisions for every ``(step, circulation)`` cell.
 
     Returns ``(setting_id, applied_settings, in_range)``: a ``(steps x
     circs)`` array of indices into the deduplicated list of clamped
     settings, that list, and ``True`` when the batch path ran, which it
     does only on a plane in ``[0, 1]`` without NaN, so evaluate need
-    not check the utilisations again.
+    not check the utilisations again.  ``fan_out`` takes the bindings
+    as :func:`_rowwise` does.
     """
     avg = getattr(sim._policy, "aggregation", "max") == "avg"
     groups = sim._groups
     # The bindings are passed, not held here, so decide can free them.
     return _decide_bindings(
-        sim, (_per_circulation(sim, plane, np.mean) if avg
-              else _circulation_max(sim, plane)),
+        sim, (_per_circulation(sim, plane, np.mean, fan_out) if avg
+              else _circulation_max(sim, plane, fan_out)),
         plane, lambda step, circ: plane[step, groups[circ]])
 
 
@@ -698,7 +737,7 @@ def _earliest_error(sim, chiller_heat, tower_heat, over,
     return None
 
 
-def _decide_phase(sim):
+def _decide_phase(sim, fan_out: bool = False):
     """Phase 1 for ``sim``'s whole trace: ``(plane, evaluate, decided)``.
 
     ``plane`` is the scheduled plane, or under ``IdealBalancer`` its
@@ -706,12 +745,15 @@ def _decide_phase(sim):
     mean, so a balanced plane stays one column per circulation.
     ``evaluate`` is the phase-2 function for that plane and ``decided``
     the decide output it takes (see :func:`_decide_plane`).
+    ``fan_out`` takes the per-circulation maxima or means of the trace
+    on every usable CPU (see :func:`_rowwise`).
     """
     if type(sim._scheduler) is IdealBalancer:
-        plane = _per_circulation(sim, sim.trace.utilisation, np.mean)
+        plane = _per_circulation(sim, sim.trace.utilisation, np.mean,
+                                 fan_out)
         return plane, _evaluate_balanced, _decide_balanced(sim, plane)
     plane = _scheduled_plane(sim, sim.trace.utilisation)
-    return plane, _evaluate_blocks, _decide_plane(sim, plane)
+    return plane, _evaluate_blocks, _decide_plane(sim, plane, fan_out)
 
 
 def run_kernel_columns(sim) -> KernelColumns:
@@ -880,20 +922,26 @@ def fold_columns(columns: KernelColumns, n_servers: int) -> dict:
 
 
 def _columnar_result(trace, scheme: str, columns: KernelColumns,
-                     step_offset: int = 0) -> SimulationResult:
+                     step_offset: int = 0,
+                     fan_out: bool = False) -> SimulationResult:
     """Phase 4: fold ``columns`` into ``trace``'s columnar result.
 
     The unsharded kernel and the sharding merge both finish here: the
-    time base, the utilisation mean and max, :func:`fold_columns` and
-    the three fault columns, which are zero on a fault-free run.  The
+    time base, the utilisation mean and max (on every usable CPU with
+    ``fan_out``, see :func:`_rowwise`), :func:`fold_columns` and the
+    three fault columns, which are zero on a fault-free run.  The
     result takes ``columns.violations``.
     """
     raw = trace.utilisation
     n_steps, n_servers = raw.shape
+    mean, peak = np.empty(n_steps), np.empty(n_steps)
+    _rowwise(lambda rows, means, peaks: (np.mean(rows, axis=1, out=means),
+                                         np.max(rows, axis=1, out=peaks)),
+             raw, mean, peak, fan_out=fan_out)
     records = ColumnarSteps({
         "time_s": (step_offset + np.arange(n_steps)) * trace.interval_s,
-        "mean_utilisation": raw.mean(axis=1),
-        "max_utilisation": raw.max(axis=1),
+        "mean_utilisation": mean,
+        "max_utilisation": peak,
         **fold_columns(columns, n_servers),
         "safety_violations": columns.violation_counts,
         "degraded_circulations": np.zeros(n_steps, dtype=np.int64),

@@ -362,9 +362,10 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
     direct = warm is not None and warm.get("w1") == w1
     if warm is None:
         # Recording off: the tiles count these cells and the job counts
-        # the memo's growth as its misses (see _drive_shards).
+        # the memo's growth as its misses (see _drive_shards).  No tile
+        # runs yet, so the plane's rows are reduced on every usable CPU.
         with obs.session(None):
-            _decide_phase(sim)
+            _decide_phase(sim, fan_out=True)
     else:
         for bucket, decision in warm["entries"]:
             if direct:
@@ -898,6 +899,8 @@ class StreamingMerge:
             # order.
             self._violations.sort(key=lambda v: (v.step_index,
                                                  v.server_id))
+            # Every tile has landed and the pool waits, so the raw
+            # plane's rows are reduced on every usable CPU.
             result = _columnar_result(trace, config.name, KernelColumns(
                 generation_c=self._planes[0], heat_c=self._planes[1],
                 chiller_power_c=self._planes[2],
@@ -907,7 +910,7 @@ class StreamingMerge:
                 sizes=self._sizes,
                 violation_counts=self._violation_counts,
                 violations=self._violations,
-            ))
+            ), fan_out=True)
         self._fold_s += time.perf_counter() - clock
         if self.timings is not None:
             self.timings.fold_s = self._fold_s
@@ -1044,10 +1047,11 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         else:
             pending = [spec for spec in specs if resume(spec) is None]
             if pending:
-                primed = primed_or_warm(trace, config, job.cpu_model,
-                                        job.teg_module,
-                                        result_cache=result_cache,
-                                        trace_hash=trace_hash)
+                with obs.span("shard.prime"):
+                    primed = primed_or_warm(trace, config, job.cpu_model,
+                                            job.teg_module,
+                                            result_cache=result_cache,
+                                            trace_hash=trace_hash)
                 primed_misses = len(primed or {})
 
                 def run_local(spec: ShardSpec) -> ShardOutcome:

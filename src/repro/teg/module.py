@@ -25,7 +25,13 @@ import numpy as np
 
 from ..constants import TEGS_PER_SERVER
 from ..errors import PhysicalRangeError
-from .device import TegDevice, PAPER_TEG, _check_delta, matched_load_power_w
+from .device import (
+    PAPER_TEG,
+    TegDevice,
+    _check_delta,
+    _clamp_negative,
+    matched_load_power_w,
+)
 
 #: Flow rate at which the paper's Eq. 3/Eq. 6 fits were measured (Sec. IV-B).
 REFERENCE_FLOW_L_PER_H = 200.0
@@ -259,7 +265,7 @@ class TegModule:
         ``out`` and ``work`` are as for :meth:`TegDevice._max_power`.
         """
         delta = np.subtract(warm_out, cold_temp_c, out=warm_out)
-        np.maximum(0.0, delta, out=delta)
+        _clamp_negative(delta)
         return self.as_string._coupled_max_power(delta, coupling, out, work)
 
     def heat_harvested_w(self, warm_out_temp_c: float,

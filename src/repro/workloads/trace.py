@@ -57,7 +57,10 @@ class WorkloadTrace:
         # The trace keeps its own copy: callers key digests and
         # shared-memory segments on the trace object, so the plane must
         # not change behind it through the caller's array or a view.
-        self._adopt(np.array(utilisation, dtype=float), interval_s, name)
+        # The copy is row-major: NumPy sums the rows of a column-major
+        # plane column by column, not as the serial loop's 1-D rows.
+        self._adopt(np.array(utilisation, dtype=float, order="C"),
+                    interval_s, name)
 
     @classmethod
     def _owning(cls, matrix: np.ndarray, interval_s: float,

@@ -193,6 +193,22 @@ class TestKernelParity:
                 errors[label] = str(excinfo.value)
             assert errors["serial"] == errors["kernel"], idle_steps
 
+    def test_column_major_input_matches_serial(self):
+        # NumPy sums the rows of a column-major plane column by column,
+        # so the trace stores a row-major copy: the kernel's per-step
+        # mean is then the serial loop's 1-D mean, bit for bit.
+        base = trailing_trace()
+        trace = WorkloadTrace(np.asfortranarray(base.utilisation),
+                              base.interval_s, name=base.name)
+        assert trace.utilisation.flags.c_contiguous
+        kernel = simulate(trace, teg_original(), mode="kernel")
+        serial = DatacenterSimulator(trace, teg_original()).run()
+        assert kernel.records == serial.records
+        np.testing.assert_array_equal(
+            kernel.records.column("mean_utilisation").view(np.int64),
+            np.array([record.mean_utilisation
+                      for record in serial.records]).view(np.int64))
+
     def test_circulation_views_read_the_trace_in_place(self):
         # The decide phase (and the shard prime pass) must not copy a
         # fleet-sized plane: NoScheduler schedules to the trace itself
@@ -866,6 +882,35 @@ class TestEvaluateRangeCheck:
         assert trace.utilisation.max() > 0.5
         with pytest.raises(PhysicalRangeError):
             DatacenterSimulator(trace, teg_original()).run()
+        with pytest.raises(PhysicalRangeError):
+            simulate(trace, teg_original(), mode="kernel")
+
+    def test_scheduled_plane_is_scanned_under_a_batch_policy(
+            self, monkeypatch):
+        # Only the trace's own plane was proved in range when the trace
+        # was built; a scheduled plane must still be scanned before the
+        # batch path, even when every binding is in range.
+        class LiftingFirst:
+            """Lifts each circulation's first server to 1.2."""
+
+            policy_aggregation = "avg"
+
+            def schedule(self, utilisations):
+                lifted = np.array(utilisations, dtype=float)
+                lifted[0] = 1.2
+                return lifted
+
+        monkeypatch.setattr(SimulationConfig, "build_scheduler",
+                            lambda self: LiftingFirst())
+        trace = drastic_trace(n_servers=47, duration_s=3600.0, seed=3)
+        sim = DatacenterSimulator(trace, teg_original())
+        assert callable(sim._policy.decide_batch)
+        plane = kernel_module._scheduled_plane(sim, trace.utilisation)
+        means = kernel_module._per_circulation(sim, plane, np.mean)
+        assert plane.max() == 1.2
+        assert 0.0 <= means.min() and means.max() <= 1.0
+        with pytest.raises(PhysicalRangeError):
+            sim.run()
         with pytest.raises(PhysicalRangeError):
             simulate(trace, teg_original(), mode="kernel")
 

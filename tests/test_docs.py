@@ -104,6 +104,27 @@ class TestEngineDoc:
         assert documented == in_source
 
 
+def source_spans() -> set:
+    """Every span name an ``obs.span("...")`` literal under src/repro opens."""
+    return {name for path in (REPO / "src" / "repro").rglob("*.py")
+            for name in re.findall(r'\bobs\.span\("([^"]+)"\)',
+                                   path.read_text())}
+
+
+class TestSpanNames:
+    def test_span_table_lists_every_span(self):
+        text = read("docs/observability.md")
+        table = text.split("## Span naming", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `([\w.]+)` \|", table, re.M))
+        assert source_spans() <= documented, source_spans() - documented
+
+    def test_engine_doc_names_only_real_spans(self):
+        named = set(re.findall(r"`(\w+(?:\.\w+)+)`\s+spans?\b",
+                               read("docs/engine.md")))
+        assert named, "docs/engine.md names no span"
+        assert named <= source_spans(), named - source_spans()
+
+
 class TestRegistryDocAlignment:
     def test_design_ids_match_registry(self):
         # Every E-F*/E-T*/E-VA id in DESIGN.md's experiment index that
