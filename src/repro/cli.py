@@ -124,12 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        const=False,
                        help="ignore REPRO_CACHE and run everything "
                             "fresh")
-    batch.add_argument("--shard-straggler", type=float, default=None,
-                       metavar="SECONDS",
-                       help="speculatively re-dispatch a shard that "
-                            "has been running longer than this; first "
-                            "completion wins (default: "
-                            "REPRO_SHARD_STRAGGLER or off)")
     batch.add_argument("--telemetry", default=None, metavar="DIR",
                        help="record the run through repro.obs and "
                             "write manifest.json, events.jsonl and "
@@ -302,7 +296,6 @@ def _cmd_batch(args: argparse.Namespace, reporter: Reporter) -> int:
                                    shard=args.shard,
                                    shard_servers=args.shard_servers,
                                    shard_steps=args.shard_steps,
-                                   shard_straggler_s=args.shard_straggler,
                                    checkpoint=args.checkpoint,
                                    resume=args.resume,
                                    cache=args.cache,

@@ -103,10 +103,9 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: guarantees per executor kind.
 JOB_TIMEOUT_ENV_VAR = "REPRO_JOB_TIMEOUT"
 
-#: Environment variable setting the shard straggler deadline (seconds):
-#: a dispatched shard that has been *running* this long is speculatively
-#: re-dispatched once; first completion wins, the loser is cancelled.
-SHARD_STRAGGLER_ENV_VAR = "REPRO_SHARD_STRAGGLER"
+#: Base sleep before a failed attempt is retried: the retry after
+#: attempt ``k`` sleeps ``RETRY_BACKOFF_S * 2**(k-1)`` seconds.
+RETRY_BACKOFF_S = 0.1
 
 #: How often the batch layer polls in-flight futures for completion,
 #: timeouts and pool breakage.
@@ -164,8 +163,9 @@ class EngineMetrics:
         How the batch layer ran this job (``"process"``, ``"thread"``
         or ``"serial"``); filled in by :class:`BatchSimulationEngine`.
     retries:
-        How many failed attempts preceded the one that produced this
-        result (0 on a first-try success); filled in by the batch layer.
+        How many failed attempts were retried on the way to this result
+        (0 on a first-try success): a whole job's, filled in by the
+        batch layer, or a sharded job's tiles'.
     n_shards:
         How many shards this job was split into (0 when it ran whole;
         see :mod:`repro.core.shard`).
@@ -647,10 +647,11 @@ class _SharedTraceRegistry:
         """Unmap and unlink one scratch segment (idempotent).
 
         Workers still holding a mapping keep it until they drop it
-        (POSIX unlink semantics), so a straggling speculative shard can
-        finish writing harmlessly.  A still-exported coordinator-side
-        view makes the unmap fail quietly; the unlink still runs, so
-        the segment cannot outlive the process either way.
+        (POSIX unlink semantics), so a tile still running after its job
+        failed can finish writing harmlessly.  A still-exported
+        coordinator-side view makes the unmap fail quietly; the unlink
+        still runs, so the segment cannot outlive the process either
+        way.
         """
         self._scratch.pop(block.name, None)
         try:
@@ -780,12 +781,12 @@ class _Unit:
     ``local()`` runs it on a thread or in this process; a process worker
     runs the ``remote`` ``(fn, payload)`` pair instead.  ``land(unit,
     result)`` takes the result.  ``retry(unit, exc)`` records a failed
-    attempt, sleeps the backoff and says whether to rerun; a tile raises
-    instead of saying no, since its job is lost.  An attempt running for
-    ``deadline_s`` fires ``time_out(unit)`` (whole jobs, terminal) or
-    ``speculate(unit, running_s)`` (tiles, one twin).  Callbacks get the
-    unit rather than close over it: a unit that referenced itself would
-    keep its job's trace alive until the cycle collector ran.
+    attempt, sleeps the backoff (:func:`_back_off`) and says whether to
+    rerun; a tile raises instead of saying no, since its job is lost.
+    An attempt running for ``deadline_s`` fires ``time_out(unit)``
+    (whole jobs only; terminal).  Callbacks get the unit rather than
+    close over it: a unit that referenced itself would keep its job's
+    trace alive until the cycle collector ran.
     """
 
     local: Callable[[], object]
@@ -794,13 +795,21 @@ class _Unit:
     remote: tuple | None = None
     deadline_s: float | None = None
     time_out: Callable[["_Unit"], None] | None = None
-    speculate: Callable[["_Unit", float], None] | None = None
     #: Attempts made and failed attempts retried.
     attempts: int = 0
     retries: int = 0
     started_at: float = field(default_factory=time.perf_counter)
     done: bool = False
-    speculated: bool = False
+
+
+def _back_off(unit: _Unit) -> None:
+    """Count a retry of ``unit`` and sleep before its next attempt.
+
+    The one retry rule of whole jobs and tiles: the retry after attempt
+    ``k`` sleeps ``RETRY_BACKOFF_S * 2**(k-1)`` seconds.
+    """
+    unit.retries += 1
+    time.sleep(RETRY_BACKOFF_S * 2 ** (unit.attempts - 1))
 
 
 def _run_local(units: Iterable[_Unit]) -> None:
@@ -966,22 +975,6 @@ def resolve_job_timeout(timeout_s: float | None = None) -> float | None:
                        kind=float)
 
 
-def resolve_shard_straggler(deadline_s: float | None = None
-                            ) -> float | None:
-    """Straggler deadline: explicit > ``REPRO_SHARD_STRAGGLER`` > none.
-
-    Returns ``None`` when speculative re-dispatch is off.
-
-    Raises
-    ------
-    ConfigurationError
-        When ``deadline_s`` or ``REPRO_SHARD_STRAGGLER`` is not a
-        positive number of seconds.
-    """
-    return _env.number(deadline_s, SHARD_STRAGGLER_ENV_VAR,
-                       "shard_straggler_s", kind=float)
-
-
 @dataclass(eq=False)
 class _Answer:
     """How one batch job is answered, resolved once before dispatch.
@@ -1018,12 +1011,10 @@ class BatchSimulationEngine:
         automatically: process -> thread -> serial.
     max_retries:
         Extra attempts per job after the first one fails (crashed
-        worker or raised exception).  Backoff between attempts doubles
-        from ``retry_backoff_s``.  Timeouts are terminal: a job killed
+        worker or raised exception); a sharded job's tiles get the
+        same budget each.  The sleep before a retry doubles from
+        :data:`RETRY_BACKOFF_S`.  Timeouts are terminal: a job killed
         by the wall-clock budget is never retried.
-    retry_backoff_s:
-        Base sleep before attempt ``k``'s retry:
-        ``retry_backoff_s * 2**(k-1)`` seconds.
     job_timeout_s:
         Per-job wall-clock budget in seconds; ``None`` defers to
         ``REPRO_JOB_TIMEOUT`` (unset means no timeout).  Enforced on
@@ -1051,13 +1042,6 @@ class BatchSimulationEngine:
         trace **before** dispatch: non-positive values or values
         exceeding the trace dimensions raise ``ConfigurationError`` on
         the coordinator, never a worker-side crash.
-    shard_straggler_s:
-        Deadline in seconds after which a *running* shard is
-        speculatively re-dispatched (once); the first copy to finish
-        wins and the loser is cancelled or its result discarded.
-        ``None`` defers to ``REPRO_SHARD_STRAGGLER`` (unset means off).
-        Results are unaffected — shards are deterministic — only tail
-        latency is.
     checkpoint:
         Root directory for durable checkpoint state (see
         :mod:`repro.core.checkpoint` and ``docs/checkpoint.md``).  Each
@@ -1084,13 +1068,11 @@ class BatchSimulationEngine:
     def __init__(self, n_workers: int | None = None, *,
                  prefer: str = "process",
                  max_retries: int = 0,
-                 retry_backoff_s: float = 0.1,
                  job_timeout_s: float | None = None,
                  telemetry: bool | None = None,
                  shard: bool | None = None,
                  shard_servers: int | None = None,
                  shard_steps: int | None = None,
-                 shard_straggler_s: float | None = None,
                  checkpoint: "str | os.PathLike | None" = None,
                  resume: bool = True,
                  cache=None,
@@ -1102,16 +1084,11 @@ class BatchSimulationEngine:
         if max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         # Explicit knobs are checked here by the same rules the
         # environment fallbacks go through; those are read by run().
         self.n_workers = n_workers
         self.job_timeout_s = _env.number(job_timeout_s, None,
                                          "job_timeout_s", kind=float)
-        self.shard_straggler_s = _env.number(
-            shard_straggler_s, None, "shard_straggler_s", kind=float)
         self.shard_servers = _env.number(shard_servers, None,
                                          "shard_servers")
         self.shard_steps = _env.number(shard_steps, None, "shard_steps")
@@ -1124,7 +1101,6 @@ class BatchSimulationEngine:
         self._trace_digests: dict[int, tuple[WorkloadTrace, str]] = {}
         self.prefer = prefer
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         # Resolved once up front (explicit > REPRO_TELEMETRY > off) so a
         # malformed environment fails here, not inside a worker, and all
         # executors agree on whether jobs record.
@@ -1321,7 +1297,9 @@ class BatchSimulationEngine:
         is not to blame.
         """
         if result.metrics is not None:
-            result.metrics.retries = unit.retries
+            # A sharded job's metrics already count its tiles' retries;
+            # its own unit never retries.
+            result.metrics.retries += unit.retries
         try:
             if self._cacheable(answer.job):
                 self.result_cache.store(answer.key, result)
@@ -1338,10 +1316,8 @@ class BatchSimulationEngine:
         if unit.attempts > self.max_retries:
             self._fail(answer, unit, exc)
             return False
-        unit.retries += 1
         self._emit_job_event("job.retry", answer, unit, exc)
-        if self.retry_backoff_s > 0:
-            time.sleep(self.retry_backoff_s * 2 ** (unit.attempts - 1))
+        _back_off(unit)
         return True
 
     def _fail(self, answer: _Answer, unit: _Unit,
@@ -1417,13 +1393,12 @@ class BatchSimulationEngine:
 
         A raised attempt reruns while ``retry`` allows.  An attempt
         running past ``deadline_s`` (timed from when it is first seen
-        running) fires the unit's timeout or speculation hook; the
-        first copy to finish wins.  Returns ``None`` while the pool is
-        healthy, else — after a dead worker or a timeout — the units
-        left unfinished, with no attempt charged for the dead worker;
-        the pool must then go.  In an ``isolated`` pool a dead worker is
-        its one unit's failed attempt instead.  What a callback raises
-        propagates, with this loop's futures cancelled.
+        running) fires the unit's timeout.  Returns ``None`` while the
+        pool is healthy, else — after a dead worker or a timeout — the
+        units left unfinished, with no attempt charged for the dead
+        worker; the pool must then go.  In an ``isolated`` pool a dead
+        worker is its one unit's failed attempt instead.  What a
+        callback raises propagates, with this loop's futures cancelled.
         """
         futures: dict[Future, _Unit] = {}
         running_since: dict[Future, float] = {}
@@ -1451,8 +1426,6 @@ class BatchSimulationEngine:
                                     return_when=FIRST_COMPLETED)
                 for future in completed:
                     unit = futures.pop(future)
-                    if unit.done or future.cancelled():
-                        continue  # a speculative twin lost the race
                     try:
                         result = future.result()
                     except Exception as exc:
@@ -1469,26 +1442,16 @@ class BatchSimulationEngine:
                     unit.land(unit, result)
                 now = time.perf_counter()
                 for future, unit in list(futures.items()):
-                    if (unit.deadline_s is None or unit.done
-                            or not future.running()):
+                    if unit.deadline_s is None or not future.running():
                         continue
-                    running_s = now - running_since.setdefault(future, now)
-                    if running_s < unit.deadline_s:
-                        continue
-                    if unit.time_out is not None:
+                    started = running_since.setdefault(future, now)
+                    if now - started >= unit.deadline_s:
                         # Terminal: the hung worker spoils the pool.
                         del futures[future]
                         unit.attempts += 1
                         unit.done = True
                         unit.time_out(unit)
                         return unfinished()
-                    if not unit.speculated:
-                        # One twin per unit: a systematically slow tile
-                        # must not fork-bomb the pool.
-                        unit.speculated = True
-                        unit.speculate(unit, running_s)
-                        if not submit(unit):
-                            return unfinished()
         finally:
             for future in futures:
                 future.cancel()
@@ -1612,7 +1575,6 @@ class BatchSimulationEngine:
 
     def _run_sharded_job(self, job: SimulationJob, specs,
                          kind: str, workers: int,
-                         straggler_s: float | None,
                          store=None) -> SimulationResult:
         """Run one job's shard plan through the shared ``_drive_shards``.
 
@@ -1627,9 +1589,7 @@ class BatchSimulationEngine:
         dead worker sends the unfinished ones to isolated pools, never
         to this process.  Fault windows run in-process.  The per-job
         wall-clock budget is **not** enforced on sharded jobs
-        (documented in ``docs/engine.md``); shards that run past the
-        ``straggler_s`` deadline are speculatively re-dispatched
-        instead.
+        (documented in ``docs/engine.md``).
         """
         from .shard import ShardColumnRef, _drive_shards
 
@@ -1655,7 +1615,7 @@ class BatchSimulationEngine:
                                             n_steps=n_steps,
                                             n_circs=n_circs)
         dispatch = partial(self._dispatch_shards, job, kind, workers,
-                           column_ref, straggler_s)
+                           column_ref)
         try:
             result = _drive_shards(
                 job, specs, telemetry=self.telemetry, health=self._health,
@@ -1670,7 +1630,6 @@ class BatchSimulationEngine:
                 trace_hash=(self._trace_hash(job.trace)
                             if self.result_cache is not None else None),
                 max_retries=self.max_retries,
-                retry_backoff_s=self.retry_backoff_s,
                 dispatch=dispatch, plane_block=planes)
         finally:
             if block is not None:
@@ -1684,16 +1643,14 @@ class BatchSimulationEngine:
         return result
 
     def _dispatch_shards(self, job: SimulationJob, kind: str, workers: int,
-                         column_ref, straggler_s: float | None, pending,
-                         primed, tile) -> None:
+                         column_ref, pending, primed, tile) -> None:
         """Run kernel tiles on this run's executor: land all or raise.
 
         ``tile(spec)`` builds one tile's unit (see ``_drive_shards``); on
         a process pool it ships a :class:`~repro.core.shard._ShardPayload`
         — a windowed :class:`SharedTraceRef`, the spec and the ``primed``
         policy memo — so payload size is independent of trace length
-        and shard count.  A tile running past ``straggler_s`` gets one
-        speculative twin.
+        and shard count.
         """
         from .shard import _ShardPayload, _execute_shard_payload
 
@@ -1712,20 +1669,8 @@ class BatchSimulationEngine:
                     teg_module=job.teg_module,
                     decisions=primed, telemetry=self.telemetry,
                     column_ref=column_ref))
-            if straggler_s is not None:
-                unit.deadline_s = straggler_s
-                unit.speculate = partial(self._speculate, job, spec)
             units.append(unit)
         self._run_units(units, kind, workers)
-
-    def _speculate(self, job: SimulationJob, spec, unit: _Unit,
-                   running_s: float) -> None:
-        """A tile's speculation hook: report the straggler it twins."""
-        labels = {"scheme": job.config.name, "trace": job.trace.name}
-        obs.add("engine.shards.speculated", 1, labels=labels)
-        self._health.straggler()
-        obs.emit("shard.straggler", **labels, shard=spec.index,
-                 deadline_s=unit.deadline_s, running_s=round(running_s, 3))
 
     def run(self, jobs: Iterable[SimulationJob]) -> BatchResult:
         """Execute every job; return partial results plus failures.
@@ -1763,7 +1708,6 @@ class BatchSimulationEngine:
         knobs = dict(
             workers=resolve_workers(self.n_workers, sys.maxsize),
             timeout_s=resolve_job_timeout(self.job_timeout_s),
-            straggler_s=resolve_shard_straggler(self.shard_straggler_s),
             shard_servers=resolve_shard_size(self.shard_servers,
                                              SHARD_SERVERS_ENV_VAR),
             shard_steps=resolve_shard_size(self.shard_steps,
@@ -1824,7 +1768,6 @@ class BatchSimulationEngine:
     def _run_validated(self, jobs: list[SimulationJob],
                        batch_telemetry: "obs.Telemetry | None", *,
                        workers: int, timeout_s: float | None,
-                       straggler_s: float | None,
                        shard_servers: int | None,
                        shard_steps: int | None) -> BatchResult:
         """Execute a validated job list (under the batch session).
@@ -1886,7 +1829,7 @@ class BatchSimulationEngine:
         self._run_units(units, executor, workers)
         _run_local(_Unit(local=partial(self._run_sharded_job, answer.job,
                                        answer.specs, executor, workers,
-                                       straggler_s, store=answer.store),
+                                       store=answer.store),
                          land=partial(self._land, answer),
                          retry=partial(self._fail, answer))
                    for answer in sharded)
@@ -1919,7 +1862,11 @@ class BatchSimulationEngine:
                    if answer.result is not None]
         failures = [answer.failure for answer in answers
                     if answer.failure is not None]
-        retries = sum(unit.retries for unit in units)
+        # A whole job's retried attempts, landed or not, and a landed
+        # sharded job's retried tiles (its metrics count them).
+        retries = sum(unit.retries for unit in units) + sum(
+            answer.result.metrics.retries for answer in sharded
+            if answer.result is not None)
         timeouts = sum(answer.failure is not None and answer.failure.timed_out
                        for answer in whole)
         batch = BatchResult(
@@ -1999,7 +1946,7 @@ def compare_batch(traces: Sequence[WorkloadTrace],
 __all__ = [
     "WORKERS_ENV_VAR",
     "JOB_TIMEOUT_ENV_VAR",
-    "SHARD_STRAGGLER_ENV_VAR",
+    "RETRY_BACKOFF_S",
     "SEGMENT_PREFIX",
     "EXECUTION_MODES",
     "EngineMetrics",
@@ -2017,6 +1964,5 @@ __all__ = [
     "resolve_mode",
     "resolve_workers",
     "resolve_job_timeout",
-    "resolve_shard_straggler",
     "reap_orphaned_segments",
 ]

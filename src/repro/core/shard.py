@@ -95,6 +95,7 @@ from .engine import (
     EngineMetrics,
     SharedTraceRef,
     SimulationJob,
+    _back_off,
     _run_local,
     _run_loop,
     _trace_from_ref,
@@ -591,9 +592,9 @@ def _column_block(ref: ShardColumnRef) -> np.ndarray:
 def _publish_columns(ref: ShardColumnRef, outcome: ShardOutcome) -> None:
     """Write an outcome's plane tiles into the shared block, then slim it.
 
-    Idempotent per tile (a retried or speculated shard rewrites the
-    same cells with the same bytes — shards are deterministic), and
-    disjoint across tiles, so concurrent workers never race on a cell.
+    Idempotent per tile (a retried shard rewrites the same cells with
+    the same bytes — shards are deterministic), and disjoint across
+    tiles, so concurrent workers never race on a cell.
     """
     spec, columns = outcome.spec, outcome.columns
     planes = _column_block(ref)
@@ -924,7 +925,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                   telemetry_sink: "obs.Telemetry | None" = None,
                   result_cache: ResultCache | None = None,
                   trace_hash: str | None = None,
-                  max_retries: int = 0, retry_backoff_s: float = 0.0,
+                  max_retries: int = 0,
                   dispatch=None,
                   plane_block: np.ndarray | None = None
                   ) -> SimulationResult:
@@ -956,7 +957,8 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
       uninterrupted run's decision counts.
     * A shard that raises is retried up to ``max_retries`` times, with
       the engine's backoff; one that may not be retried again fails the
-      job with its error.
+      job with its error.  The result's ``EngineMetrics.retries``
+      counts the retried shards.
     * Every completed shard is saved to ``store``, folded into a
       :class:`StreamingMerge` (over ``plane_block`` when given, with
       shard telemetry going to ``telemetry_sink`` when given) and
@@ -995,9 +997,8 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         The emitted ``shard.retry`` / ``shard.failed`` event always
         carries the shard's coordinates, attempt number and (when the
         worker wrapped it as a :class:`~repro.errors.ShardExecutionError`)
-        the worker pid.  A retry first sleeps
-        ``retry_backoff_s * 2**(attempt - 1)`` seconds, the engine's
-        job-level schedule.
+        the worker pid.  A retry counts and sleeps by the engine's
+        job-level rule (:func:`~repro.core.engine._back_off`).
         """
         if isinstance(exc, ShardExecutionError):
             exc.attempt = unit.attempts
@@ -1016,9 +1017,15 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         if not retrying:
             raise exc
         obs.add("engine.shards.retried", 1)
-        if retry_backoff_s > 0:
-            time.sleep(retry_backoff_s * 2 ** (unit.attempts - 1))
+        _back_off(unit)
         return True
+
+    units: list[_Unit] = []
+
+    def unit_for(spec: ShardSpec, local, land) -> _Unit:
+        units.append(_Unit(local=partial(local, spec), land=land,
+                           retry=partial(retry, spec)))
+        return units[-1]
 
     try:
         if job.faults is not None:
@@ -1041,9 +1048,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                 if saved is not None:
                     policy = saved["outcome"].policy
                     continue
-                _run_local([_Unit(local=partial(run_window, spec),
-                                  land=land_window,
-                                  retry=partial(retry, spec))])
+                _run_local([unit_for(spec, run_window, land_window)])
         else:
             pending = [spec for spec in specs if resume(spec) is None]
             if pending:
@@ -1062,10 +1067,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
                                      cache=clone_cache(primed),
                                      telemetry=telemetry)
 
-                def tile(spec: ShardSpec) -> _Unit:
-                    return _Unit(local=partial(run_local, spec), land=land,
-                                 retry=partial(retry, spec))
-
+                tile = partial(unit_for, local=run_local, land=land)
                 if dispatch is None:
                     _run_local([tile(spec) for spec in pending])
                 else:
@@ -1090,6 +1092,7 @@ def _drive_shards(job: SimulationJob, specs: Sequence[ShardSpec], *,
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         mode="kernel" if job.faults is None else "loop",
         kernel=merge.timings,
+        retries=sum(unit.retries for unit in units),
         n_shards=merge.n_added,
         shards_resumed=len(store.loaded) if store is not None else 0,
     )

@@ -7,7 +7,7 @@ that exposes the *current* state of a run while it is still in flight:
   text exposition format (labelled ``repro_*`` series), exactly what
   ``metrics.prom`` would contain if the run stopped now;
 * ``GET /healthz`` — a JSON liveness document: run phase, jobs and
-  shards completed/total, straggler re-dispatch count.
+  shards completed/total.
 
 The server holds a reference to a live :class:`~repro.obs.session.
 Telemetry` (bound per run with :meth:`LiveTelemetryServer.bind`) and a
@@ -64,9 +64,9 @@ class RunHealth:
     """Thread-safe progress state behind ``GET /healthz``.
 
     The engine's coordinator thread mutates it (phase transitions, job
-    and shard completions, straggler re-dispatches); the scrape thread
-    renders it.  All methods take the lock, none are on a per-step hot
-    path — the finest granularity is one call per job or shard.
+    and shard completions); the scrape thread renders it.  All methods
+    take the lock, none are on a per-step hot path — the finest
+    granularity is one call per job or shard.
     """
 
     def __init__(self) -> None:
@@ -77,7 +77,6 @@ class RunHealth:
         self.jobs_failed = 0
         self.shards_total = 0
         self.shards_completed = 0
-        self.stragglers = 0
         self.runs = 0
 
     def begin(self, *, jobs_total: int = 0, shards_total: int = 0) -> None:
@@ -89,7 +88,6 @@ class RunHealth:
             self.jobs_failed = 0
             self.shards_total = shards_total
             self.shards_completed = 0
-            self.stragglers = 0
             self.runs += 1
 
     def set_phase(self, phase: str) -> None:
@@ -107,10 +105,6 @@ class RunHealth:
             else:
                 self.jobs_completed += 1
 
-    def straggler(self) -> None:
-        with self._lock:
-            self.stragglers += 1
-
     def finish(self, phase: str = "done") -> None:
         with self._lock:
             self.phase = phase
@@ -125,7 +119,6 @@ class RunHealth:
                          "total": self.jobs_total},
                 "shards": {"completed": self.shards_completed,
                            "total": self.shards_total},
-                "stragglers": self.stragglers,
             }
 
 

@@ -54,3 +54,9 @@ def tiny_traces() -> dict:
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests that need randomness."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retries without the engine's backoff sleep."""
+    monkeypatch.setattr("repro.core.engine.RETRY_BACKOFF_S", 0.0)

@@ -579,12 +579,10 @@ class TestKnobsResolveFirst:
     @pytest.mark.parametrize("variable,value", [
         ("REPRO_JOB_TIMEOUT", "soon"),
         ("REPRO_WORKERS", "abc"),
-        ("REPRO_SHARD_STRAGGLER", "-1"),
     ])
     def test_bad_env_leaves_checkpoint_alone(self, variable, value,
                                              tmp_path, monkeypatch):
-        for name in ("REPRO_JOB_TIMEOUT", "REPRO_WORKERS",
-                     "REPRO_SHARD_STRAGGLER"):
+        for name in ("REPRO_JOB_TIMEOUT", "REPRO_WORKERS"):
             monkeypatch.delenv(name, raising=False)
         jobs = [SimulationJob(common_trace(n_servers=40), teg_original())]
         kwargs = dict(prefer="thread", shard=True,
@@ -603,9 +601,11 @@ class TestKnobsResolveFirst:
     @pytest.mark.parametrize("prefer", ["serial", "thread"])
     def test_bad_straggler_fails_the_run(self, prefer, layout,
                                          monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_STRAGGLER", "-1")
+        # A malformed fallback fails the run before anything runs, even
+        # where nothing would read it: the serial executor, whose jobs
+        # no timeout can pre-empt, and a sharded job, which has none.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "-1")
         kwargs = self.SHARDED if layout == "sharded" else dict(shard=False)
         jobs = [SimulationJob(golden_trace(), teg_original())]
-        with pytest.raises(ConfigurationError,
-                           match="REPRO_SHARD_STRAGGLER"):
+        with pytest.raises(ConfigurationError, match="REPRO_JOB_TIMEOUT"):
             run_batch(jobs, n_workers=2, prefer=prefer, **kwargs)

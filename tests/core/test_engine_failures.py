@@ -140,14 +140,23 @@ class TestResolveJobTimeout:
 class TestEngineValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(max_retries=-1),
-        dict(retry_backoff_s=-0.5),
         dict(job_timeout_s=0.0),
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             BatchSimulationEngine(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(shard_straggler_s=1),
+        dict(retry_backoff_s=0),
+    ])
+    def test_deleted_knobs_are_unknown(self, kwargs):
+        jobs = [SimulationJob(trace=flat_trace(), config=teg_original())]
+        with pytest.raises(TypeError):
+            run_batch(jobs, **kwargs)
 
+
+@pytest.mark.usefixtures("no_backoff")
 class TestSerialFailureHandling:
     def test_failing_job_yields_partial_results(self):
         jobs = [SimulationJob(trace=flat_trace("ok-1"),
@@ -156,7 +165,7 @@ class TestSerialFailureHandling:
                               config=teg_original()),
                 SimulationJob(trace=flat_trace("ok-2"),
                               config=teg_loadbalance())]
-        batch = run_batch(jobs, n_workers=1, retry_backoff_s=0.0)
+        batch = run_batch(jobs, n_workers=1)
         assert not batch.ok
         assert [r.trace_name for r in batch.results] == ["ok-1", "ok-2"]
         assert [f.trace_name for f in batch.failures] == ["bad"]
@@ -168,7 +177,7 @@ class TestSerialFailureHandling:
     def test_get_on_failed_job_raises_job_execution_error(self):
         jobs = [SimulationJob(trace=subclass_trace(AlwaysRaises, "bad"),
                               config=teg_original())]
-        batch = run_batch(jobs, n_workers=1, retry_backoff_s=0.0)
+        batch = run_batch(jobs, n_workers=1)
         with pytest.raises(JobExecutionError) as excinfo:
             batch.get("TEG_Original", "bad")
         assert excinfo.value.attempts == 1
@@ -177,8 +186,7 @@ class TestSerialFailureHandling:
     def test_retry_exhaustion_counts_attempts(self):
         jobs = [SimulationJob(trace=subclass_trace(AlwaysRaises, "bad"),
                               config=teg_original())]
-        batch = run_batch(jobs, n_workers=1, max_retries=2,
-                          retry_backoff_s=0.0)
+        batch = run_batch(jobs, n_workers=1, max_retries=2)
         assert batch.failures[0].attempts == 3
         assert batch.metrics.retries == 2
 
@@ -186,8 +194,7 @@ class TestSerialFailureHandling:
         FlakyTrace.counter = itertools.count()
         jobs = [SimulationJob(trace=subclass_trace(FlakyTrace, "flaky"),
                               config=teg_original())]
-        batch = run_batch(jobs, n_workers=1, max_retries=3,
-                          retry_backoff_s=0.0)
+        batch = run_batch(jobs, n_workers=1, max_retries=3)
         assert batch.ok
         result = batch.results[0]
         assert result.metrics.retries == 2
@@ -207,6 +214,7 @@ class TestSerialFailureHandling:
         assert batch.failures[0].attempts == 1
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestThreadPoolFailureHandling:
     def test_failures_attributed_exactly(self):
         jobs = [SimulationJob(trace=flat_trace("ok-1"),
@@ -215,8 +223,7 @@ class TestThreadPoolFailureHandling:
                               config=teg_original()),
                 SimulationJob(trace=flat_trace("ok-2"),
                               config=teg_loadbalance())]
-        batch = run_batch(jobs, n_workers=3, prefer="thread",
-                          retry_backoff_s=0.0)
+        batch = run_batch(jobs, n_workers=3, prefer="thread")
         assert batch.metrics.executor == "thread"
         assert [r.trace_name for r in batch.results] == ["ok-1", "ok-2"]
         assert [f.trace_name for f in batch.failures] == ["bad"]
@@ -228,7 +235,7 @@ class TestThreadPoolFailureHandling:
                 SimulationJob(trace=flat_trace("ok"),
                               config=teg_original())]
         batch = run_batch(jobs, n_workers=2, prefer="thread",
-                          max_retries=3, retry_backoff_s=0.0)
+                          max_retries=3)
         assert batch.ok
         assert batch.get("TEG_Original", "flaky").metrics.retries == 2
 
@@ -268,6 +275,7 @@ class TestProcessPoolFailureHandling:
         assert batch.get("TEG_Original", "ok-1").records == \
             clean.results[0].records
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_worker_crash_is_retried_before_failing(self):
         jobs = [SimulationJob(trace=subclass_trace(CrashingTrace,
                                                    "crash"),
@@ -275,7 +283,7 @@ class TestProcessPoolFailureHandling:
                 SimulationJob(trace=flat_trace("ok"),
                               config=teg_original())]
         batch = run_batch(jobs, n_workers=2, prefer="process",
-                          max_retries=1, retry_backoff_s=0.0)
+                          max_retries=1)
         assert [f.trace_name for f in batch.failures] == ["crash"]
         assert batch.failures[0].attempts == 2
         assert batch.metrics.retries == 1
@@ -285,6 +293,7 @@ class TestProcessPoolFailureHandling:
 class TestLandingErrors:
     """An error while landing a result fails its job; the pool stays up."""
 
+    @pytest.mark.usefixtures("no_backoff")
     @pytest.mark.parametrize("prefer", ["serial", "thread", "process"])
     def test_cache_store_error_fails_each_whole_job_once(
             self, monkeypatch, tmp_path, prefer):
@@ -299,8 +308,8 @@ class TestLandingErrors:
                 SimulationJob(trace=flat_trace("b"),
                               config=teg_loadbalance())]
         with BatchSimulationEngine(n_workers=2, prefer=prefer,
-                                   cache=tmp_path, max_retries=1,
-                                   retry_backoff_s=0.0) as engine:
+                                   cache=tmp_path,
+                                   max_retries=1) as engine:
             batch = engine.run(jobs)
             assert engine.executor_launches == (prefer != "serial")
         assert batch.metrics.executor == prefer

@@ -1,4 +1,4 @@
-"""Self-healing shard execution: retries, stragglers, janitor, audit.
+"""Self-healing shard execution: retries, janitor, audit.
 
 Covers the failure-containment half of the robustness work:
 
@@ -6,10 +6,9 @@ Covers the failure-containment half of the robustness work:
   tile's coordinates, attempt number and worker pid (never a bare
   exception), and survive pickling across process boundaries;
 * transient shard failures are retried with backoff and recorded as
-  ``shard.retry`` telemetry events; exhausted shards fail the job with
-  the structured error;
-* shards exceeding the straggler deadline are speculatively
-  re-dispatched (first completion wins) without changing results;
+  ``shard.retry`` telemetry events and counted in the job's and the
+  batch's retry totals; exhausted shards fail the job with the
+  structured error;
 * the shared-memory janitor reaps segments orphaned by dead processes
   and releases live segments on SIGTERM;
 * the post-merge auditor refuses structurally corrupt merged results.
@@ -21,7 +20,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +29,8 @@ import repro.core.shard as shard_mod
 from repro.core.config import teg_original
 from repro.core.engine import (
     SEGMENT_PREFIX,
-    SHARD_STRAGGLER_ENV_VAR,
     SimulationJob,
     reap_orphaned_segments,
-    resolve_shard_straggler,
     run_batch,
     simulate,
 )
@@ -134,6 +130,7 @@ class FlakyRunShard:
         return run_shard(*args, **kwargs)
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestShardRetries:
     SHARD_KW = dict(shard=True, shard_steps=12, shard_servers=20)
 
@@ -146,8 +143,7 @@ class TestShardRetries:
         monkeypatch.setattr(shard_mod, "run_shard", flaky)
         batch = run_batch([SimulationJob(trace, teg_original())],
                           n_workers=2, prefer="thread", max_retries=2,
-                          retry_backoff_s=0.0, telemetry=True,
-                          **self.SHARD_KW)
+                          telemetry=True, **self.SHARD_KW)
         assert batch.ok
         assert flaky.calls > 8  # one failed attempt was re-run
         assert_identical(batch.results[0], golden.results[0])
@@ -162,52 +158,28 @@ class TestShardRetries:
         monkeypatch.setattr(shard_mod, "run_shard", always)
         batch = run_batch([SimulationJob(trace, teg_original())],
                           n_workers=2, prefer="thread", max_retries=1,
-                          retry_backoff_s=0.0, telemetry=True,
-                          **self.SHARD_KW)
+                          telemetry=True, **self.SHARD_KW)
         assert not batch.ok
         assert batch.failures[0].error_type in ("RuntimeError",
                                                 "ShardExecutionError")
         kinds = {e.kind for e in batch.telemetry.events}
         assert "shard.failed" in kinds
 
-
-class SlowShardZero:
-    """Delegate to run_shard, stalling every attempt at shard 0."""
-
-    def __call__(self, tile, spec, *args, **kwargs):
-        if spec.index == 0:
-            time.sleep(0.2)
-        return run_shard(tile, spec, *args, **kwargs)
-
-
-class TestStragglerSpeculation:
-    def test_deadline_resolution(self, monkeypatch):
-        assert resolve_shard_straggler(None) is None
-        assert resolve_shard_straggler(2.5) == 2.5
-        monkeypatch.setenv(SHARD_STRAGGLER_ENV_VAR, "1.5")
-        assert resolve_shard_straggler(None) == 1.5
-        assert resolve_shard_straggler(3.0) == 3.0  # explicit wins
-        monkeypatch.setenv(SHARD_STRAGGLER_ENV_VAR, "nope")
-        with pytest.raises(ConfigurationError):
-            resolve_shard_straggler(None)
-        monkeypatch.setenv(SHARD_STRAGGLER_ENV_VAR, "-1")
-        with pytest.raises(ConfigurationError):
-            resolve_shard_straggler(None)
-
-    def test_straggler_speculation_preserves_results(self, monkeypatch):
+    @pytest.mark.parametrize("prefer", ["serial", "thread"])
+    def test_tile_retry_counts_in_the_retry_totals(self, monkeypatch,
+                                                   prefer):
         trace = make_trace()
-        kwargs = dict(n_workers=2, prefer="thread", shard=True,
-                      shard_steps=12, shard_servers=20)
-        golden = run_batch([SimulationJob(trace, teg_original())],
-                           **kwargs)
-        monkeypatch.setattr(shard_mod, "run_shard", SlowShardZero())
+        monkeypatch.setattr(shard_mod, "run_shard", FlakyRunShard(1))
         batch = run_batch([SimulationJob(trace, teg_original())],
-                          shard_straggler_s=0.05, telemetry=True,
-                          **kwargs)
+                          n_workers=2, prefer=prefer, max_retries=2,
+                          telemetry=True, **self.SHARD_KW)
         assert batch.ok
-        assert_identical(batch.results[0], golden.results[0])
-        kinds = {e.kind for e in batch.telemetry.events}
-        assert "shard.straggler" in kinds
+        assert batch.metrics.executor == prefer
+        counters = batch.telemetry.registry.snapshot().counters
+        assert counters["engine.shards.retried"] == 1
+        assert batch.results[0].metrics.retries == 1
+        assert batch.metrics.retries == 1
+        assert counters["engine.jobs.retries"] == 1
 
 
 class WorkerKillingRunShard:
@@ -268,6 +240,7 @@ class TestDeadWorkerTiles:
         assert os.getpid() not in killer.pids()
         assert len(killer.pids()) > 8  # the killed attempt, plus 8 tiles
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_tile_that_kills_every_worker_fails_only_its_job(
             self, monkeypatch, tmp_path):
         doomed = make_trace(name="doomed")
@@ -277,8 +250,8 @@ class TestDeadWorkerTiles:
         monkeypatch.setattr(shard_mod, "run_shard", killer)
         batch = run_batch([SimulationJob(doomed, teg_original()),
                            SimulationJob(healthy, teg_original())],
-                          max_retries=1, retry_backoff_s=0.0,
-                          telemetry=True, **self.SHARD_KW)
+                          max_retries=1, telemetry=True,
+                          **self.SHARD_KW)
         assert [f.trace_name for f in batch.failures] == ["doomed"]
         assert batch.failures[0].error_type == "BrokenProcessPool"
         assert_identical(batch.get("TEG_Original", "healthy"), reference)

@@ -556,6 +556,7 @@ class TestShardAutotune:
 class TestInProcessRetries:
     """Tiles run in-process by ``_drive_shards`` honour the retry budget."""
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_serial_engine_retries_a_failed_kernel_tile(self, monkeypatch):
         trace = small_trace(n_servers=40, steps=48)
         failures = iter([ValueError("transient")])
@@ -570,7 +571,6 @@ class TestInProcessRetries:
         with BatchSimulationEngine(n_workers=1, prefer="serial",
                                    shard=True, shard_servers=20,
                                    shard_steps=12, max_retries=1,
-                                   retry_backoff_s=0.0,
                                    telemetry=True) as engine:
             batch = engine.run([SimulationJob(trace, teg_original())])
         assert batch.ok

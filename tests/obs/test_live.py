@@ -61,12 +61,10 @@ class TestRunHealth:
         health.job_done()
         health.job_done(failed=True)
         health.shard_done(2)
-        health.straggler()
         state = health.to_dict()
         assert state["phase"] == "running"
         assert state["jobs"] == {"completed": 1, "failed": 1, "total": 3}
         assert state["shards"] == {"completed": 2, "total": 4}
-        assert state["stragglers"] == 1
         health.finish()
         assert health.to_dict()["phase"] == "done"
 

@@ -26,10 +26,12 @@ class TestParser:
             main(["simulate", "--trace", "bursty"])
 
     def test_batch_has_no_mode_flag(self):
-        # Batches always ask for the kernel, so no flag picks a mode.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["batch", "--mode", "kernel"])
-        assert excinfo.value.code == 2
+        # Batches always ask for the kernel, so no flag picks a mode,
+        # and no flag sets a deadline for a second copy of a tile.
+        for flag in (["--mode", "kernel"], ["--shard-straggler", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["batch", *flag])
+            assert excinfo.value.code == 2
 
 
 class TestSimulate:

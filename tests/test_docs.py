@@ -104,6 +104,11 @@ class TestEngineDoc:
         assert documented == in_source
 
 
+def observability_section(title: str) -> str:
+    text = read("docs/observability.md")
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def source_spans() -> set:
     """Every span name an ``obs.span("...")`` literal under src/repro opens."""
     return {name for path in (REPO / "src" / "repro").rglob("*.py")
@@ -113,8 +118,7 @@ def source_spans() -> set:
 
 class TestSpanNames:
     def test_span_table_lists_every_span(self):
-        text = read("docs/observability.md")
-        table = text.split("## Span naming", 1)[1].split("\n## ", 1)[0]
+        table = observability_section("Span naming")
         documented = set(re.findall(r"^\| `([\w.]+)` \|", table, re.M))
         assert source_spans() <= documented, source_spans() - documented
 
@@ -123,6 +127,48 @@ class TestSpanNames:
                                read("docs/engine.md")))
         assert named, "docs/engine.md names no span"
         assert named <= source_spans(), named - source_spans()
+
+
+def source_metrics() -> set:
+    """Every counter, gauge and histogram name ``src/repro`` records."""
+    pattern = (r'\b(?:obs\.(?:add|gauge_max|observe)'
+               r'|\.(?:counter|gauge|histogram))\(\s*"([^"]+)"')
+    return {name for path in (REPO / "src" / "repro").rglob("*.py")
+            for name in re.findall(pattern, path.read_text())}
+
+
+def source_events() -> set:
+    """Every event kind ``src/repro`` emits, both arms of a conditional
+    kind (``"a" if retrying else "b"``) included."""
+    pattern = (r'\b(?:emit|_emit_job_event)\(\s*"([^"]+)"'
+               r'(?:\s+if\s+\w+\s+else\s+"([^"]+)")?')
+    return {name for path in (REPO / "src" / "repro").rglob("*.py")
+            for match in re.findall(pattern, path.read_text())
+            for name in match if name}
+
+
+class TestMetricCatalogue:
+    def test_catalogue_lists_exactly_the_recorded_metrics(self):
+        # The first cell of each row names its metrics in full.
+        rows = re.findall(r"^\| ([^|]+) \|",
+                          observability_section("Metric catalogue"), re.M)
+        documented = {name for row in rows
+                      for name in re.findall(r"`([\w.]+)`", row)}
+        recorded = source_metrics()
+        assert recorded, "no metric found under src/repro"
+        assert recorded - documented == set()
+        assert documented - recorded == set()
+
+    def test_events_list_exactly_the_emitted_kinds(self):
+        # Each bullet names its kinds before the dash.
+        heads = re.findall(r"^\* (.+?) —",
+                           observability_section("Events"), re.M | re.S)
+        documented = {name for head in heads
+                      for name in re.findall(r"`([\w.]+)`", head)}
+        emitted = source_events()
+        assert {"shard.retry", "shard.failed"} <= emitted
+        assert emitted - documented == set()
+        assert documented - emitted == set()
 
 
 class TestRegistryDocAlignment:

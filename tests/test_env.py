@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 BLANK_IS_MALFORMED = {
     "REPRO_WORKERS": lambda: engine.resolve_workers(None, 4),
     "REPRO_JOB_TIMEOUT": engine.resolve_job_timeout,
-    "REPRO_SHARD_STRAGGLER": engine.resolve_shard_straggler,
     "REPRO_SHARD_SERVERS": lambda: shard.resolve_shard_size(
         None, shard.SHARD_SERVERS_ENV_VAR),
     "REPRO_SHARD_STEPS": lambda: shard.resolve_shard_size(
